@@ -212,22 +212,39 @@ void GateIpBatchDriver::load_key(std::span<const std::uint8_t> key, bool needs_s
 }
 
 void GateIpBatchDriver::load_key(std::span<const std::uint8_t> key, int setup_cycles) {
-  // Multi-beat like the scalar driver; each beat replicates into every lane.
-  for (std::size_t off = 0; off < key.size(); off += 16) {
-    std::array<std::uint8_t, 16> beat{};
-    const std::size_t n = std::min<std::size_t>(16, key.size() - off);
-    for (std::size_t i = 0; i < n; ++i) beat[i] = key[off + i];
-    set_din_lanes(beat, 1);
+  load_key_lanes(key, key.size(), 1, setup_cycles, 1);
+}
+
+void GateIpBatchDriver::load_key_lanes(std::span<const std::uint8_t> keys, std::size_t key_len,
+                                       std::size_t n, int setup_cycles, std::uint64_t charged) {
+  if (n < 1 || n > lanes() || keys.size() < key_len * n)
+    throw std::invalid_argument("GateIpBatchDriver: need 1.." + std::to_string(lanes()) +
+                                " lane keys");
+  // Multi-beat like the scalar driver; beat b of every lane rides din at once.
+  beat_.resize(16 * n);
+  for (std::size_t off = 0; off < key_len; off += 16) {
+    const std::size_t w = std::min<std::size_t>(16, key_len - off);
+    std::fill(beat_.begin(), beat_.end(), std::uint8_t{0});
+    for (std::size_t l = 0; l < n; ++l)
+      std::copy_n(keys.begin() + static_cast<std::ptrdiff_t>(key_len * l + off), w,
+                  beat_.begin() + static_cast<std::ptrdiff_t>(16 * l));
+    set_din_lanes(beat_, n);
     set_broadcast("wr_key", true);
-    clock();
+    clock(charged);
     set_broadcast("wr_key", false);
   }
-  for (int i = 0; i < setup_cycles; ++i) clock();
+  for (int i = 0; i < setup_cycles; ++i) clock(charged);
 }
 
 std::optional<GateIpBatchDriver::BatchResult> GateIpBatchDriver::process_batch(
     std::span<const std::uint8_t> in, std::span<std::uint8_t> out, std::size_t n, bool encrypt,
     int watchdog_cycles) {
+  return process_lanes(in, out, n, n, encrypt, watchdog_cycles);
+}
+
+std::optional<GateIpBatchDriver::BatchResult> GateIpBatchDriver::process_lanes(
+    std::span<const std::uint8_t> in, std::span<std::uint8_t> out, std::size_t n,
+    std::size_t active, bool encrypt, int watchdog_cycles) {
   if (n < 1 || n > lanes())
     throw std::invalid_argument("GateIpBatchDriver: batch size must be 1.." +
                                 std::to_string(lanes()));
@@ -236,10 +253,10 @@ std::optional<GateIpBatchDriver::BatchResult> GateIpBatchDriver::process_batch(
   if (has_input("encdec")) set_broadcast("encdec", encrypt);
   set_din_lanes(in, n);
   set_broadcast("wr_data", true);
-  clock(n);  // the load edge, n blocks wide
+  clock(active);  // the load edge, one cycle per active block
   set_broadcast("wr_data", false);
   for (int i = 1; i <= watchdog_cycles; ++i) {
-    clock(n);
+    clock(active);
     if (data_ok()) {
       read_dout_lanes(out, n);
       return BatchResult{i};

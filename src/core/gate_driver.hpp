@@ -12,6 +12,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "netlist/batch_eval.hpp"
 #include "netlist/eval.hpp"
@@ -93,13 +94,17 @@ class GateIpDriver {
 /// sampled from lane 0.  The din/dout buses carry per-lane block data (the
 /// lane packing transpose lives in set_din_lanes / read_dout_lanes).
 ///
+/// Keys are per lane too: the wr_key beats ride din, so load_key_lanes()
+/// writes a different key into each lane with one multi-beat write and one
+/// broadcast setup run (load_key() is the every-lane-the-same case).
+///
 /// Cycle accounting: each simulated clock during a process_batch() pass
 /// advances cycles() by the number of ACTIVE lanes, so a full sequence of
 /// 1-lane batches reports exactly the cycle totals the scalar GateIpDriver
 /// (and the behavioral model) would — cycles() stays "simulated device
 /// cycles of useful work", independent of how wide the evaluation ran.
-/// Reset and key-load clocks are device-global (one shared key schedule) and
-/// count once.
+/// Reset clocks count once; a key install's clocks are weighted by the
+/// number of scalar key loads it stands for (one for load_key()).
 class GateIpBatchDriver {
  public:
   /// Binds to a synthesized IP netlist (must expose the Table 1 ports).
@@ -131,12 +136,19 @@ class GateIpBatchDriver {
   /// Pulse `setup` for one cycle (device-global: weight 1 per clock).
   void reset();
   /// Write a key to every lane (multi-beat when wider than din); runs the
-  /// 4*Nr extra key-setup cycles when `needs_setup` (device-global: one
-  /// shared key schedule).
+  /// 4*Nr extra key-setup cycles when `needs_setup`.  Costs one scalar key
+  /// load.
   void load_key(std::span<const std::uint8_t> key, bool needs_setup);
   /// Write a key and run an explicit number of key-setup clocks (the
   /// variant family's declared schedule).
   void load_key(std::span<const std::uint8_t> key, int setup_cycles);
+  /// Write a different key into each lane: lane L < n takes
+  /// keys[key_len*L, key_len*(L+1)), lanes >= n take lane 0's.  One
+  /// multi-beat wr_key write plus `setup_cycles` broadcast clocks install
+  /// them all (a lane rewritten with its own key keeps it).  Every clock is
+  /// weighted by `charged`, the scalar key loads the install stands for.
+  void load_key_lanes(std::span<const std::uint8_t> keys, std::size_t key_len, std::size_t n,
+                      int setup_cycles, std::uint64_t charged);
 
   struct BatchResult {
     int cycles;  ///< per-lane latency, load edge -> data_ok (same in every lane)
@@ -148,6 +160,12 @@ class GateIpBatchDriver {
   std::optional<BatchResult> process_batch(std::span<const std::uint8_t> in,
                                            std::span<std::uint8_t> out, std::size_t n,
                                            bool encrypt, int watchdog_cycles = 200);
+  /// process_batch over lanes [0, n) of which only `active` carry useful
+  /// blocks (the rest hold filler): every clock is weighted by `active`.
+  std::optional<BatchResult> process_lanes(std::span<const std::uint8_t> in,
+                                           std::span<std::uint8_t> out, std::size_t n,
+                                           std::size_t active, bool encrypt,
+                                           int watchdog_cycles = 200);
 
  private:
   netlist::BatchEvaluator ev_;
@@ -156,6 +174,7 @@ class GateIpBatchDriver {
   netlist::Bus din_;
   netlist::Bus dout_;
   std::uint64_t cycles_ = 0;
+  std::vector<std::uint8_t> beat_;  ///< per-lane key beat staging, reused
 };
 
 }  // namespace aesip::core

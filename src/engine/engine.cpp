@@ -1,6 +1,7 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/ip_synth.hpp"
 
@@ -43,6 +44,41 @@ void CipherEngine::process_batch(std::span<const std::uint8_t> in, std::span<std
   ++batch_stats_.calls;
   batch_stats_.blocks += n;
   batch_stats_.passes += n;  // loop engines dispatch one block per pass
+}
+
+void CipherEngine::process_keyed(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
+                                 std::span<KeySpan> spans, bool encrypt) {
+  const std::size_t n = check_batch_spans(in, out);
+  std::size_t total = 0;
+  for (const auto& s : spans) total += s.blocks;
+  if (total != n) throw std::invalid_argument("CipherEngine: key spans must tile the batch");
+  std::size_t off = 0;
+  for (std::size_t i = 0; i < spans.size();) {
+    // A stretch of consecutive same-key spans shares one rekey and one batch.
+    std::size_t j = i + 1, blocks = spans[i].blocks;
+    while (j < spans.size() && std::ranges::equal(spans[j].key, spans[i].key))
+      blocks += spans[j++].blocks;
+    for (std::size_t k = i; k < j; ++k) spans[k].cycles = spans[k].setup_cycles = 0;
+    if (blocks == 0) {
+      i = j;
+      continue;
+    }
+    const std::uint64_t c0 = cycles();
+    spans[i].setup_cycles = rekey(spans[i].key);
+    const std::uint64_t c1 = cycles();
+    process_batch(in.subspan(16 * off, 16 * blocks), out.subspan(16 * off, 16 * blocks),
+                  encrypt);
+    // Every block of a batch costs the same, so the batch splits by blocks.
+    const std::uint64_t batch_cycles = cycles() - c1;
+    spans[i].cycles = c1 - c0;
+    for (std::size_t k = i, seen = 0; k < j; ++k) {
+      const std::uint64_t before = batch_cycles * seen / blocks;
+      seen += spans[k].blocks;
+      spans[k].cycles += batch_cycles * seen / blocks - before;
+    }
+    off += blocks;
+    i = j;
+  }
 }
 
 // --- SoftwareEngine ----------------------------------------------------------
@@ -137,7 +173,13 @@ NetlistEngine::NetlistEngine(std::shared_ptr<const netlist::Netlist> nl, core::I
 NetlistEngine::NetlistEngine(std::shared_ptr<const netlist::Netlist> nl,
                              const arch::VariantSpec& spec, core::IpMode mode,
                              const netlist::BatchConfig& cfg)
-    : nl_(std::move(nl)), spec_(spec), mode_(mode), drv_(*nl_, cfg) {
+    : nl_(std::move(nl)),
+      spec_(spec),
+      mode_(mode),
+      drv_(*nl_, cfg),
+      key_len_(static_cast<std::size_t>(spec.key_bits / 8)),
+      lane_keys_(drv_.lanes() * key_len_),
+      lane_used_(drv_.lanes(), 0) {
   // Mirror BehavioralEngine's construction-time reset() pulse: one setup
   // edge plus one idle edge, so cycle counts line up from cycle 0.
   drv_.reset();
@@ -146,46 +188,60 @@ NetlistEngine::NetlistEngine(std::shared_ptr<const netlist::Netlist> nl,
 }
 
 std::uint64_t NetlistEngine::load_key(std::span<const std::uint8_t> key) {
-  if (static_cast<int>(key.size()) * 8 != spec_.key_bits)
-    throw std::invalid_argument("NetlistEngine: key must be " +
-                                std::to_string(spec_.key_bits / 8) + " bytes for " + spec_.name());
+  if (key.size() != key_len_)
+    throw std::invalid_argument("NetlistEngine: key must be " + std::to_string(key_len_) +
+                                " bytes for " + spec_.name());
   const std::uint64_t setup =
       static_cast<std::uint64_t>(spec_.key_setup_cycles(mode_));
   drv_.load_key(key, static_cast<int>(setup));
-  std::copy(key.begin(), key.end(), resident_key_.begin());
-  resident_key_len_ = key.size();
+  ++tick_;
+  for (std::size_t l = 0; l < lane_used_.size(); ++l) {
+    std::ranges::copy(key, lane_keys_.begin() + static_cast<std::ptrdiff_t>(key_len_ * l));
+    lane_used_[l] = tick_;
+  }
   ++counters_.key_writes;
   counters_.key_setup_cycles += setup;
   return setup;
 }
 
-bool NetlistEngine::key_resident(std::span<const std::uint8_t> key) const {
-  return resident_key_len_ != 0 && key.size() == resident_key_len_ &&
-         std::equal(key.begin(), key.end(), resident_key_.begin());
+bool NetlistEngine::lane_holds(std::size_t lane, std::span<const std::uint8_t> key) const {
+  return lane_used_[lane] != 0 && key.size() == key_len_ &&
+         std::equal(key.begin(), key.end(),
+                    lane_keys_.begin() + static_cast<std::ptrdiff_t>(key_len_ * lane));
 }
 
-void NetlistEngine::run_pass(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
-                             std::size_t n, bool encrypt) {
-  const auto r = drv_.process_batch(in, out, n, encrypt);
+bool NetlistEngine::key_resident(std::span<const std::uint8_t> key) const {
+  // The unkeyed paths run in any lane, so the key must be in all of them.
+  for (std::size_t l = 0; l < lane_used_.size(); ++l)
+    if (!lane_holds(l, key)) return false;
+  return true;
+}
+
+std::uint64_t NetlistEngine::run_pass(std::span<const std::uint8_t> in,
+                                      std::span<std::uint8_t> out, std::size_t n,
+                                      std::size_t active, bool encrypt) {
+  const auto r = drv_.process_lanes(in, out, n, active, encrypt);
   if (!r) throw std::runtime_error("NetlistEngine: data_ok never rose (gate-level hang)");
   last_latency_ = static_cast<std::uint64_t>(r->cycles);
   // The gate FSM walks the same phases the behavioral model counts; derive
-  // the identical attribution from the protocol events, once per lane — a
-  // pass over n lanes is n blocks of device work (cycles() agrees: the
-  // driver weights each pass clock by the active lane count).
+  // the identical attribution from the protocol events, once per active
+  // lane — a pass carrying k blocks is k blocks of device work (cycles()
+  // agrees: the driver weights each pass clock by the active lane count).
   // Iterative blocks spend 4 ByteSub32 slices + 1 MixColumn cycle per
   // round; the full-width variants do the whole round in the one wide
   // cycle counted under mix_cycles (matching VariantIp's attribution).
+  const std::uint64_t k = active;
   const std::uint64_t bytesub_per_round =
       spec_.is_iterative() ? core::RijndaelIp::kCyclesPerRound - 1 : 0;
   const std::uint64_t rounds = static_cast<std::uint64_t>(spec_.nr());
   const bool dec = mode_ == core::IpMode::kDecrypt || (mode_ == core::IpMode::kBoth && !encrypt);
-  counters_.data_writes += n;
-  counters_.idle_cycles += n;  // the load edge executes in kIdle (block start)
-  counters_.bytesub_cycles += rounds * bytesub_per_round * n;
-  counters_.mix_cycles += rounds * n;
-  counters_.rounds_done += rounds * n;
-  (dec ? counters_.blocks_dec : counters_.blocks_enc) += n;
+  counters_.data_writes += k;
+  counters_.idle_cycles += k;  // the load edge executes in kIdle (block start)
+  counters_.bytesub_cycles += rounds * bytesub_per_round * k;
+  counters_.mix_cycles += rounds * k;
+  counters_.rounds_done += rounds * k;
+  (dec ? counters_.blocks_dec : counters_.blocks_enc) += k;
+  return last_latency_;
 }
 
 const char* NetlistEngine::batch_backend() const noexcept {
@@ -206,7 +262,7 @@ bool NetlistEngine::inject_fault(std::size_t site) {
 std::array<std::uint8_t, 16> NetlistEngine::do_process(std::span<const std::uint8_t> block,
                                                        bool encrypt) {
   std::array<std::uint8_t, 16> out{};
-  run_pass(block, out, 1, encrypt);  // a scalar block is a 1-lane batch
+  run_pass(block, out, 1, 1, encrypt);  // a scalar block is a 1-lane batch
   return out;
 }
 
@@ -216,8 +272,128 @@ void NetlistEngine::process_batch(std::span<const std::uint8_t> in, std::span<st
   const std::size_t lanes = batch_lanes();
   for (std::size_t off = 0; off < n; off += lanes) {
     const std::size_t take = std::min(lanes, n - off);
-    run_pass(in.subspan(16 * off, 16 * take), out.subspan(16 * off, 16 * take), take, encrypt);
+    run_pass(in.subspan(16 * off, 16 * take), out.subspan(16 * off, 16 * take), take, take,
+             encrypt);
     ++batch_stats_.passes;
+  }
+  ++batch_stats_.calls;
+  batch_stats_.blocks += n;
+}
+
+void NetlistEngine::process_keyed(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
+                                  std::span<KeySpan> spans, bool encrypt) {
+  const std::size_t n = check_batch_spans(in, out);
+  std::size_t total = 0;
+  for (auto& s : spans) {
+    if (s.key.size() != key_len_)
+      throw std::invalid_argument("NetlistEngine: key must be " + std::to_string(key_len_) +
+                                  " bytes for " + spec_.name());
+    total += s.blocks;
+    s.cycles = s.setup_cycles = 0;
+  }
+  if (total != n) throw std::invalid_argument("CipherEngine: key spans must tile the batch");
+  const std::size_t lanes = batch_lanes();
+  const std::uint64_t setup = static_cast<std::uint64_t>(spec_.key_setup_cycles(mode_));
+  const std::uint64_t beats = (key_len_ + 15) / 16;
+  pass_in_.resize(16 * lanes);
+  pass_out_.resize(16 * lanes);
+  lane_taken_.resize(lanes);
+
+  std::size_t si = 0, s_off = 0;  // the next block to place: span si, s_off blocks in
+  for (std::size_t off = 0; off < n;) {
+    const std::size_t take = std::min(lanes, n - off);
+    ++tick_;
+    // Cut the pass into per-span portions and collect its distinct keys
+    // (in first-use order) with their block counts.
+    std::size_t nw = 0;
+    portions_.clear();
+    for (std::size_t b = off; b < off + take;) {
+      while (s_off == spans[si].blocks) ++si, s_off = 0;
+      const std::size_t here = std::min(spans[si].blocks - s_off, off + take - b);
+      std::size_t w = 0;
+      while (w < nw && !std::ranges::equal(wants_[w].key, spans[si].key)) ++w;
+      if (w == nw) {
+        if (nw == wants_.size()) wants_.emplace_back();
+        wants_[w].key = spans[si].key;
+        wants_[w].span = si;
+        wants_[w].blocks = 0;
+        wants_[w].lanes.clear();
+        ++nw;
+      }
+      wants_[w].blocks += here;
+      portions_.push_back({si, b, here, w});
+      s_off += here;
+      b += here;
+    }
+    // Lanes already holding a wanted key serve it, up to its block count.
+    std::fill(lane_taken_.begin(), lane_taken_.end(), std::uint8_t{0});
+    for (std::size_t l = 0; l < lanes; ++l)
+      for (std::size_t w = 0; w < nw; ++w)
+        if (wants_[w].lanes.size() < wants_[w].blocks && lane_holds(l, wants_[w].key)) {
+          wants_[w].lanes.push_back(l);
+          lane_taken_[l] = 1;
+          break;
+        }
+    // Keys still short of lanes take the least recently used free lanes,
+    // all written in one per-lane install.  A key no lane held is charged
+    // one scalar key load, on the first span that needed it.
+    victims_.clear();
+    for (std::size_t l = 0; l < lanes; ++l)
+      if (!lane_taken_[l]) victims_.push_back(l);
+    std::ranges::sort(victims_, [&](std::size_t a, std::size_t b) {
+      return std::pair(lane_used_[a], a) < std::pair(lane_used_[b], b);
+    });
+    std::uint64_t charged = 0;
+    std::size_t v = 0;
+    for (std::size_t w = 0; w < nw; ++w) {
+      auto& want = wants_[w];
+      if (want.lanes.empty()) {
+        ++charged;
+        spans[want.span].setup_cycles += setup;
+        spans[want.span].cycles += beats + setup;
+      }
+      while (want.lanes.size() < want.blocks) {
+        const std::size_t l = victims_[v++];
+        std::ranges::copy(want.key,
+                          lane_keys_.begin() + static_cast<std::ptrdiff_t>(key_len_ * l));
+        lane_used_[l] = tick_;
+        want.lanes.push_back(l);
+      }
+    }
+    if (v > 0) {
+      // Lanes that never held a key take the first one; then they do.
+      for (std::size_t l = 0; l < lanes; ++l)
+        if (lane_used_[l] == 0) {
+          std::ranges::copy(wants_[0].key,
+                            lane_keys_.begin() + static_cast<std::ptrdiff_t>(key_len_ * l));
+          lane_used_[l] = 1;
+        }
+      drv_.load_key_lanes(lane_keys_, key_len_, lanes, static_cast<int>(setup), charged);
+      counters_.key_writes += charged;
+      counters_.key_setup_cycles += charged * setup;
+    }
+    // Scatter the blocks onto their lanes, run one pass, gather.
+    std::size_t hi = 0;
+    for (const auto& p : portions_)
+      for (std::size_t k = 0; k < p.blocks; ++k) {
+        const std::size_t l = wants_[p.want].lanes[wants_[p.want].next++];
+        std::copy_n(in.begin() + static_cast<std::ptrdiff_t>(16 * (p.first + k)), 16,
+                    pass_in_.begin() + static_cast<std::ptrdiff_t>(16 * l));
+        lane_used_[l] = tick_;
+        hi = std::max(hi, l + 1);
+      }
+    const std::uint64_t per_block = run_pass(pass_in_, pass_out_, hi, take, encrypt) + 1;
+    for (std::size_t w = 0; w < nw; ++w) wants_[w].next = 0;
+    for (const auto& p : portions_) {
+      for (std::size_t k = 0; k < p.blocks; ++k)
+        std::copy_n(pass_out_.begin() +
+                        static_cast<std::ptrdiff_t>(16 * wants_[p.want].lanes[wants_[p.want].next++]),
+                    16, out.begin() + static_cast<std::ptrdiff_t>(16 * (p.first + k)));
+      spans[p.span].cycles += per_block * p.blocks;
+    }
+    for (std::size_t w = 0; w < nw; ++w) wants_[w].next = 0;
+    ++batch_stats_.passes;
+    off += take;
   }
   ++batch_stats_.calls;
   batch_stats_.blocks += n;

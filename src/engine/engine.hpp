@@ -125,6 +125,25 @@ class CipherEngine {
   /// Blocks the engine can genuinely process per pass (1 unless batched).
   virtual std::size_t batch_lanes() const noexcept { return 1; }
 
+  /// One key's share of a keyed batch: `blocks` consecutive blocks of the
+  /// batch run under `key`.  The engine fills in what they cost.
+  struct KeySpan {
+    std::span<const std::uint8_t> key;  ///< 16/24/32 bytes, outlives the call
+    std::size_t blocks = 0;
+    std::uint64_t cycles = 0;        ///< out: simulated cycles charged, key install included
+    std::uint64_t setup_cycles = 0;  ///< out: of which key setup
+  };
+  /// Keyed batch: process_batch where every block carries its own key
+  /// (`spans` tile `in` in order), one direction per call.  A key install
+  /// is charged one scalar key load (write beats plus declared setup
+  /// cycles), reported on the first span that needed it; every block costs
+  /// what process_batch charges it, so the spans' cycles add up to the
+  /// cycles() delta.  The default runs each stretch of consecutive
+  /// same-key spans as rekey() + one process_batch();
+  /// NetlistEngine packs different keys into one pass (per-lane keys).
+  virtual void process_keyed(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
+                             std::span<KeySpan> spans, bool encrypt);
+
   /// Name of the bit-parallel lane backend behind process_batch ("none"
   /// when blocks go one at a time; NetlistEngine reports its resolved
   /// netlist::BatchBackend — "u64", "neon", "avx2", "avx512" or "jit").
@@ -340,6 +359,12 @@ class NetlistEngine final : public CipherEngine {
   /// Lane-packed batch: up to batch_lanes() blocks per gate-level pass.
   void process_batch(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
                      bool encrypt = true) override;
+  /// Cross-key lane packing: up to batch_lanes() blocks of any keys per
+  /// pass.  Each block runs in a lane already holding its key where one
+  /// is free; the missing keys go in with one per-lane install, charged
+  /// one key load per distinct key that no lane held.
+  void process_keyed(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
+                     std::span<KeySpan> spans, bool encrypt) override;
   std::size_t batch_lanes() const noexcept override { return drv_.lanes(); }
   const char* batch_backend() const noexcept override;
 
@@ -362,17 +387,39 @@ class NetlistEngine final : public CipherEngine {
                                           bool encrypt) override;
 
  private:
-  /// One gate-level pass over `n` <= 64 staged blocks + counter attribution.
-  void run_pass(std::span<const std::uint8_t> in, std::span<std::uint8_t> out, std::size_t n,
-                bool encrypt);
+  /// One gate-level pass over lanes [0, n), `active` of which carry blocks,
+  /// plus counter attribution; returns the per-block latency.
+  std::uint64_t run_pass(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
+                         std::size_t n, std::size_t active, bool encrypt);
+  /// Whether `lane` holds `key` (a lane that never held a key holds none).
+  bool lane_holds(std::size_t lane, std::span<const std::uint8_t> key) const;
 
   std::shared_ptr<const netlist::Netlist> nl_;
   arch::VariantSpec spec_;
   core::IpMode mode_;
   core::GateIpBatchDriver drv_;
   std::uint64_t last_latency_ = 0;
-  std::array<std::uint8_t, 32> resident_key_{};
-  std::size_t resident_key_len_ = 0;
+  std::size_t key_len_;  ///< the geometry's key bytes
+  /// Per-lane resident keys, key_len_ bytes per lane; lane_used_[L] is the
+  /// pass tick lane L last served (0 = never held a key).
+  std::vector<std::uint8_t> lane_keys_;
+  std::vector<std::uint64_t> lane_used_;
+  std::uint64_t tick_ = 0;
+  // Reused keyed-pass staging: one Want per distinct key of the pass.
+  struct Want {
+    std::span<const std::uint8_t> key;
+    std::size_t span = 0;    ///< first span under this key
+    std::size_t blocks = 0;  ///< its blocks in the pass
+    std::size_t next = 0;    ///< scatter/gather cursor into lanes
+    std::vector<std::size_t> lanes;
+  };
+  struct Portion {
+    std::size_t span, first, blocks, want;  ///< span's blocks [first, first+blocks)
+  };
+  std::vector<Want> wants_;
+  std::vector<Portion> portions_;
+  std::vector<std::size_t> victims_;
+  std::vector<std::uint8_t> lane_taken_, pass_in_, pass_out_;
   core::IpCounters counters_;
 };
 

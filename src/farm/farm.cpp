@@ -5,6 +5,7 @@
 #include <random>
 #include <span>
 #include <stdexcept>
+#include <tuple>
 
 #include "aes/cipher.hpp"
 #include "aes/modes.hpp"
@@ -15,9 +16,6 @@
 namespace aesip::farm {
 
 namespace {
-/// Reservoir bound for latency samples (~512 KiB of floats).
-constexpr std::size_t kLatencyCap = 1u << 17;
-
 /// Trace-event name table; TraceEvent::name indexes into this. The first
 /// three entries line up with the Mode enum so a job's name is its mode.
 constexpr const char* kTraceNames[] = {"ecb", "cbc", "ctr"};
@@ -229,6 +227,49 @@ std::future<Result> Farm::submit_fanout(Request req) {
   return future;
 }
 
+namespace {
+/// The software oracle's answer to one job.
+std::vector<std::uint8_t> oracle_output(Mode mode, bool encrypt, const KeyBytes& key,
+                                        const Key128& iv_bytes,
+                                        std::span<const std::uint8_t> payload) {
+  const aes::Rijndael ref = aes::Rijndael::for_key(key.view());
+  const std::span<const std::uint8_t, aes::kBlock> iv(iv_bytes.data(), aes::kBlock);
+  switch (mode) {
+    case Mode::kEcb:
+      return encrypt ? aes::ecb_encrypt(ref, payload) : aes::ecb_decrypt(ref, payload);
+    case Mode::kCbc:
+      return encrypt ? aes::cbc_encrypt(ref, iv, payload) : aes::cbc_decrypt(ref, iv, payload);
+    case Mode::kCtr:
+      return aes::ctr_crypt(ref, iv, payload);
+  }
+  return {};
+}
+}  // namespace
+
+struct Farm::Leg {
+  Job* job = nullptr;
+  bool encrypt = true;    ///< the block cipher's direction (CTR: encrypt)
+  std::size_t rank = 0;   ///< the key's first-use order in the drain
+  std::size_t seq = 0;    ///< the job's queue order
+  std::size_t blocks = 0;  ///< block-cipher inputs (CTR: counter blocks)
+  std::size_t done = 0;    ///< of which a pass has run
+  std::vector<std::uint8_t> out;  ///< engine output (CTR: keystream)
+  std::uint64_t cycles = 0, setup = 0;
+  bool tainted = false;  ///< shared a pass with a spot-check mismatch
+  bool answered = false;  ///< with its result, or with the exception a pass threw
+};
+
+struct Farm::Drain {
+  std::vector<Job> jobs;
+  std::vector<Leg> legs;
+  std::vector<Job*> chains;  ///< CBC encryptions: block chains, run whole
+  std::vector<KeyBytes> keys;  ///< distinct keys of the drain, in first-use order
+  std::vector<std::size_t> pass_legs;  ///< legs with blocks in the current pass
+  std::vector<engine::CipherEngine::KeySpan> spans;  ///< and their blocks, one span each
+  std::vector<std::uint8_t> in, out;
+  std::vector<char> checked, replayed;  ///< per pass leg: spot-checked / answered by the oracle
+};
+
 void Farm::worker_main(int index) {
   WorkerContext ctx(worker_factories_[static_cast<std::size_t>(index)],
                     worker_labels_[static_cast<std::size_t>(index)],
@@ -238,19 +279,210 @@ void Farm::worker_main(int index) {
   batch_backend_.store(ctx.engine->batch_backend(), std::memory_order_relaxed);
   batch_lanes_.store(ctx.engine->batch_lanes(), std::memory_order_relaxed);
   auto& queue = *queues_[static_cast<std::size_t>(index)];
-  // Drain a burst per wake-up: under load a lane-packed engine (netlist)
-  // then sees back-to-back jobs without a queue round-trip between them,
-  // and each job's block-parallel work runs through the batch path below.
-  for (;;) {
-    auto jobs = queue.pop_batch(cfg_.dispatch_batch);
-    if (jobs.empty()) break;
-    for (auto& job : jobs) {
-      if (job.control) {
-        job.control(ctx, index);  // swap/inject: engine mutation on its owner
-        continue;
-      }
-      execute(job, ctx, index);
+  Drain d;
+  // Drain the whole queue per wake-up. Control jobs (swap/inject) are
+  // barriers: the cipher jobs between two of them run together.
+  while (queue.pop_all(d.jobs)) {
+    std::size_t begin = 0;
+    for (std::size_t i = 0; i <= d.jobs.size(); ++i) {
+      if (i < d.jobs.size() && !d.jobs[i].control) continue;
+      run_jobs(std::span(d.jobs).subspan(begin, i - begin), d, ctx, index);
+      if (i < d.jobs.size()) d.jobs[i].control(ctx, index);  // engine mutation on its owner
+      begin = i + 1;
     }
+    d.jobs.clear();
+  }
+}
+
+void Farm::run_jobs(std::span<Job> jobs, Drain& d, WorkerContext& ctx, int index) {
+  d.legs.clear();
+  d.chains.clear();
+  d.keys.clear();
+  for (auto& job : jobs) {
+    std::size_t lanes = 1;
+    try {
+      lanes = ctx.engine_for(job.key.bits()).batch_lanes();
+    } catch (...) {
+      fail(job);
+      continue;
+    }
+    if (lanes <= 1 || job.payload.empty()) {
+      execute(job, ctx, index);
+    } else if (job.mode == Mode::kCbc && job.encrypt) {
+      d.chains.push_back(&job);
+    } else {
+      Leg leg;
+      leg.job = &job;
+      leg.encrypt = job.mode == Mode::kCtr || job.encrypt;
+      leg.rank = static_cast<std::size_t>(std::ranges::find(d.keys, job.key) - d.keys.begin());
+      if (leg.rank == d.keys.size()) d.keys.push_back(job.key);
+      leg.seq = d.legs.size();
+      leg.blocks = block_count(job.payload.size());
+      leg.out.resize(leg.blocks * aes::kBlock);
+      d.legs.push_back(std::move(leg));
+    }
+  }
+  // One pass serves one key size (one engine) and one direction; within
+  // that, legs group by key in first-use order (then queue order) so a
+  // same-key engine path (the CipherEngine::process_keyed default) rekeys
+  // once per key.
+  const auto group = [](const Leg& l) { return std::pair(l.job->key.bits(), l.encrypt); };
+  std::ranges::sort(d.legs, [&](const Leg& a, const Leg& b) {
+    return std::tuple(group(a), a.rank, a.seq) < std::tuple(group(b), b.rank, b.seq);
+  });
+  for (std::size_t first = 0; first < d.legs.size();) {
+    std::size_t last = first + 1;
+    while (last < d.legs.size() && group(d.legs[last]) == group(d.legs[first])) ++last;
+    run_packed(d, first, last, ctx, index);
+    first = last;
+  }
+  for (Job* job : d.chains) execute(*job, ctx, index);
+}
+
+void Farm::run_packed(Drain& d, std::size_t first, std::size_t last, WorkerContext& ctx,
+                      int index) {
+  auto& ctr = counters_[static_cast<std::size_t>(index)];
+  const bool encrypt = d.legs[first].encrypt;
+  const int bits = d.legs[first].job->key.bits();
+  std::size_t cur = first, cur_done = 0;  // the next block to pack
+  while (cur < last) {
+    // Re-resolve per pass: a heal after a mismatch replaces the engine.
+    engine::CipherEngine* engp = nullptr;
+    try {
+      engp = &ctx.engine_for(bits);
+    } catch (...) {
+      for (; cur < last; ++cur)
+        if (!d.legs[cur].answered) fail(*d.legs[cur].job);
+      return;
+    }
+    engine::CipherEngine& eng = *engp;
+    const std::size_t lanes = eng.batch_lanes();
+    const auto t_start = std::chrono::steady_clock::now();
+    d.pass_legs.clear();
+    d.spans.clear();
+    d.in.resize(lanes * aes::kBlock);
+    d.out.resize(lanes * aes::kBlock);
+    std::size_t fill = 0;
+    for (; cur < last && fill < lanes; cur_done = 0, ++cur) {
+      Leg& leg = d.legs[cur];
+      if (leg.answered) continue;
+      Job& job = *leg.job;
+      if (cur_done == 0)
+        queue_wait_us_hist_.record(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(t_start - job.t_submit)
+                .count()));
+      const std::size_t take = std::min(lanes - fill, leg.blocks - cur_done);
+      std::uint8_t* dst = d.in.data() + fill * aes::kBlock;
+      if (job.mode == Mode::kCtr) {
+        const std::span<const std::uint8_t, aes::kBlock> iv(job.iv.data(), aes::kBlock);
+        for (std::size_t b = 0; b < take; ++b) {
+          const auto c = aes::ctr_counter_at(iv, static_cast<std::uint64_t>(cur_done + b));
+          std::ranges::copy(c, dst + b * aes::kBlock);
+        }
+      } else {
+        std::copy_n(job.payload.data() + cur_done * aes::kBlock, take * aes::kBlock, dst);
+      }
+      d.spans.push_back({job.key.view(), take});
+      d.pass_legs.push_back(cur);
+      fill += take;
+      cur_done += take;
+      if (cur_done < leg.blocks) break;  // the pass is full mid-leg
+    }
+    if (fill == 0) break;
+
+    // Anything the pass throws (a gate-level hang, a failed heal) answers
+    // its jobs that are still open with the exception.
+    try {
+      const std::uint64_t p0 = eng.batch_stats().passes;
+      eng.process_keyed(std::span(d.in).first(fill * aes::kBlock),
+                        std::span(d.out).first(fill * aes::kBlock), d.spans, encrypt);
+      ctr.passes.fetch_add(eng.batch_stats().passes - p0, std::memory_order_relaxed);
+      finish_pass(d, ctx, index);
+    } catch (...) {
+      for (const std::size_t li : d.pass_legs)
+        if (!d.legs[li].answered) {
+          d.legs[li].answered = true;
+          fail(*d.legs[li].job);
+        }
+      continue;
+    }
+
+    // The pass's wall time counts once, split over its jobs by blocks.
+    const auto t_end = std::chrono::steady_clock::now();
+    const auto pass_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(t_end - t_start);
+    ctr.busy_ns.fetch_add(static_cast<std::uint64_t>(pass_ns.count()), std::memory_order_relaxed);
+    if (tracer_) {
+      const auto t0_us = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(t_start - start_).count());
+      const auto pass_us = static_cast<std::uint64_t>(pass_ns.count() / 1000);
+      std::uint64_t at = 0;
+      for (std::size_t i = 0; i < d.pass_legs.size(); ++i) {
+        obs::TraceEvent e;
+        e.ts_us = t0_us + pass_us * at / fill;
+        at += d.spans[i].blocks;
+        e.dur_us = static_cast<std::uint32_t>(t0_us + pass_us * at / fill - e.ts_us);
+        e.name = static_cast<std::uint16_t>(d.legs[d.pass_legs[i]].job->mode);
+        e.track = static_cast<std::uint16_t>(index);
+        e.arg = d.spans[i].blocks;
+        e.arg2 = d.spans[i].setup_cycles;
+        tracer_->record(static_cast<std::size_t>(index), e);
+      }
+    }
+  }
+}
+
+void Farm::finish_pass(Drain& d, WorkerContext& ctx, int index) {
+  for (std::size_t i = 0, at = 0; i < d.pass_legs.size(); ++i) {
+    Leg& leg = d.legs[d.pass_legs[i]];
+    std::copy_n(d.out.data() + at * aes::kBlock, d.spans[i].blocks * aes::kBlock,
+                leg.out.data() + leg.done * aes::kBlock);
+    leg.done += d.spans[i].blocks;
+    leg.cycles += d.spans[i].cycles;
+    leg.setup += d.spans[i].setup_cycles;
+    at += d.spans[i].blocks;
+  }
+  ctx.last_key = d.legs[d.pass_legs.back()].job->key;  // swap_engine replays it
+  ctx.has_key = true;
+
+  // Finish the legs whose last block ran in this pass: undo the mode,
+  // then spot-check.  One mismatch convicts the whole pass: every job
+  // in it is checked before it is answered, then the worker heals.
+  d.checked.assign(d.pass_legs.size(), 0);
+  d.replayed.assign(d.pass_legs.size(), 0);
+  const double base_rate = cfg_.spot_check_fraction;
+  const double rate =
+      ctx.boosted ? std::max(cfg_.spot_check_boost_fraction, base_rate) : base_rate;
+  bool bad = false;
+  for (std::size_t i = 0; i < d.pass_legs.size(); ++i) {
+    Leg& leg = d.legs[d.pass_legs[i]];
+    if (leg.done < leg.blocks) continue;
+    const Job& job = *leg.job;
+    if (job.mode == Mode::kCbc) {
+      for (std::size_t k = 0; k < leg.out.size(); ++k)
+        leg.out[k] ^= k < aes::kBlock ? job.iv[k] : job.payload[k - aes::kBlock];
+    } else if (job.mode == Mode::kCtr) {
+      leg.out.resize(job.payload.size());
+      for (std::size_t k = 0; k < leg.out.size(); ++k) leg.out[k] ^= job.payload[k];
+    }
+    if (rate > 0.0 && ctx.sample(rate)) {
+      if (ctx.boosted) spot_boost_checks_.fetch_add(1, std::memory_order_relaxed);
+      d.checked[i] = 1;
+      const bool clean = spot_check(job, leg.out);
+      d.replayed[i] = !clean;
+      bad |= !clean;
+      note_check(clean, ctx);
+    }
+  }
+  if (bad) {
+    for (const std::size_t li : d.pass_legs) d.legs[li].tainted = true;
+    heal_after_mismatch(ctx, index);
+  }
+  for (std::size_t i = 0; i < d.pass_legs.size(); ++i) {
+    Leg& leg = d.legs[d.pass_legs[i]];
+    if (leg.done < leg.blocks) continue;
+    if (leg.tainted && !d.checked[i]) d.replayed[i] = !spot_check(*leg.job, leg.out);
+    leg.answered = true;
+    deliver(*leg.job, std::move(leg.out), leg.cycles, leg.setup, d.replayed[i] != 0, index);
   }
 }
 
@@ -265,93 +497,55 @@ void Farm::execute(Job& job, WorkerContext& ctx, int index) {
     engine::CipherEngine& eng = ctx.engine_for(job.key.bits());
     engine::EngineBlockCipher cipher(eng);
     const std::uint64_t c0 = eng.cycles();
+    const std::uint64_t p0 = eng.batch_stats().passes;
     const std::uint64_t setup = eng.rekey(job.key.view());
     ctx.last_key = job.key;  // swap_engine replays this onto the fresh engine
     ctx.has_key = true;
     const std::span<const std::uint8_t, aes::kBlock> iv(job.iv.data(), aes::kBlock);
 
-    // Block-parallel mode legs run through the engine's batch path (full
-    // lanes on the netlist engine); CBC encryption is a chain and stays on
-    // the scalar block-at-a-time cipher. Bit-identical either way.
+    // Block-parallel mode legs run through the engine's batch path; CBC
+    // encryption is a chain and stays on the scalar block-at-a-time
+    // cipher (one pass per block). Bit-identical either way.
     std::vector<std::uint8_t> out;
+    std::uint64_t scalar_passes = 0;
     switch (job.mode) {
       case Mode::kEcb:
         out = engine::ecb_crypt_batched(eng, job.payload, job.encrypt);
         break;
       case Mode::kCbc:
-        out = job.encrypt ? aes::cbc_encrypt(cipher, iv, job.payload)
-                          : engine::cbc_decrypt_batched(eng, iv, job.payload);
+        if (job.encrypt) {
+          out = aes::cbc_encrypt(cipher, iv, job.payload);
+          scalar_passes = block_count(job.payload.size());
+        } else {
+          out = engine::cbc_decrypt_batched(eng, iv, job.payload);
+        }
         break;
       case Mode::kCtr:
         out = engine::ctr_crypt_batched(eng, iv, job.payload);
         break;
     }
-    // Capture the cycle delta now: a heal below replaces the engine (and
-    // its cycle counter) before the accounting lines run.
+    // Capture the deltas now: a heal below replaces the engine (and its
+    // counters) before the accounting lines run.
     const std::uint64_t cycles = eng.cycles() - c0;
+    ctr.passes.fetch_add(eng.batch_stats().passes - p0 + scalar_passes,
+                         std::memory_order_relaxed);
 
     // Spot-check policy: re-run a sampled fraction of jobs through the
-    // software oracle (the geometry-matched aes::Rijndael). A mismatch
-    // means the *engine* is corrupted (SEU, chaos injection) — the client
-    // gets the oracle's bytes either way, so corruption is contained to
-    // this worker and never observable outside.  The adaptive controller:
-    // a mismatch raises this worker's sampling to the boost rate until
-    // spot_check_decay_jobs consecutive checks come back clean.
+    // software oracle. A mismatch means the *engine* is corrupted (SEU,
+    // chaos injection) — the client gets the oracle's bytes either way, so
+    // corruption is contained to this worker and never observable outside.
     bool replayed = false;
     const double base_rate = cfg_.spot_check_fraction;
-    const double boost_rate = std::max(cfg_.spot_check_boost_fraction, base_rate);
-    const double rate = ctx.boosted ? boost_rate : base_rate;
+    const double rate =
+        ctx.boosted ? std::max(cfg_.spot_check_boost_fraction, base_rate) : base_rate;
     if (rate > 0.0 && ctx.sample(rate)) {
-      spot_checks_.fetch_add(1, std::memory_order_relaxed);
       if (ctx.boosted) spot_boost_checks_.fetch_add(1, std::memory_order_relaxed);
-      const aes::Rijndael ref = aes::Rijndael::for_key(job.key.view());
-      std::vector<std::uint8_t> expected;
-      switch (job.mode) {
-        case Mode::kEcb:
-          expected = job.encrypt ? aes::ecb_encrypt(ref, job.payload)
-                                 : aes::ecb_decrypt(ref, job.payload);
-          break;
-        case Mode::kCbc:
-          expected = job.encrypt ? aes::cbc_encrypt(ref, iv, job.payload)
-                                 : aes::cbc_decrypt(ref, iv, job.payload);
-          break;
-        case Mode::kCtr:
-          expected = aes::ctr_crypt(ref, iv, job.payload);
-          break;
-      }
-      if (expected != out) {
-        spot_mismatches_.fetch_add(1, std::memory_order_relaxed);
-        replayed_jobs_.fetch_add(1, std::memory_order_relaxed);
-        out = std::move(expected);  // answer with the correct bytes
-        replayed = true;
-        if (cfg_.spot_check_boost_fraction > 0.0) {
-          if (!ctx.boosted) {
-            ctx.boosted = true;
-            spot_boosts_.fetch_add(1, std::memory_order_relaxed);
-            workers_boosted_.fetch_add(1, std::memory_order_relaxed);
-          }
-          ctx.clean_streak = 0;
-        }
-        if (cfg_.heal_on_mismatch) {
-          // Quarantine-and-heal inline, between jobs, on the owning thread:
-          // no other thread can touch this engine, so the rebuild is
-          // race-free and the next queued job runs on a clean core.
-          swap_pause_us_hist_.record(heal_worker(ctx, index));
-          heals_.fetch_add(1, std::memory_order_relaxed);
-          quarantines_.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else if (ctx.boosted && ++ctx.clean_streak >= cfg_.spot_check_decay_jobs) {
-        ctx.boosted = false;
-        ctx.clean_streak = 0;
-        workers_boosted_.fetch_sub(1, std::memory_order_relaxed);
-      }
+      replayed = !spot_check(job, out);
+      note_check(!replayed, ctx);
+      if (replayed) heal_after_mismatch(ctx, index);
     }
 
     const auto t_end = std::chrono::steady_clock::now();
-    ctr.requests.fetch_add(1, std::memory_order_relaxed);
-    ctr.blocks.fetch_add(block_count(job.payload.size()), std::memory_order_relaxed);
-    ctr.cycles.fetch_add(cycles, std::memory_order_relaxed);
-    ctr.setup_cycles.fetch_add(setup, std::memory_order_relaxed);
     ctr.busy_ns.fetch_add(
         static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(t_end - t_start).count()),
@@ -368,47 +562,100 @@ void Farm::execute(Job& job, WorkerContext& ctx, int index) {
       e.arg2 = setup;
       tracer_->record(static_cast<std::size_t>(index), e);
     }
-
-    if (job.fan) {
-      auto& fan = *job.fan;
-      fan.parts[job.chunk_index] = std::move(out);
-      fan.cycles.fetch_add(cycles, std::memory_order_relaxed);
-      fan.setup_cycles.fetch_add(setup, std::memory_order_relaxed);
-      if (replayed) fan.replayed.store(true, std::memory_order_relaxed);
-      if (fan.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        Result r;
-        r.data.reserve(fan.total_bytes);
-        for (auto& part : fan.parts) r.data.insert(r.data.end(), part.begin(), part.end());
-        r.worker = -1;
-        r.cycles = fan.cycles.load(std::memory_order_relaxed);
-        r.setup_cycles = fan.setup_cycles.load(std::memory_order_relaxed);
-        r.chunks = fan.parts.size();
-        r.replayed = fan.replayed.load(std::memory_order_relaxed);
-        record_latency(fan.t_submit);
-        requests_done_.fetch_add(1, std::memory_order_relaxed);
-        fan.promise.set_value(std::move(r));
-      }
-    } else {
-      Result r;
-      r.data = std::move(out);
-      r.worker = index;
-      r.key_was_hot = setup == 0;
-      r.cycles = cycles;
-      r.setup_cycles = setup;
-      r.replayed = replayed;
-      record_latency(job.t_submit);
-      requests_done_.fetch_add(1, std::memory_order_relaxed);
-      job.promise.set_value(std::move(r));
-    }
+    deliver(job, std::move(out), cycles, setup, replayed, index);
   } catch (...) {
-    if (job.fan) {
-      // First failing chunk carries the exception; later chunks only
-      // decrement so the shared state still drains.
-      if (!job.fan->failed.exchange(true)) job.fan->promise.set_exception(std::current_exception());
-      job.fan->remaining.fetch_sub(1, std::memory_order_acq_rel);
-    } else {
-      job.promise.set_exception(std::current_exception());
+    fail(job);
+  }
+}
+
+bool Farm::spot_check(const Job& job, std::vector<std::uint8_t>& out) {
+  spot_checks_.fetch_add(1, std::memory_order_relaxed);
+  auto expected = oracle_output(job.mode, job.encrypt, job.key, job.iv, job.payload);
+  if (expected == out) return true;
+  spot_mismatches_.fetch_add(1, std::memory_order_relaxed);
+  replayed_jobs_.fetch_add(1, std::memory_order_relaxed);
+  out = std::move(expected);  // answer with the correct bytes
+  return false;
+}
+
+void Farm::note_check(bool clean, WorkerContext& ctx) {
+  // The adaptive controller: a mismatch raises this worker's sampling to
+  // the boost rate until spot_check_decay_jobs consecutive checks come
+  // back clean.
+  if (!clean) {
+    if (cfg_.spot_check_boost_fraction > 0.0) {
+      if (!ctx.boosted) {
+        ctx.boosted = true;
+        spot_boosts_.fetch_add(1, std::memory_order_relaxed);
+        workers_boosted_.fetch_add(1, std::memory_order_relaxed);
+      }
+      ctx.clean_streak = 0;
     }
+  } else if (ctx.boosted && ++ctx.clean_streak >= cfg_.spot_check_decay_jobs) {
+    ctx.boosted = false;
+    ctx.clean_streak = 0;
+    workers_boosted_.fetch_sub(1, std::memory_order_relaxed);
+  }
+}
+
+void Farm::heal_after_mismatch(WorkerContext& ctx, int index) {
+  if (!cfg_.heal_on_mismatch) return;
+  // Quarantine-and-heal inline, between passes, on the owning thread: no
+  // other thread can touch this engine, so the rebuild is race-free and
+  // the next pass runs on a clean core.
+  swap_pause_us_hist_.record(heal_worker(ctx, index));
+  heals_.fetch_add(1, std::memory_order_relaxed);
+  quarantines_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void Farm::deliver(Job& job, std::vector<std::uint8_t> out, std::uint64_t cycles,
+                   std::uint64_t setup, bool replayed, int index) {
+  auto& ctr = counters_[static_cast<std::size_t>(index)];
+  ctr.requests.fetch_add(1, std::memory_order_relaxed);
+  ctr.blocks.fetch_add(block_count(job.payload.size()), std::memory_order_relaxed);
+  ctr.cycles.fetch_add(cycles, std::memory_order_relaxed);
+  ctr.setup_cycles.fetch_add(setup, std::memory_order_relaxed);
+  if (job.fan) {
+    auto& fan = *job.fan;
+    fan.parts[job.chunk_index] = std::move(out);
+    fan.cycles.fetch_add(cycles, std::memory_order_relaxed);
+    fan.setup_cycles.fetch_add(setup, std::memory_order_relaxed);
+    if (replayed) fan.replayed.store(true, std::memory_order_relaxed);
+    if (fan.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      Result r;
+      r.data.reserve(fan.total_bytes);
+      for (auto& part : fan.parts) r.data.insert(r.data.end(), part.begin(), part.end());
+      r.worker = -1;
+      r.cycles = fan.cycles.load(std::memory_order_relaxed);
+      r.setup_cycles = fan.setup_cycles.load(std::memory_order_relaxed);
+      r.chunks = fan.parts.size();
+      r.replayed = fan.replayed.load(std::memory_order_relaxed);
+      record_latency(fan.t_submit);
+      requests_done_.fetch_add(1, std::memory_order_relaxed);
+      fan.promise.set_value(std::move(r));
+    }
+  } else {
+    Result r;
+    r.data = std::move(out);
+    r.worker = index;
+    r.key_was_hot = setup == 0;
+    r.cycles = cycles;
+    r.setup_cycles = setup;
+    r.replayed = replayed;
+    record_latency(job.t_submit);
+    requests_done_.fetch_add(1, std::memory_order_relaxed);
+    job.promise.set_value(std::move(r));
+  }
+}
+
+void Farm::fail(Job& job) {
+  if (job.fan) {
+    // First failing chunk carries the exception; later chunks only
+    // decrement so the shared state still drains.
+    if (!job.fan->failed.exchange(true)) job.fan->promise.set_exception(std::current_exception());
+    job.fan->remaining.fetch_sub(1, std::memory_order_acq_rel);
+  } else {
+    job.promise.set_exception(std::current_exception());
   }
 }
 
@@ -554,15 +801,10 @@ std::shared_ptr<const netlist::Netlist> Farm::shared_netlist() const {
 }
 
 void Farm::record_latency(std::chrono::steady_clock::time_point t_submit) {
-  const auto us = std::chrono::duration<float, std::micro>(
-                      std::chrono::steady_clock::now() - t_submit)
-                      .count();
-  std::lock_guard lk(latency_mu_);
-  if (latencies_us_.size() < kLatencyCap)
-    latencies_us_.push_back(us);
-  else
-    latencies_us_[latency_count_ % kLatencyCap] = us;  // overwrite-oldest reservoir
-  ++latency_count_;
+  latency_us_hist_.record(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() -
+                                                            t_submit)
+          .count()));
 }
 
 FarmStats Farm::stats() const {
@@ -617,6 +859,7 @@ FarmStats Farm::stats() const {
     w.cycles = counters_[i].cycles.load(std::memory_order_relaxed);
     w.setup_cycles = counters_[i].setup_cycles.load(std::memory_order_relaxed);
     w.busy_ns = counters_[i].busy_ns.load(std::memory_order_relaxed);
+    w.passes = counters_[i].passes.load(std::memory_order_relaxed);
     w.utilization = wall_ns > 0 ? static_cast<double>(w.busy_ns) / wall_ns : 0.0;
     w.engine = worker_engine_[i].load(std::memory_order_relaxed);
     w.enabled = sessions_.worker_enabled(static_cast<int>(i));
@@ -628,25 +871,13 @@ FarmStats Farm::stats() const {
     s.queue_high_water = std::max(s.queue_high_water, queues_[i]->high_water());
   }
 
-  {
-    std::lock_guard lk(latency_mu_);
-    s.latency.samples = latency_count_;
-    if (!latencies_us_.empty()) {
-      std::vector<float> sorted(latencies_us_);
-      std::sort(sorted.begin(), sorted.end());
-      const auto pct = [&](double p) {
-        const auto idx = static_cast<std::size_t>(p * static_cast<double>(sorted.size() - 1));
-        return static_cast<double>(sorted[idx]);
-      };
-      double sum = 0;
-      for (const float v : sorted) sum += v;
-      s.latency.mean_us = sum / static_cast<double>(sorted.size());
-      s.latency.p50_us = pct(0.50);
-      s.latency.p90_us = pct(0.90);
-      s.latency.p99_us = pct(0.99);
-      s.latency.max_us = static_cast<double>(sorted.back());
-    }
-  }
+  const auto lat = latency_us_hist_.snapshot();
+  s.latency.samples = lat.count;
+  s.latency.mean_us = lat.mean();
+  s.latency.p50_us = static_cast<double>(lat.percentile(0.50));
+  s.latency.p90_us = static_cast<double>(lat.percentile(0.90));
+  s.latency.p99_us = static_cast<double>(lat.percentile(0.99));
+  s.latency.max_us = static_cast<double>(lat.max);
   return s;
 }
 
@@ -782,8 +1013,10 @@ std::string FarmStats::report(double clock_ns) const {
         static_cast<unsigned long long>(trace_events),
         static_cast<unsigned long long>(trace_dropped));
   for (std::size_t i = 0; i < per_worker.size(); ++i)
-    add("  worker %2zu: %8llu blocks, %10llu cycles (%llu setup), %4.1f%% utilized [%s%s]\n", i,
-        static_cast<unsigned long long>(per_worker[i].blocks),
+    add("  worker %2zu: %8llu blocks in %llu passes, %10llu cycles (%llu setup), %4.1f%% "
+        "utilized [%s%s]\n",
+        i, static_cast<unsigned long long>(per_worker[i].blocks),
+        static_cast<unsigned long long>(per_worker[i].passes),
         static_cast<unsigned long long>(per_worker[i].cycles),
         static_cast<unsigned long long>(per_worker[i].setup_cycles),
         per_worker[i].utilization * 100.0, per_worker[i].engine.c_str(),
@@ -877,6 +1110,7 @@ void FarmStats::write_json(std::ostream& os, double clock_ns) const {
     j.key("cycles").value(w.cycles);
     j.key("setup_cycles").value(w.setup_cycles);
     j.key("busy_ns").value(w.busy_ns);
+    j.key("passes").value(w.passes);
     j.key("utilization").value(w.utilization);
     j.key("engine").value(w.engine);
     j.key("enabled").value(w.enabled);

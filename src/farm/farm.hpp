@@ -11,10 +11,14 @@
 // holds its key, exploiting the on-the-fly key schedule: re-keying costs
 // bus cycles (+40 setup cycles for decrypt-capable devices), reuse is free.
 //
-// Workers drain up to FarmConfig::dispatch_batch jobs per queue wake-up and
-// run each job's block-parallel work through CipherEngine::process_batch
-// (engine/batch_modes.hpp), so a lane-packed netlist engine sees full
-// 64-wide batches under load instead of one block per evaluator pass.
+// Workers drain everything queued per wake-up.  On a lane-packed engine
+// (batch_lanes() > 1: the netlist engine) the block-parallel legs of every
+// drained job — ECB, CBC decryption, CTR keystream — pack into shared
+// engine passes through CipherEngine::process_keyed, whatever their
+// sessions and keys, so a pass carries as many blocks as are queued (up
+// to the engine's lane count) instead of one job's.  Each job then
+// finishes on its own and is answered when the pass holding its last
+// block completes.  Engines with one lane run each job whole, in order.
 //
 // Requests carry mode (ECB/CBC/CTR), direction, key, IV and payload.
 // ECB/CBC payloads run on one core (CBC is a chain — it cannot split).
@@ -41,6 +45,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,7 +71,6 @@ struct FarmConfig {
   std::size_t max_sessions = 64;         ///< session-binding table size
   std::size_t ctr_chunk_blocks = 32;     ///< fan-out chunk size, in blocks
   std::size_t ctr_fanout_min_blocks = 64;///< payloads below this stay on one core
-  std::size_t dispatch_batch = 16;       ///< jobs a worker drains per queue wake-up
   double clock_ns = 14.0;                ///< Tclk for simulated-domain reporting
   bool tracing = false;                  ///< record per-job events (Chrome trace)
   std::size_t trace_capacity = 8192;     ///< events kept per worker ring
@@ -90,7 +94,10 @@ struct FarmConfig {
   /// the job is answered with the *oracle's* bytes — clients never see the
   /// corruption — and, when heal_on_mismatch, the worker quarantines
   /// itself inline, rebuilds a fresh engine and replays its key state
-  /// before touching the next job. 0 disables checking (the default).
+  /// before touching the next job.  Jobs packed into one engine pass ran
+  /// on the same engine state, so a mismatch in one has every other job
+  /// of that pass checked before it is answered. 0 disables checking (the
+  /// default).
   double spot_check_fraction = 0.0;
   bool heal_on_mismatch = true;
   /// Adaptive spot-check controller: after a mismatch the worker samples at
@@ -156,8 +163,8 @@ class Farm {
 
   // --- fleet control plane (live reconfiguration; see docs/fleet.md) --------
   /// Hot-swap `worker`'s engine to `kind` without draining the farm: a
-  /// control job jumps the worker's queue, the worker finishes its current
-  /// job, builds the fresh engine, replays its resident key through the
+  /// control job jumps the worker's queue, the worker finishes the jobs it
+  /// already took off the queue, builds the fresh engine, replays its resident key through the
   /// rekey() fast path and resumes — every queued job runs on the new
   /// engine, none are dropped. The future resolves once the swap executed.
   /// Throws std::out_of_range for a bad worker index.
@@ -228,7 +235,7 @@ class Farm {
     std::shared_ptr<FanState> fan;       ///< chunk jobs only
     std::size_t chunk_index = 0;
     /// Control jobs: runs instead of cipher work (swap/inject). Pushed to
-    /// the queue FRONT so the worker quiesces after at most one more job.
+    /// the queue FRONT so the worker runs it right after the drain in hand.
     std::function<void(class WorkerContext&, int)> control;
   };
 
@@ -240,12 +247,36 @@ class Farm {
     std::atomic<std::uint64_t> cycles{0};
     std::atomic<std::uint64_t> setup_cycles{0};
     std::atomic<std::uint64_t> busy_ns{0};
+    std::atomic<std::uint64_t> passes{0};
   };
+  /// A drained job's progress through packed passes, and the worker's
+  /// reused pass buffers; defined in farm.cpp.
+  struct Leg;
+  struct Drain;
 
   static void validate(const Request& req);
   std::future<Result> submit_fanout(Request req);
   void worker_main(int index);
+  /// Run the cipher jobs between two control jobs: packed on a
+  /// lane-packed engine, else one by one through execute().
+  void run_jobs(std::span<Job> jobs, Drain& d, WorkerContext& ctx, int index);
+  /// Pack legs [first, last) of one key size and direction into passes.
+  void run_packed(Drain& d, std::size_t first, std::size_t last, WorkerContext& ctx, int index);
+  /// After a pass: collect its output into the legs, then finish (undo the
+  /// mode, spot-check, answer) every job whose last block it ran.
+  void finish_pass(Drain& d, WorkerContext& ctx, int index);
   void execute(Job& job, WorkerContext& ctx, int index);
+  /// Re-run `job` through the software oracle; on a mismatch, replace
+  /// `out` with the oracle's bytes and return false.
+  bool spot_check(const Job& job, std::vector<std::uint8_t>& out);
+  /// Adaptive-sampling bookkeeping for one sampled check's outcome.
+  void note_check(bool clean, WorkerContext& ctx);
+  /// After a mismatch: quarantine-and-heal inline when configured.
+  void heal_after_mismatch(WorkerContext& ctx, int index);
+  /// Account one finished job to worker `index` and answer it.
+  void deliver(Job& job, std::vector<std::uint8_t> out, std::uint64_t cycles,
+               std::uint64_t setup, bool replayed, int index);
+  void fail(Job& job);
   void record_latency(std::chrono::steady_clock::time_point t_submit);
 
   /// The variant worker `index` is configured to run.
@@ -316,9 +347,7 @@ class Farm {
   /// stats(); values are static-duration kind names (or "custom").
   std::unique_ptr<std::atomic<const char*>[]> worker_engine_;
 
-  mutable std::mutex latency_mu_;
-  std::vector<float> latencies_us_;  ///< capped reservoir, see record_latency
-  std::uint64_t latency_count_ = 0;
+  obs::Histogram latency_us_hist_;  ///< submit -> answer, per request
 };
 
 }  // namespace aesip::farm

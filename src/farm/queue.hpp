@@ -88,22 +88,20 @@ class BoundedQueue {
     return item;
   }
 
-  /// Blocking pop of up to `max` items in one wake-up — the dispatch-batch
-  /// primitive: a worker that fell behind drains a burst in one lock
-  /// acquisition and can feed it to a lane-packed engine.  Waits like
-  /// pop(), never waits for the queue to *fill*; empty result only once
-  /// the queue is closed and drained.
-  std::vector<T> pop_batch(std::size_t max) {
-    std::vector<T> out;
+  /// Blocking pop of everything queued in one wake-up, appended to `out`
+  /// (a caller-owned buffer, reused across calls) — the drain primitive: a
+  /// worker that fell behind takes its whole backlog, which the capacity
+  /// bounds, and can pack it into a lane-packed engine's passes.  Waits
+  /// like pop(); returns false only once the queue is closed and drained.
+  bool pop_all(std::vector<T>& out) {
     std::unique_lock lk(mu_);
     not_empty_.wait(lk, [&] { return !items_.empty() || closed_; });
-    while (!items_.empty() && out.size() < (max ? max : 1)) {
-      out.push_back(std::move(items_.front()));
-      items_.pop_front();
-    }
+    if (items_.empty()) return false;
+    for (auto& item : items_) out.push_back(std::move(item));
+    items_.clear();
     lk.unlock();
     not_full_.notify_all();  // may have freed several slots
-    return out;
+    return true;
   }
 
   /// Stop accepting new items; consumers drain what is queued, then see

@@ -31,11 +31,14 @@ struct WorkerStats {
   std::uint64_t cycles = 0;        ///< simulated cycles this worker's core ran
   std::uint64_t setup_cycles = 0;  ///< cycles spent re-keying (the affinity miss cost)
   std::uint64_t busy_ns = 0;       ///< host time spent executing jobs
+  std::uint64_t passes = 0;        ///< engine passes run (blocks / passes = blocks per pass)
   double utilization = 0;          ///< busy_ns / farm wall time, in [0,1]
   std::string engine;              ///< engine currently installed (may differ after swaps)
   bool enabled = true;             ///< false while quarantined (no new routes)
 };
 
+/// Request latency over the farm's lifetime, from a log2-bucket histogram:
+/// the mean and max are exact, a percentile is its bucket's upper bound.
 struct LatencyStats {
   double mean_us = 0, p50_us = 0, p90_us = 0, p99_us = 0, max_us = 0;
   std::uint64_t samples = 0;

@@ -8,7 +8,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <future>
+#include <memory>
+#include <mutex>
 #include <random>
 #include <thread>
 #include <vector>
@@ -102,6 +105,17 @@ TEST(BoundedQueue, CloseDrainsThenEnds) {
   EXPECT_FALSE(q.try_push(9));
   EXPECT_EQ(q.pop(), 7);        // but queued work still drains
   EXPECT_EQ(q.pop(), std::nullopt);
+}
+
+TEST(BoundedQueue, PopAllTakesTheWholeBacklog) {
+  farm::BoundedQueue<int> q(8);
+  for (int i = 1; i <= 5; ++i) ASSERT_TRUE(q.push(i));
+  std::vector<int> out{0};
+  ASSERT_TRUE(q.pop_all(out));
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4, 5}));  // appended, in order
+  EXPECT_EQ(q.size(), 0u);
+  q.close();
+  EXPECT_FALSE(q.pop_all(out));
 }
 
 TEST(BoundedQueue, MpmcConservesItems) {
@@ -469,4 +483,300 @@ TEST(Farm, EngineKindsProduceIdenticalResults) {
     EXPECT_EQ(st.requests, reqs.size());
     EXPECT_EQ(st.rejected, 0u);
   }
+}
+
+// --- lane packing on netlist workers ----------------------------------------------
+
+namespace {
+
+std::vector<std::uint8_t> random_key_bytes(std::mt19937& rng, int bits) {
+  return random_payload(rng, static_cast<std::size_t>(bits / 8));
+}
+
+/// Test control over GatedEngine: the first keyed pass of every engine
+/// waits until `open` is set, so everything submitted meanwhile lands in
+/// one drain; keyed call number `corrupt_call` (farm-wide, 0-based) gets
+/// one bit of every output block flipped.
+struct PassControl {
+  PassControl() {
+    for (const int bits : {128, 192, 256})
+      netlists[bits] = engine::make_ip_netlist(aesip::core::IpMode::kBoth, bits);
+  }
+  std::map<int, std::shared_ptr<const aesip::netlist::Netlist>> netlists;
+  std::promise<void> open;
+  std::shared_future<void> opened = open.get_future().share();
+  std::atomic<int> calls{0};
+  int corrupt_call = -1;
+  std::mutex mu;
+  /// Every engine built, with its cycles() when it was built.
+  std::vector<std::pair<const engine::CipherEngine*, std::uint64_t>> engines;
+};
+
+/// Netlist engines of every key size behind the test's PassControl.
+class GatedEngine final : public engine::CipherEngine {
+ public:
+  explicit GatedEngine(PassControl& pc) : pc_(pc), cur_(&inner(128)) {
+    std::lock_guard lk(pc.mu);
+    pc.engines.emplace_back(this, cycles());
+  }
+  engine::EngineKind kind() const noexcept override { return engine::EngineKind::kNetlist; }
+  aesip::core::IpMode mode() const noexcept override { return aesip::core::IpMode::kBoth; }
+  std::uint64_t load_key(std::span<const std::uint8_t> key) override {
+    cur_ = &inner(static_cast<int>(key.size()) * 8);
+    return cur_->load_key(key);
+  }
+  bool key_resident(std::span<const std::uint8_t> key) const override {
+    const auto it = inner_.find(static_cast<int>(key.size()) * 8);
+    return it != inner_.end() && it->second->key_resident(key);
+  }
+  void process_batch(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
+                     bool encrypt) override {
+    const auto p0 = cur_->batch_stats().passes;
+    cur_->process_batch(in, out, encrypt);
+    batch_stats_.passes += cur_->batch_stats().passes - p0;
+  }
+  void process_keyed(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
+                     std::span<KeySpan> spans, bool encrypt) override {
+    const int call = pc_.calls++;
+    if (first_) pc_.opened.wait();
+    first_ = false;
+    cur_ = &inner(static_cast<int>(spans[0].key.size()) * 8);  // one size per call
+    const auto p0 = cur_->batch_stats().passes;
+    cur_->process_keyed(in, out, spans, encrypt);
+    batch_stats_.passes += cur_->batch_stats().passes - p0;
+    if (call == pc_.corrupt_call)
+      for (std::size_t b = 0; b < out.size(); b += 16) out[b] ^= 1;
+  }
+  std::size_t batch_lanes() const noexcept override { return cur_->batch_lanes(); }
+  std::uint64_t cycles() const noexcept override {
+    std::uint64_t c = 0;
+    for (const auto& [bits, e] : inner_) c += e->cycles();
+    return c;
+  }
+  std::uint64_t last_latency() const noexcept override { return cur_->last_latency(); }
+  aesip::core::IpCounters counters() const override {
+    aesip::core::IpCounters c;
+    for (const auto& [bits, e] : inner_) c.key_setup_cycles += e->counters().key_setup_cycles;
+    return c;  // the one counter the tests read
+  }
+
+ protected:
+  std::array<std::uint8_t, 16> do_process(std::span<const std::uint8_t> block,
+                                          bool encrypt) override {
+    return cur_->process_block(block, encrypt);
+  }
+
+ private:
+  engine::NetlistEngine& inner(int bits) {
+    auto& slot = inner_[bits];
+    if (!slot) {
+      aesip::arch::VariantSpec spec;
+      spec.key_bits = bits;
+      slot = std::make_unique<engine::NetlistEngine>(pc_.netlists.at(bits), spec,
+                                                     aesip::core::IpMode::kBoth);
+    }
+    return *slot;
+  }
+
+  PassControl& pc_;
+  std::map<int, std::unique_ptr<engine::NetlistEngine>> inner_;
+  engine::NetlistEngine* cur_;
+  bool first_ = true;
+};
+
+farm::FarmConfig gated_config(PassControl& pc, int workers) {
+  farm::FarmConfig cfg;
+  cfg.workers = workers;
+  cfg.queue_capacity = 512;
+  cfg.engine_factory = [&pc] { return std::make_unique<GatedEngine>(pc); };
+  return cfg;
+}
+
+/// Submit a one-block ECB job under `key` and wait until the pass running
+/// it is blocked at the gate (the `gated`-th keyed call has started).
+std::future<farm::Result> hold_gate(farm::Farm& f, PassControl& pc, const farm::KeyBytes& key,
+                                    std::uint64_t session, int gated, std::mt19937& rng,
+                                    farm::Request& req) {
+  req.session_id = session;
+  req.key = key;
+  req.mode = farm::Mode::kEcb;
+  req.payload = random_payload(rng, 16);
+  auto fut = f.submit(req);
+  while (pc.calls.load() < gated) std::this_thread::yield();
+  return fut;
+}
+
+}  // namespace
+
+// One drain on each of two netlist workers holds more blocks than a pass
+// has lanes, under six keys of all three sizes, mixing ECB and CBC in both
+// directions with CTR (fanned out, with a ragged last block), and a live
+// engine swap lands in the middle of the burst.  Every answer must match
+// the software oracle, and the packed legs must have shared passes.
+TEST(Farm, PackedDrainMixesKeysSizesModesAndASwap) {
+  PassControl pc;
+  farm::Farm f(gated_config(pc, 2));
+  std::mt19937 rng(2024);
+
+  // Block both workers in their first pass, so the burst queues up whole.
+  std::vector<farm::Request> reqs(2);
+  std::vector<std::future<farm::Result>> futures;
+  for (int w = 0; w < 2; ++w)
+    futures.push_back(hold_gate(f, pc, random_key128(rng), 100 + static_cast<std::uint64_t>(w),
+                                w + 1, rng, reqs[static_cast<std::size_t>(w)]));
+  const std::size_t lanes = f.stats().batch_lanes;
+  ASSERT_GT(lanes, 1u);
+
+  std::vector<farm::KeyBytes> keys;
+  for (const int bits : {128, 192, 256, 128, 192, 256})
+    keys.push_back(*farm::KeyBytes::from(random_key_bytes(rng, bits)));
+  std::size_t burst_blocks = 0, chain_blocks = 0;
+  for (int i = 0; i < 60; ++i) {
+    farm::Request req;
+    req.session_id = static_cast<std::uint64_t>(i % 6);
+    req.key = keys[static_cast<std::size_t>(i % 6)];
+    req.iv = random_key128(rng);
+    req.mode = static_cast<farm::Mode>(i / 6 % 3);
+    req.encrypt = (i / 18) % 2 == 0;
+    std::size_t blocks = 4 + static_cast<std::size_t>(rng() % (lanes / 16 + 8));
+    if (req.mode == farm::Mode::kCbc && req.encrypt) chain_blocks += blocks = 1;  // chains stay short
+    std::size_t bytes = 16 * blocks;
+    if (req.mode == farm::Mode::kCtr) {
+      bytes += 5;                                                       // ragged last block
+      if (i % 4 == 0) bytes += 16 * f.config().ctr_fanout_min_blocks;  // fans out
+    }
+    req.payload = random_payload(rng, bytes);
+    burst_blocks += (bytes + 15) / 16;
+    reqs.push_back(std::move(req));
+  }
+  ASSERT_GT(burst_blocks, 2 * lanes);  // more than a pass per worker
+  std::vector<std::vector<std::uint8_t>> expect;
+  for (const auto& r : reqs) expect.push_back(reference(r));
+
+  std::future<farm::SwapReport> swap;
+  for (std::size_t i = 2; i < reqs.size(); ++i) {
+    futures.push_back(f.submit(reqs[i]));
+    if (i == reqs.size() / 2) swap = f.swap_engine(0, engine::EngineKind::kNetlist);
+  }
+  pc.open.set_value();
+  for (std::size_t i = 0; i < futures.size(); ++i)
+    EXPECT_EQ(futures[i].get().data, expect[i]) << "request " << i;
+  EXPECT_EQ(swap.get().to, "netlist");
+
+  const auto st = f.stats();
+  std::uint64_t passes = 0, blocks = 0;
+  for (const auto& w : st.per_worker) {
+    passes += w.passes;
+    blocks += w.blocks;
+  }
+  EXPECT_EQ(blocks, burst_blocks + 2);
+  // Unpacked, every job and fan-out chunk takes at least one pass.  Packed,
+  // each (worker, key size, direction) group of the one drain takes its
+  // blocks / lanes passes rounded up, beside the two gate passes and one
+  // pass per CBC-encrypted block.
+  const std::uint64_t groups = 2 * 3 * 2;
+  EXPECT_LE(passes, 2 + chain_blocks + groups + burst_blocks / lanes);
+  EXPECT_LT(passes, reqs.size());
+}
+
+// Packed accounting stays scalar-equivalent and bounded: per-job cycles
+// and setup cycles add up to the worker totals and to what the engines
+// actually ran, and no worker is busier than the wall clock.
+TEST(Farm, PackedAccountingAddsUp) {
+  PassControl pc;
+  farm::Farm f(gated_config(pc, 2));
+  std::mt19937 rng(31);
+  std::vector<farm::Key128> keys;
+  for (int k = 0; k < 5; ++k) keys.push_back(random_key128(rng));
+  std::vector<farm::Request> reqs(2);
+  std::vector<std::future<farm::Result>> futures;
+  for (int w = 0; w < 2; ++w)
+    futures.push_back(hold_gate(f, pc, keys[static_cast<std::size_t>(w)],
+                                static_cast<std::uint64_t>(w), w + 1, rng,
+                                reqs[static_cast<std::size_t>(w)]));
+  for (int i = 0; i < 48; ++i) {
+    farm::Request req = random_request(rng, static_cast<std::uint64_t>(i % 5),
+                                       keys[static_cast<std::size_t>(i % 5)]);
+    if (i % 16 == 3) {  // a fan-out
+      req.mode = farm::Mode::kCtr;
+      req.payload = random_payload(rng, 16 * 80 + 7);
+    }
+    futures.push_back(f.submit(req));
+    reqs.push_back(std::move(req));
+  }
+  pc.open.set_value();
+  std::uint64_t cycles = 0, setup = 0;
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const auto r = futures[i].get();
+    EXPECT_EQ(r.data, reference(reqs[i])) << "request " << i;
+    cycles += r.cycles;
+    setup += r.setup_cycles;
+  }
+
+  const auto st = f.stats();
+  std::uint64_t worker_cycles = 0, worker_setup = 0, passes = 0;
+  for (const auto& w : st.per_worker) {
+    worker_cycles += w.cycles;
+    worker_setup += w.setup_cycles;
+    passes += w.passes;
+    EXPECT_LE(w.utilization, 1.0);
+  }
+  std::uint64_t engine_cycles = 0, engine_setup = 0;
+  {
+    std::lock_guard lk(pc.mu);
+    for (const auto& [e, c0] : pc.engines) {
+      engine_cycles += e->cycles() - c0;
+      engine_setup += e->counters().key_setup_cycles;
+    }
+  }
+  EXPECT_EQ(cycles, worker_cycles);
+  EXPECT_EQ(cycles, engine_cycles);
+  EXPECT_EQ(setup, worker_setup);
+  EXPECT_EQ(setup, engine_setup);
+  EXPECT_GT(setup, 0u);
+  EXPECT_LT(passes, reqs.size());  // legs shared passes
+}
+
+// Spot-checking under packing: one corrupted pass, sampled at 1/4.  The
+// first sampled mismatch convicts the pass, so every job in it is checked
+// and answered with the oracle's bytes — none of the corruption reaches a
+// client — and the worker heals once.
+TEST(Farm, SpotCheckConvictsTheWholePass) {
+  PassControl pc;
+  pc.corrupt_call = 1;  // the pass after the gate: the packed drain
+  farm::FarmConfig cfg = gated_config(pc, 1);
+  cfg.spot_check_fraction = 0.25;
+  farm::Farm f(cfg);
+  std::mt19937 rng(5);
+  std::vector<farm::Key128> keys;
+  for (int k = 0; k < 4; ++k) keys.push_back(random_key128(rng));
+
+  farm::Request gate;
+  auto gate_future = hold_gate(f, pc, keys[0], 0, 1, rng, gate);
+  // Everything below lands in one drain, and one pass: ECB and CTR both
+  // run the cipher forwards.
+  std::vector<farm::Request> reqs;
+  for (int i = 0; i < 32; ++i) {
+    farm::Request req;
+    req.session_id = static_cast<std::uint64_t>(i % 4);
+    req.key = keys[static_cast<std::size_t>(i % 4)];
+    req.iv = random_key128(rng);
+    req.mode = i % 2 ? farm::Mode::kCtr : farm::Mode::kEcb;
+    req.payload = random_payload(rng, 16);
+    reqs.push_back(std::move(req));
+  }
+  std::vector<std::future<farm::Result>> futures;
+  for (auto& r : reqs) futures.push_back(f.submit(r));
+  pc.open.set_value();
+  EXPECT_EQ(gate_future.get().data, reference(gate));
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const auto r = futures[i].get();
+    EXPECT_EQ(r.data, reference(reqs[i])) << "corrupted bytes reached the client, request " << i;
+    EXPECT_TRUE(r.replayed) << "request " << i;
+  }
+  const auto st = f.stats();
+  EXPECT_EQ(pc.calls.load(), 2);  // the gate pass, then one packed pass
+  EXPECT_EQ(st.replayed_jobs, reqs.size());
+  EXPECT_EQ(st.spot_mismatches, reqs.size());
+  EXPECT_EQ(st.heals, 1u);
 }

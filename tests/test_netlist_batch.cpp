@@ -28,6 +28,7 @@
 #include "aes/sbox.hpp"
 #include "core/gate_driver.hpp"
 #include "core/ip_synth.hpp"
+#include "engine/engine.hpp"
 #include "farm/farm.hpp"
 #include "fleet/fleet.hpp"
 #include "netlist/batch_backend.hpp"
@@ -368,13 +369,172 @@ TEST_F(NetlistBatch, FullIpPartialBatchesMatchReference) {
   }
 }
 
+// Per-lane key install: one multi-beat wr_key write carries a different
+// key into each lane.  Every lane must then compute under its own key —
+// bytes equal to the software reference and to the scalar gate driver
+// loaded with that key, latency equal to the scalar driver's — and the
+// install must cost `charged` scalar key loads exactly.  Covers every key
+// size, both directions, lane counts around the 64-lane word boundary, and
+// a reinstall that rewrites only some lanes.
+TEST_F(NetlistBatch, PerLaneKeyInstallMatchesScalar) {
+  for (const int bits : {128, 192, 256}) {
+    SCOPED_TRACE("AES-" + std::to_string(bits));
+    const auto nl = aesip::engine::make_ip_netlist(core::IpMode::kBoth, bits);
+    core::GateIpBatchDriver batch(*nl);
+    core::GateIpDriver scalar(*nl);
+    batch.reset();
+    scalar.reset();
+    const std::size_t lanes = batch.lanes();
+    const std::size_t kl = static_cast<std::size_t>(bits / 8);
+
+    // A pool of keys; lane L of a table takes pool[(L + shift) % pool].
+    std::vector<std::vector<std::uint8_t>> pool;
+    std::vector<aes::Rijndael> refs;
+    for (std::uint32_t k = 0; k < 5; ++k) {
+      pool.push_back(random_bytes(kl, 900 + k + static_cast<std::uint32_t>(bits)));
+      refs.push_back(aes::Rijndael::for_key(pool.back()));
+    }
+    std::vector<std::size_t> lane_key(lanes);
+    const auto install = [&](std::size_t n, std::size_t shift, std::uint64_t charged) {
+      std::vector<std::uint8_t> table(kl * n);
+      for (std::size_t l = 0; l < n; ++l) {
+        lane_key[l] = (l + shift) % pool.size();
+        std::copy(pool[lane_key[l]].begin(), pool[lane_key[l]].end(),
+                  table.begin() + static_cast<std::ptrdiff_t>(kl * l));
+      }
+      for (std::size_t l = n; l < lanes; ++l) lane_key[l] = lane_key[0];
+      const std::uint64_t s0 = scalar.cycles();
+      scalar.load_key(pool[lane_key[0]], /*needs_setup=*/true);
+      const std::uint64_t one_load = scalar.cycles() - s0;
+      const std::uint64_t c0 = batch.cycles();
+      batch.load_key_lanes(table, kl, n, 4 * (bits / 32 + 6), charged);
+      EXPECT_EQ(batch.cycles() - c0, charged * one_load) << "n=" << n;
+    };
+    // Run every lane and check each against its own key.
+    std::uint32_t seed = 1000;
+    const auto check_all_lanes = [&](const char* what) {
+      for (const bool enc : {true, false}) {
+        const auto data = random_bytes(16 * lanes, seed++);
+        std::vector<std::uint8_t> got(16 * lanes);
+        const std::uint64_t c0 = batch.cycles();
+        const auto r = batch.process_batch(data, got, lanes, enc);
+        ASSERT_TRUE(r.has_value()) << what;
+        for (std::size_t l = 0; l < lanes; ++l) {
+          const std::span<const std::uint8_t> block(data.data() + 16 * l, 16);
+          const auto want = enc ? aes::ecb_encrypt(refs[lane_key[l]], block)
+                                : aes::ecb_decrypt(refs[lane_key[l]], block);
+          ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin() + static_cast<std::ptrdiff_t>(16 * l)))
+              << what << " lane " << l << (enc ? " enc" : " dec");
+        }
+        // The scalar driver under lane 0's and the last lane's keys.
+        for (const std::size_t l : {std::size_t{0}, lanes - 1}) {
+          scalar.load_key(pool[lane_key[l]], /*needs_setup=*/true);
+          const auto want = scalar.process(
+              std::span<const std::uint8_t>(data.data() + 16 * l, 16), enc);
+          ASSERT_TRUE(want.has_value());
+          EXPECT_EQ(r->cycles, want->cycles) << what;
+          EXPECT_TRUE(std::equal(want->data.begin(), want->data.end(),
+                                 got.begin() + static_cast<std::ptrdiff_t>(16 * l)))
+              << what << " lane " << l << " vs scalar";
+        }
+        EXPECT_EQ(batch.cycles() - c0, lanes * static_cast<std::uint64_t>(r->cycles + 1));
+      }
+    };
+
+    std::vector<std::size_t> counts;
+    for (const std::size_t n : {std::size_t{1}, std::size_t{63}, std::size_t{64},
+                                std::size_t{65}, lanes})
+      if (n <= lanes && std::ranges::find(counts, n) == counts.end()) counts.push_back(n);
+    std::uint64_t charged = 1;
+    for (const std::size_t n : counts) {
+      install(n, n, charged);
+      check_all_lanes(("n=" + std::to_string(n)).c_str());
+      charged = (charged + 1) % 4;  // 0 too: an install that only spreads held keys
+    }
+
+    // Reinstall over a full table where only the odd lanes change key: the
+    // even lanes are rewritten with the key they already hold and keep it.
+    std::vector<std::uint8_t> table(kl * lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      if (l % 2) lane_key[l] = (lane_key[l] + 1) % pool.size();
+      std::copy(pool[lane_key[l]].begin(), pool[lane_key[l]].end(),
+                table.begin() + static_cast<std::ptrdiff_t>(kl * l));
+    }
+    batch.load_key_lanes(table, kl, lanes, 4 * (bits / 32 + 6), 1);
+    check_all_lanes("partial reinstall");
+  }
+}
+
+// NetlistEngine::process_keyed: blocks of several keys share passes.
+// Bytes match the software reference; each span's cycles add up to the
+// engine's cycles() delta; a key no lane held costs exactly one key load
+// (write beats + declared setup) on its first span, and a key still
+// resident costs nothing the next time.
+TEST_F(NetlistBatch, KeyedBatchPacksKeysPerLane) {
+  for (const int bits : {128, 256}) {
+    SCOPED_TRACE("AES-" + std::to_string(bits));
+    aesip::arch::VariantSpec spec;
+    spec.key_bits = bits;
+    aesip::engine::NetlistEngine e(aesip::engine::make_ip_netlist(core::IpMode::kBoth, bits),
+                                   spec, core::IpMode::kBoth);
+    const std::size_t kl = static_cast<std::size_t>(bits / 8);
+    const std::uint64_t setup = 4 * static_cast<std::uint64_t>(bits / 32 + 6);
+    const std::uint64_t one_load = (kl + 15) / 16 + setup;
+    const std::uint64_t per_block = 5 * static_cast<std::uint64_t>(bits / 32 + 6) + 1;  // + load edge
+    std::vector<std::vector<std::uint8_t>> keys;
+    for (std::uint32_t k = 0; k < 4; ++k) keys.push_back(random_bytes(kl, 40 + k));
+    // Spans: key 0, 1, 0, 2, 3 — more blocks than one pass holds.
+    const std::size_t lanes = e.batch_lanes();
+    const std::vector<std::pair<std::size_t, std::size_t>> layout = {
+        {0, 3}, {1, lanes / 2}, {0, 5}, {2, lanes}, {3, 1}};
+    for (int round = 0; round < 2; ++round) {
+      std::vector<aesip::engine::CipherEngine::KeySpan> spans;
+      std::size_t n = 0;
+      for (const auto& [k, b] : layout) {
+        spans.push_back({keys[k], b});
+        n += b;
+      }
+      const auto in = random_bytes(16 * n, 60 + static_cast<std::uint32_t>(round));
+      std::vector<std::uint8_t> out(in.size());
+      const std::uint64_t c0 = e.cycles();
+      const auto k0 = e.counters();
+      e.process_keyed(in, out, spans, /*encrypt=*/round == 0);
+      std::uint64_t sum = 0, setup_sum = 0;
+      for (const auto& s : spans) {
+        sum += s.cycles;
+        setup_sum += s.setup_cycles;
+      }
+      EXPECT_EQ(sum, e.cycles() - c0);
+      EXPECT_EQ(setup_sum, e.counters().key_setup_cycles - k0.key_setup_cycles);
+      EXPECT_EQ(e.counters().blocks() - k0.blocks(), n);
+      std::size_t at = 0;
+      for (std::size_t i = 0; i < spans.size(); ++i) {
+        const auto ref = aes::Rijndael::for_key(keys[layout[i].first]);
+        const std::span<const std::uint8_t> blk(in.data() + 16 * at, 16 * spans[i].blocks);
+        const auto want = round == 0 ? aes::ecb_encrypt(ref, blk) : aes::ecb_decrypt(ref, blk);
+        EXPECT_TRUE(std::equal(want.begin(), want.end(), out.begin() + static_cast<std::ptrdiff_t>(16 * at)))
+            << "span " << i << " round " << round;
+        // On the fresh engine each key loads once, on its first span;
+        // the second span of key 0 costs blocks only.
+        if (round == 0) {
+          const bool first_use = i != 2;
+          EXPECT_EQ(spans[i].setup_cycles, first_use ? setup : 0u) << "span " << i;
+        }
+        EXPECT_EQ(spans[i].cycles,
+                  spans[i].blocks * per_block + (spans[i].setup_cycles ? one_load : 0))
+            << "span " << i;
+        at += spans[i].blocks;
+      }
+    }
+  }
+}
+
 // The farm's batched dispatch end to end: 4 netlist workers draining
 // multi-job batches, verified against the software reference across
 // ECB/CBC/CTR — including a CTR payload large enough to fan out.
 TEST_F(NetlistBatch, FarmBatchDispatchMatchesReference) {
   farm::FarmConfig cfg;
   cfg.workers = 4;
-  cfg.dispatch_batch = 8;
   cfg.engine = aesip::engine::EngineKind::kNetlist;
   farm::Farm f(cfg);
 

@@ -667,8 +667,9 @@ int cmd_metrics(const Args& args) {
                   static_cast<unsigned long long>(fst->trace_events),
                   static_cast<unsigned long long>(fst->trace_dropped));
       for (std::size_t w = 0; w < fst->per_worker.size(); ++w)
-        std::printf("  worker %zu: %llu requests, %.1f%% utilized\n", w,
+        std::printf("  worker %zu: %llu requests, %llu passes, %.1f%% utilized\n", w,
                     static_cast<unsigned long long>(fst->per_worker[w].requests),
+                    static_cast<unsigned long long>(fst->per_worker[w].passes),
                     100.0 * fst->per_worker[w].utilization);
     }
     if (!trace_path.empty()) {
@@ -803,6 +804,9 @@ int cmd_metrics(const Args& args) {
       j.end_object();
       j.key("utilization").begin_array();
       for (const auto& w : fst->per_worker) j.value(w.utilization);
+      j.end_array();
+      j.key("passes").begin_array();
+      for (const auto& w : fst->per_worker) j.value(w.passes);
       j.end_array();
       j.end_object();
     }

@@ -49,6 +49,7 @@ if [ $? -ne 0 ]; then
 fi
 for needle in \
   '"fleet": {' \
+  '"passes": [' \
   '"batch_backend": "' \
   '"batch_lanes": ' \
   '"swaps": 0' \
