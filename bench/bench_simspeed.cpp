@@ -142,7 +142,6 @@ struct NetlistBatchResult {
   const char* backend = "u64";     // the active backend's name
   std::size_t lanes = 64;
   std::size_t tape_ops = 0;
-  std::size_t levels = 0;
   std::vector<BackendPoint> backends;
   std::size_t active_index = 0;    // row in `backends` the dispatch resolves to
 };
@@ -178,8 +177,7 @@ NetlistBatchResult measure_netlist_batch() {
   const netlist::BatchBackend active = netlist::detect_backend();
   const netlist::BatchBackend all[] = {netlist::BatchBackend::kU64, netlist::BatchBackend::kNeon,
                                        netlist::BatchBackend::kAvx2,
-                                       netlist::BatchBackend::kAvx512,
-                                       netlist::BatchBackend::kJit};
+                                       netlist::BatchBackend::kAvx512};
   for (const auto b : all) {
     BackendPoint pt;
     pt.name = netlist::backend_name(b);
@@ -195,7 +193,6 @@ NetlistBatchResult measure_netlist_batch() {
     bd.reset();
     bd.load_key(key, true);
     r.tape_ops = bd.evaluator().tape_size();
-    r.levels = bd.evaluator().level_count();
     pt.lanes = bd.lanes();
     std::vector<std::uint8_t> in(16 * pt.lanes);
     std::vector<std::uint8_t> out(in.size());
@@ -296,15 +293,15 @@ void measure_and_dump() {
     std::printf("  %-8s %4zu-lane %10.1f ns/block   (%d passes, %s)\n", bp.name, bp.lanes,
                 bp.ns_per_block, kBatchPasses, bp.bit_exact ? "bit-exact" : "MISMATCH");
   }
-  std::printf("  active          %s (%zu lanes), %zu tape ops in %zu levels\n", nb.backend,
-              nb.lanes, nb.tape_ops, nb.levels);
+  std::printf("  active          %s (%zu lanes), %zu tape ops\n", nb.backend, nb.lanes,
+              nb.tape_ops);
   std::printf("  vs scalar       %12.2f x           (target: >= 20x)\n", nb.speedup_per_block);
   std::printf("  vs u64 lanes    %12.2f x           (the SIMD widening gate; target: >= 4x)\n\n",
               nb.speedup_vs_u64);
 
   std::ofstream jf("BENCH_simspeed.json");
   aesip::report::JsonWriter j(jf);
-  aesip::report::begin_bench_envelope(j, "simspeed", 4);
+  aesip::report::begin_bench_envelope(j, "simspeed", 5);
   j.begin_object();  // config
   j.key("blocks").value(kBlocks);
   j.key("trials").value(kTrials);
@@ -335,17 +332,15 @@ void measure_and_dump() {
     j.end_object();
   }
   j.end_array();
-  // Payload v4 (docs/benchmarks.md): the active backend's figures and the
-  // historical >= 20x scalar gate keep their v3 keys; new are the resolved
-  // backend/lane geometry, the per-backend rows (skip-with-reason where
-  // the host cannot run one), and the `simd` sub-gate — widest native
-  // backend >= 4x over the unchanged u64 baseline, skipped with a reason
-  // when u64 is all the host has.
+  // Payload v5 (docs/benchmarks.md): the active backend's figures, the
+  // historical >= 20x scalar gate, the resolved backend/lane geometry, the
+  // per-backend rows (skip-with-reason where the host cannot run one), and
+  // the `simd` sub-gate — widest backend >= 4x over the unchanged u64
+  // baseline, skipped with a reason when u64 is all the host has.
   j.key("netlist_batch").begin_object();
   j.key("backend").value(nb.backend);
   j.key("lanes").value(nb.lanes);
   j.key("tape_ops").value(nb.tape_ops);
-  j.key("levels").value(nb.levels);
   j.key("ns_per_block_scalar").value(nb.ns_per_block_scalar);
   j.key("ns_per_block_batch").value(nb.ns_per_block_batch);
   j.key("speedup_per_block").value(nb.speedup_per_block);

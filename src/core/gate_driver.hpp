@@ -108,8 +108,8 @@ class GateIpDriver {
 class GateIpBatchDriver {
  public:
   /// Binds to a synthesized IP netlist (must expose the Table 1 ports).
-  /// The netlist must outlive the driver.  `cfg` forces a batch backend /
-  /// shard-thread count; the default auto-detects the widest one.
+  /// The netlist must outlive the driver.  `cfg` forces a batch backend;
+  /// the default auto-detects the widest one.
   explicit GateIpBatchDriver(const netlist::Netlist& nl, const netlist::BatchConfig& cfg = {});
 
   /// Blocks per pass — the resolved backend's lane count.

@@ -139,19 +139,40 @@ std::array<std::uint8_t, 16> SoftwareEngine::do_process(std::span<const std::uin
 
 // --- BehavioralEngine --------------------------------------------------------
 
+template <class Ip>
+struct BehavioralEngine::CoreOf final : Core {
+  template <class... Args>
+  explicit CoreOf(hdl::Simulator& sim, Args&&... args)
+      : ip(sim, std::forward<Args>(args)...), bus(sim, ip) {
+    bus.reset();
+  }
+  std::uint64_t load_key(std::span<const std::uint8_t> key) override {
+    return bus.load_key(key);
+  }
+  bool key_resident(std::span<const std::uint8_t> key) const override {
+    return bus.key_resident(key);
+  }
+  std::uint64_t rekey(std::span<const std::uint8_t> key) override { return bus.rekey(key); }
+  std::array<std::uint8_t, 16> process_block(std::span<const std::uint8_t> block,
+                                             bool encrypt) override {
+    return bus.process_block(block, encrypt);
+  }
+  std::uint64_t last_latency() const noexcept override { return bus.last_latency(); }
+  core::IpCounters counters() const override { return ip.counters(); }
+  const core::BusCounters& bus_counters() const noexcept override { return bus.counters(); }
+
+  Ip ip;
+  core::GenericBusDriver<Ip> bus;
+};
+
 BehavioralEngine::BehavioralEngine(const arch::VariantSpec& spec, core::IpMode mode)
     : spec_(spec), mode_(mode) {
-  if (spec_.is_iterative()) {
-    // The MixColumn style is a gate-level distinction only; the paper's
-    // RijndaelIp is the behavioral twin of both iterative netlists.
-    ip_ = std::make_unique<core::RijndaelIp>(sim_, mode, spec.key_bits);
-    bus_ = std::make_unique<core::BusDriver>(sim_, *ip_);
-    bus_->reset();
-  } else {
-    var_ip_ = std::make_unique<arch::VariantIp>(sim_, spec, mode);
-    var_bus_ = std::make_unique<core::GenericBusDriver<arch::VariantIp>>(sim_, *var_ip_);
-    var_bus_->reset();
-  }
+  // The MixColumn style is a gate-level distinction only; the paper's
+  // RijndaelIp is the behavioral twin of both iterative netlists.
+  if (spec_.is_iterative())
+    core_ = std::make_unique<CoreOf<core::RijndaelIp>>(sim_, mode, spec.key_bits);
+  else
+    core_ = std::make_unique<CoreOf<arch::VariantIp>>(sim_, spec, mode);
 }
 
 // --- NetlistEngine -----------------------------------------------------------

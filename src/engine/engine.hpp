@@ -3,8 +3,8 @@
 //
 // A CipherEngine owns one cipher execution resource — a software AES, a
 // cycle-accurate behavioral IP, or a synthesized gate netlist — behind one
-// contract: load a key, submit a block, drain the result, and report where
-// the simulated cycles went in `core::IpCounters` terms.  Everything above
+// contract: load a key, process blocks, and report where the simulated
+// cycles went in `core::IpCounters` terms.  Everything above
 // (the farm's workers, the CLI, the benches, the conformance suite) speaks
 // this interface and never names a Simulator, BusDriver or Evaluator again.
 //
@@ -87,28 +87,11 @@ class CipherEngine {
   }
 
   // --- block path ------------------------------------------------------------
-  /// Stage one 16-byte block for processing. At most one block may be in
-  /// flight; a second submit before drain_result() throws.
-  void submit_block(std::span<const std::uint8_t> block, bool encrypt = true) {
-    if (staged_) throw std::logic_error("CipherEngine: block already submitted");
-    if (block.size() != 16) throw std::invalid_argument("CipherEngine: block must be 16 bytes");
-    std::array<std::uint8_t, 16> b{};
-    for (std::size_t i = 0; i < 16; ++i) b[i] = block[i];
-    staged_ = b;
-    staged_encrypt_ = encrypt;
-  }
-  /// Run the staged block to completion and return the 16-byte result.
-  std::array<std::uint8_t, 16> drain_result() {
-    if (!staged_) throw std::logic_error("CipherEngine: no block submitted");
-    const std::array<std::uint8_t, 16> b = *staged_;
-    staged_.reset();
-    return do_process(b, staged_encrypt_);
-  }
-  /// submit_block + drain_result in one call.
+  /// Process one 16-byte block to completion and return the result.
   std::array<std::uint8_t, 16> process_block(std::span<const std::uint8_t> block,
                                              bool encrypt = true) {
-    submit_block(block, encrypt);
-    return drain_result();
+    if (block.size() != 16) throw std::invalid_argument("CipherEngine: block must be 16 bytes");
+    return do_process(block, encrypt);
   }
 
   // --- batch path ------------------------------------------------------------
@@ -146,7 +129,7 @@ class CipherEngine {
 
   /// Name of the bit-parallel lane backend behind process_batch ("none"
   /// when blocks go one at a time; NetlistEngine reports its resolved
-  /// netlist::BatchBackend — "u64", "neon", "avx2", "avx512" or "jit").
+  /// netlist::BatchBackend — "u64", "neon", "avx2" or "avx512").
   virtual const char* batch_backend() const noexcept { return "none"; }
 
   /// Occupancy accounting for the batch path: how full the engine's lanes
@@ -198,10 +181,6 @@ class CipherEngine {
                                        std::span<std::uint8_t> out);
 
   BatchStats batch_stats_;
-
- private:
-  std::optional<std::array<std::uint8_t, 16>> staged_;
-  bool staged_encrypt_ = true;
 };
 
 /// Zero-cycle functional reference: aes::Rijndael behind the engine
@@ -243,7 +222,7 @@ class SoftwareEngine final : public CipherEngine {
 /// The cycle-accurate RTL model behind the engine contract: a private
 /// Simulator plus one behavioral core — the paper's RijndaelIp for
 /// iterative specs, the arch::VariantIp twin for the rest of the variant
-/// family — behind a GenericBusDriver each.
+/// family — behind its GenericBusDriver.
 class BehavioralEngine final : public CipherEngine {
  public:
   explicit BehavioralEngine(core::IpMode mode = core::IpMode::kBoth)
@@ -257,45 +236,50 @@ class BehavioralEngine final : public CipherEngine {
 
   std::uint64_t load_key(std::span<const std::uint8_t> key) override {
     check_key_length(key);
-    return var_bus_ ? var_bus_->load_key(key) : bus_->load_key(key);
+    return core_->load_key(key);
   }
   bool key_resident(std::span<const std::uint8_t> key) const override {
-    return var_bus_ ? var_bus_->key_resident(key) : bus_->key_resident(key);
+    return core_->key_resident(key);
   }
   std::uint64_t rekey(std::span<const std::uint8_t> key) override {
     check_key_length(key);
-    return var_bus_ ? var_bus_->rekey(key) : bus_->rekey(key);
+    return core_->rekey(key);
   }
 
   std::uint64_t cycles() const noexcept override { return sim_.cycle(); }
-  std::uint64_t last_latency() const noexcept override {
-    return var_bus_ ? var_bus_->last_latency() : bus_->last_latency();
-  }
-  core::IpCounters counters() const override {
-    return var_ip_ ? var_ip_->counters() : ip_->counters();
-  }
+  std::uint64_t last_latency() const noexcept override { return core_->last_latency(); }
+  core::IpCounters counters() const override { return core_->counters(); }
   hdl::Simulator* simulator() noexcept override { return &sim_; }
 
   /// Bus-master-side accounting (resets, rekey hits, stream stats) —
   /// observability beyond the engine contract.
-  const core::BusCounters& bus_counters() const noexcept {
-    return var_bus_ ? var_bus_->counters() : bus_->counters();
-  }
-  /// The paper-core bus driver; throws on non-iterative engines (their bus
-  /// is a GenericBusDriver<VariantIp>, a different concrete type).
-  core::BusDriver& bus() {
-    if (!bus_) throw std::logic_error("BehavioralEngine: variant engine has no paper-core bus");
-    return *bus_;
-  }
+  const core::BusCounters& bus_counters() const noexcept { return core_->bus_counters(); }
 
  protected:
   std::array<std::uint8_t, 16> do_process(std::span<const std::uint8_t> block,
                                           bool encrypt) override {
-    return var_bus_ ? var_bus_->process_block(block, encrypt)
-                    : bus_->process_block(block, encrypt);
+    return core_->process_block(block, encrypt);
   }
 
  private:
+  /// One behavioral core and its bus driver, whatever the core's type.
+  struct Core {
+    Core() = default;
+    Core(const Core&) = delete;  // CoreOf's bus refers to its own ip
+    Core& operator=(const Core&) = delete;
+    virtual ~Core() = default;
+    virtual std::uint64_t load_key(std::span<const std::uint8_t> key) = 0;
+    virtual bool key_resident(std::span<const std::uint8_t> key) const = 0;
+    virtual std::uint64_t rekey(std::span<const std::uint8_t> key) = 0;
+    virtual std::array<std::uint8_t, 16> process_block(std::span<const std::uint8_t> block,
+                                                       bool encrypt) = 0;
+    virtual std::uint64_t last_latency() const noexcept = 0;
+    virtual core::IpCounters counters() const = 0;
+    virtual const core::BusCounters& bus_counters() const noexcept = 0;
+  };
+  template <class Ip>
+  struct CoreOf;  // engine.cpp
+
   /// The core's geometry is fixed at construction; a key of any other
   /// length is a caller bug, caught before it reaches the bus.
   void check_key_length(std::span<const std::uint8_t> key) const {
@@ -307,11 +291,7 @@ class BehavioralEngine final : public CipherEngine {
   hdl::Simulator sim_;
   arch::VariantSpec spec_;
   core::IpMode mode_;
-  // Exactly one pair is populated, chosen by spec_.is_iterative().
-  std::unique_ptr<core::RijndaelIp> ip_;
-  std::unique_ptr<core::BusDriver> bus_;
-  std::unique_ptr<arch::VariantIp> var_ip_;
-  std::unique_ptr<core::GenericBusDriver<arch::VariantIp>> var_bus_;
+  std::unique_ptr<Core> core_;
 };
 
 /// Synthesize the IP netlist an engine (or a farm of them) will evaluate.
@@ -342,7 +322,7 @@ class NetlistEngine final : public CipherEngine {
       : NetlistEngine(make_ip_netlist(mode), mode) {}
   /// Any variant-family member over an already-synthesized netlist (`nl`
   /// must be the gate graph of `spec` — farms pass their per-variant cache).
-  /// `cfg` overrides the batch backend / shard threads (testing knob).
+  /// `cfg` overrides the batch backend (testing knob).
   NetlistEngine(std::shared_ptr<const netlist::Netlist> nl, const arch::VariantSpec& spec,
                 core::IpMode mode, const netlist::BatchConfig& cfg = {});
   /// Synthesizing convenience for one-off variant engines.

@@ -1,11 +1,9 @@
 #include "netlist/batch_backend.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
 
-#include "netlist/batch_jit.hpp"
 #include "netlist/batch_kernels.hpp"
 
 namespace aesip::netlist {
@@ -16,7 +14,6 @@ const char* backend_name(BatchBackend b) noexcept {
     case BatchBackend::kNeon: return "neon";
     case BatchBackend::kAvx2: return "avx2";
     case BatchBackend::kAvx512: return "avx512";
-    case BatchBackend::kJit: return "jit";
   }
   return "?";
 }
@@ -26,7 +23,6 @@ std::optional<BatchBackend> backend_from_name(std::string_view name) noexcept {
   if (name == "neon") return BatchBackend::kNeon;
   if (name == "avx2") return BatchBackend::kAvx2;
   if (name == "avx512") return BatchBackend::kAvx512;
-  if (name == "jit") return BatchBackend::kJit;
   return std::nullopt;
 }
 
@@ -36,7 +32,6 @@ std::size_t backend_lanes(BatchBackend b) noexcept {
     case BatchBackend::kNeon: return 128;
     case BatchBackend::kAvx2: return 256;
     case BatchBackend::kAvx512: return 512;
-    case BatchBackend::kJit: return 512;
   }
   return 64;
 }
@@ -68,8 +63,6 @@ bool backend_supported(BatchBackend b) {
       return batchdetail::kernels_avx2() != nullptr && cpu_has_avx2();
     case BatchBackend::kAvx512:
       return batchdetail::kernels_avx512() != nullptr && cpu_has_avx512();
-    case BatchBackend::kJit:
-      return batchdetail::jit_toolchain_available();
   }
   return false;
 }
@@ -84,7 +77,9 @@ BatchBackend detect_backend() {
 std::optional<BatchBackend> env_forced_backend() {
   const char* env = std::getenv("AESIP_BATCH_BACKEND");
   if (!env || !*env) return std::nullopt;
-  return backend_from_name(env);
+  if (const auto b = backend_from_name(env)) return b;
+  throw std::runtime_error(std::string("AESIP_BATCH_BACKEND='") + env +
+                           "' names no batch backend (u64, neon, avx2, avx512)");
 }
 
 BatchBackend resolve_backend(const BatchConfig& cfg) {
@@ -95,15 +90,6 @@ BatchBackend resolve_backend(const BatchConfig& cfg) {
     throw std::runtime_error(std::string("netlist batch backend '") + backend_name(*forced) +
                              "' is not supported on this host");
   return *forced;
-}
-
-int resolve_shard_threads(const BatchConfig& cfg) {
-  int threads = cfg.threads;
-  if (threads == 0) {
-    if (const char* env = std::getenv("AESIP_BATCH_THREADS"); env && *env)
-      threads = std::atoi(env);
-  }
-  return std::clamp(threads, 1, 64);
 }
 
 }  // namespace aesip::netlist

@@ -1,13 +1,9 @@
 #include "netlist/batch_eval.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <barrier>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 
-#include "netlist/batch_jit.hpp"
 #include "netlist/batch_kernels.hpp"
 
 namespace aesip::netlist {
@@ -28,24 +24,11 @@ const batchdetail::Kernels* kernels_for(BatchBackend b) {
     case BatchBackend::kNeon: return batchdetail::kernels_neon();
     case BatchBackend::kAvx2: return batchdetail::kernels_avx2();
     case BatchBackend::kAvx512: return batchdetail::kernels_avx512();
-    case BatchBackend::kJit: return nullptr;  // settles through the module
   }
   return nullptr;
 }
 
 }  // namespace
-
-/// Persistent shard workers.  One settle is a lockstep walk over the
-/// levelization bands: every participant (main thread included) processes
-/// its contiguous chunk of the band, then meets the others at the barrier
-/// before the next band may read this band's outputs.  The pool is parked
-/// on the same barrier between settles.
-struct BatchEvaluator::Pool {
-  explicit Pool(int nthreads) : gate(nthreads) {}
-  std::barrier<> gate;
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> workers;
-};
 
 BatchEvaluator::BatchEvaluator(const Netlist& nl, const BatchConfig& cfg)
     : nl_(nl),
@@ -158,44 +141,12 @@ BatchEvaluator::BatchEvaluator(const Netlist& nl, const BatchConfig& cfg)
   words_.assign(slots_ * stride_, 0);
   dff_state_.assign(dffs_.size() * stride_, 0);
   dff_sample_.assign(dffs_.size() * stride_, 0);
-  if (backend_ == BatchBackend::kJit) {
-    jit_ = batchdetail::jit_compile(tape_, stride_);
-    if (!jit_->ok())
-      throw std::runtime_error("netlist::BatchEvaluator: " + jit_->error());
-  } else {
-    kern_ = kernels_for(backend_);
-    if (!kern_)  // resolve_backend() already vetted support; belt and braces
-      throw std::runtime_error("netlist::BatchEvaluator: backend kernels missing");
-  }
-
-  // The shard pool applies to the interpreted backends only (the JIT
-  // settle is one straight-line function).
-  shard_threads_ = backend_ == BatchBackend::kJit ? 1 : resolve_shard_threads(cfg);
-  if (shard_threads_ > 1 && !tape_.empty()) {
-    pool_ = std::make_unique<Pool>(shard_threads_);
-    for (int tid = 1; tid < shard_threads_; ++tid)
-      pool_->workers.emplace_back([this, tid] {
-        for (;;) {
-          pool_->gate.arrive_and_wait();  // settle begins (or shutdown)
-          if (pool_->stop.load(std::memory_order_acquire)) return;
-          run_levels(tid);
-          pool_->gate.arrive_and_wait();  // settle complete
-        }
-      });
-  } else {
-    shard_threads_ = 1;
-  }
+  kern_ = kernels_for(backend_);
+  if (!kern_)  // resolve_backend() already vetted support; belt and braces
+    throw std::runtime_error("netlist::BatchEvaluator: backend kernels missing");
 
   broadcast(const1_word_, true);
   reset();
-}
-
-BatchEvaluator::~BatchEvaluator() {
-  if (pool_) {
-    pool_->stop.store(true, std::memory_order_release);
-    pool_->gate.arrive_and_wait();  // release parked workers into the stop check
-    for (auto& t : pool_->workers) t.join();
-  }
 }
 
 std::uint32_t BatchEvaluator::emit(OpKind kind, std::uint32_t dst, std::uint32_t a,
@@ -239,14 +190,11 @@ std::uint32_t BatchEvaluator::compile_lut(std::uint16_t mask, int arity,
 
 // Longest-path level per op over the word-slot dependency graph, then a
 // stable sort into level bands.  Any level order is a valid topological
-// order (an op's operands are produced at strictly lower levels), and ops
-// within one band are mutually independent — the shard-cut rule: a worker
-// may evaluate any chunk of a band concurrently with the others, as long
-// as every worker passes the barrier before the next band starts.
+// order (an op's operands are produced at strictly lower levels).  This
+// is the op order every kernel sweeps.
 void BatchEvaluator::build_levels() {
   std::vector<std::uint32_t> slot_level(slots_, 0);
   std::vector<std::uint32_t> op_level(tape_.size(), 0);
-  std::uint32_t max_level = 0;
   for (std::size_t i = 0; i < tape_.size(); ++i) {
     const Op& op = tape_[i];
     std::uint32_t lvl = 0;
@@ -263,7 +211,6 @@ void BatchEvaluator::build_levels() {
       slot_level[op.dst] = lvl;
     }
     op_level[i] = lvl;
-    max_level = std::max(max_level, lvl);
   }
 
   std::vector<std::uint32_t> order(tape_.size());
@@ -275,16 +222,6 @@ void BatchEvaluator::build_levels() {
   sorted.reserve(tape_.size());
   for (const std::uint32_t i : order) sorted.push_back(tape_[i]);
   tape_ = std::move(sorted);
-
-  level_starts_.assign(max_level + 1, 0);  // levels are 1-based when any op exists
-  for (const std::uint32_t i : order) ++level_starts_[op_level[i] - 1];
-  std::uint32_t off = 0;
-  for (auto& s : level_starts_) {
-    const std::uint32_t n = s;
-    s = off;
-    off += n;
-  }
-  level_starts_.push_back(off);
 }
 
 void BatchEvaluator::set_bus(const Bus& b, std::size_t lane, std::uint64_t value) {
@@ -302,59 +239,15 @@ void BatchEvaluator::broadcast_bus(const Bus& b, std::uint64_t value) {
   for (std::size_t i = 0; i < b.size(); ++i) broadcast(b[i], (value >> i) & 1U);
 }
 
-void BatchEvaluator::settle_range(std::size_t begin, std::size_t end) {
-  kern_->settle(tape_.data(), begin, end, words_.data(), roms_.data());
-}
-
-void BatchEvaluator::run_levels(int tid) {
-  const std::size_t T = static_cast<std::size_t>(shard_threads_);
-  for (std::size_t l = 0; l + 1 < level_starts_.size(); ++l) {
-    const std::size_t s = level_starts_[l];
-    const std::size_t e = level_starts_[l + 1];
-    const std::size_t per = (e - s + T - 1) / T;
-    const std::size_t b = std::min(s + static_cast<std::size_t>(tid) * per, e);
-    const std::size_t f = std::min(b + per, e);
-    if (b < f) settle_range(b, f);
-    pool_->gate.arrive_and_wait();
-  }
-}
-
-void BatchEvaluator::jit_rom_thunk(void* ctx, unsigned rom) {
-  auto* self = static_cast<BatchEvaluator*>(ctx);
-  const RomSpec& r = self->roms_[rom];
-  // The JIT stride matches the AVX-512 kernels'; reuse their byte-mask
-  // gather when the host has it, the portable transpose path otherwise.
-  static const batchdetail::RomGatherFn wide =
-      backend_supported(BatchBackend::kAvx512) ? batchdetail::rom_gather_avx512() : nullptr;
-  if (wide)
-    wide(r, self->words_.data(), self->stride_);
-  else
-    batchdetail::rom_gather_transpose(r, self->words_.data(), self->stride_);
-}
-
 void BatchEvaluator::settle() {
-  if (jit_) {
-    jit_->settle()(words_.data(), this, &BatchEvaluator::jit_rom_thunk);
-    return;
-  }
-  if (pool_) {
-    pool_->gate.arrive_and_wait();  // release the parked workers
-    run_levels(0);
-    pool_->gate.arrive_and_wait();  // all bands complete
-    return;
-  }
-  settle_range(0, tape_.size());
+  kern_->settle(tape_.data(), tape_.size(), words_.data(), roms_.data());
 }
 
 void BatchEvaluator::clock() {
   // Sample every enabled D first (pre-edge values in every lane), then
   // publish, then settle — Evaluator::clock() semantics, lanes() wide.
-  if (kern_)
-    kern_->clock_dffs(dffs_.data(), dffs_.size(), words_.data(), dff_state_.data(),
-                      dff_sample_.data());
-  else
-    batchdetail::clock_dffs_generic(dffs_.data(), dffs_.size(), words_.data(),
-                                    dff_state_.data(), dff_sample_.data(), stride_);
+  kern_->clock_dffs(dffs_.data(), dffs_.size(), words_.data(), dff_state_.data(),
+                    dff_sample_.data());
   settle();
 }
 

@@ -10,9 +10,9 @@
 //
 // The lane word is no longer a fixed uint64_t.  At construction the
 // evaluator resolves a BatchBackend (batch_backend.hpp) — AVX-512 (512
-// lanes), AVX2 (256), NEON (128), the portable uint64 fallback (64), or
-// the experimental JIT lowering — and sizes every net at `stride()`
-// consecutive uint64 words (lanes() = 64 * stride()).  Backend selection
+// lanes), AVX2 (256), NEON (128) or the portable uint64 fallback (64) —
+// and sizes every net at `stride()` consecutive uint64 words
+// (lanes() = 64 * stride()).  Backend selection
 // is runtime CPUID dispatch, overridable via AESIP_BATCH_BACKEND or
 // BatchConfig::backend; all backends interpret the SAME compiled tape and
 // are bit-exact against the scalar oracle (tests/test_netlist_batch.cpp
@@ -34,10 +34,8 @@
 //     D (per-lane enable masking), publishes Q, then settles — the same
 //     pre-edge semantics as Evaluator::clock().
 //
-// The tape is additionally sorted into levelization bands (ops within one
-// band are mutually independent), so BatchConfig::threads > 1 shards each
-// band across a persistent worker pool with a barrier at every cut — one
-// wide pass evaluated by several cores.
+// The tape is then stably sorted by levelization band, and one settle is
+// a single-threaded sweep over it: the parallelism is the lanes, not cores.
 //
 // A combinational cycle is rejected at construction exactly like the scalar
 // evaluator.  The scalar evaluator remains the oracle and keeps the
@@ -45,7 +43,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -55,7 +52,6 @@
 
 namespace aesip::netlist::batchdetail {
 struct Kernels;
-class JitModule;
 }  // namespace aesip::netlist::batchdetail
 
 namespace aesip::netlist {
@@ -66,11 +62,10 @@ class BatchEvaluator {
   /// Lanes per uint64 word; lanes() is a multiple of this.
   static constexpr std::size_t kBaseLanes = 64;
 
-  /// Compile `nl` and resolve the backend/thread config (throws
-  /// std::runtime_error if an explicitly requested backend is unsupported
-  /// on this host, or if the netlist has a combinational cycle).
+  /// Compile `nl` and resolve the backend (throws std::runtime_error if
+  /// an explicitly requested backend is unknown or unsupported on this
+  /// host, or if the netlist has a combinational cycle).
   explicit BatchEvaluator(const Netlist& nl, const BatchConfig& cfg = {});
-  ~BatchEvaluator();
   BatchEvaluator(const BatchEvaluator&) = delete;
   BatchEvaluator& operator=(const BatchEvaluator&) = delete;
 
@@ -82,8 +77,6 @@ class BatchEvaluator {
   std::size_t lanes() const noexcept { return stride_ * kBaseLanes; }
   /// uint64 words per net — the backend's vector width.
   std::size_t stride() const noexcept { return stride_; }
-  /// Tape-shard workers cooperating on one settle (1 = no pool).
-  int shard_threads() const noexcept { return shard_threads_; }
 
   // --- whole-word access (64 lanes per word index) ----------------------------
   /// Lane word `wi` of net `n`: bit L = the value in lane 64*wi + L.
@@ -137,10 +130,6 @@ class BatchEvaluator {
   /// Net words plus LUT-expansion temporaries (per lane word; the physical
   /// footprint is word_count() * stride()).
   std::size_t word_count() const noexcept { return slots_; }
-  /// Levelization bands in the tape — the shard-cut count.
-  std::size_t level_count() const noexcept {
-    return level_starts_.empty() ? 0 : level_starts_.size() - 1;
-  }
 
  private:
   using Op = batchdetail::Op;
@@ -149,8 +138,6 @@ class BatchEvaluator {
   using RomSpec = batchdetail::RomSpec;
   static constexpr std::uint32_t kNoWord = batchdetail::kNoWord;
 
-  struct Pool;  // persistent shard workers (batch_eval.cpp)
-
   std::uint32_t new_temp() { return static_cast<std::uint32_t>(slots_++); }
   /// Compile `mask` over inputs[0..arity) into tape ops; writes the result
   /// into `dst` when given (kNoWord = return any word holding the value).
@@ -158,21 +145,16 @@ class BatchEvaluator {
                             const std::uint32_t* inputs, std::uint32_t dst);
   std::uint32_t emit(OpKind kind, std::uint32_t dst, std::uint32_t a,
                      std::uint32_t b = 0, std::uint32_t c = 0);
-  /// Sort the tape into levelization bands and record the cut offsets.
+  /// Stably sort the tape by levelization band.
   void build_levels();
   void publish_dff(std::size_t index);
-  void run_levels(int tid);
-  void settle_range(std::size_t begin, std::size_t end);
-  static void jit_rom_thunk(void* ctx, unsigned rom);
 
   const Netlist& nl_;
   BatchBackend backend_;
   std::size_t stride_;
-  int shard_threads_ = 1;
   std::size_t slots_ = 0;    ///< logical lane-word slots (nets + temps)
   std::vector<Word> words_;  ///< slots_ * stride_ physical words
   std::vector<Op> tape_;
-  std::vector<std::uint32_t> level_starts_;  ///< tape offsets of each band
   std::vector<RomSpec> roms_;
   std::vector<Dff> dffs_;
   std::vector<Word> dff_state_;   ///< dffs x stride
@@ -180,8 +162,6 @@ class BatchEvaluator {
   std::uint32_t const0_word_;
   std::uint32_t const1_word_;
   const batchdetail::Kernels* kern_ = nullptr;
-  std::unique_ptr<batchdetail::JitModule> jit_;  ///< kJit only
-  std::unique_ptr<Pool> pool_;                   ///< shard_threads_ > 1 only
 };
 
 }  // namespace aesip::netlist

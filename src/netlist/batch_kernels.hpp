@@ -6,8 +6,7 @@
 // whose ISA is not compiled in returns nullptr from its kernels_*()
 // accessor, so dispatch stays a plain runtime table with no weak-symbol
 // tricks.  The kernel's vector covers exactly `stride` 64-bit words, so
-// every tape op is one vector instruction; kernels take an op RANGE so the
-// levelization-cut shard pool can split one settle across workers.
+// every tape op is one vector instruction.
 #pragma once
 
 #include <cstddef>
@@ -18,10 +17,8 @@ namespace aesip::netlist::batchdetail {
 
 struct Kernels {
   std::size_t stride;  ///< 64-bit words per net (lanes = 64 * stride)
-  /// Interpret ops [begin, end) of the tape (any topologically closed
-  /// range — a full settle or one shard of one level).
-  void (*settle)(const Op* ops, std::size_t begin, std::size_t end, Word* w,
-                 const RomSpec* roms);
+  /// Interpret the whole tape, ops [0, n), in order.
+  void (*settle)(const Op* ops, std::size_t n, Word* w, const RomSpec* roms);
   /// Sample every enabled D (pre-edge, per-lane enable masking), then
   /// publish Q — Evaluator::clock() semantics, lanes wide.  The caller
   /// settles afterwards.
@@ -41,19 +38,7 @@ void rom_gather_u64(const RomSpec& r, Word* w, std::size_t stride);
 /// Fast portable gather: 8x8 bit-matrix transposes turn the 8 address lane
 /// words into packed address bytes (and data bytes back into lane words),
 /// so the per-lane work collapses to one table lookup.  Used by the NEON
-/// and AVX2 backends and the JIT's ROM callback on non-AVX-512 hosts.
+/// and AVX2 backends.
 void rom_gather_transpose(const RomSpec& r, Word* w, std::size_t stride);
-
-using RomGatherFn = void (*)(const RomSpec& r, Word* w, std::size_t stride);
-
-/// The AVX-512 byte-mask ROM gather (requires stride == 8); nullptr when
-/// the AVX-512 TU is not compiled in.  Runtime CPU support is the
-/// caller's check — this is the JIT backend's ROM callback fast path.
-RomGatherFn rom_gather_avx512();
-
-/// Stride-generic uint64 DFF clock (the JIT backend's clock path — its
-/// stride has no dedicated interpreter kernel).
-void clock_dffs_generic(const Dff* dffs, std::size_t n, Word* w, Word* state, Word* sample,
-                        std::size_t stride);
 
 }  // namespace aesip::netlist::batchdetail

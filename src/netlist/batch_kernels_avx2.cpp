@@ -36,7 +36,7 @@ struct OpsAvx2 {
 
 #include "netlist/batch_kernels.inl"
 
-const Kernels kAvx2Kernels{OpsAvx2::kStride, &settle_range<OpsAvx2>, &clock_dffs_t<OpsAvx2>};
+const Kernels kAvx2Kernels{OpsAvx2::kStride, &settle_tape<OpsAvx2>, &clock_dffs_t<OpsAvx2>};
 
 }  // namespace
 

@@ -56,18 +56,12 @@ struct OpsAvx512 {
 
 #include "netlist/batch_kernels.inl"
 
-const Kernels kAvx512Kernels{OpsAvx512::kStride, &settle_range<OpsAvx512>,
+const Kernels kAvx512Kernels{OpsAvx512::kStride, &settle_tape<OpsAvx512>,
                              &clock_dffs_t<OpsAvx512>};
-
-void rom_gather_avx512_impl(const RomSpec& r, Word* w, std::size_t) {
-  OpsAvx512::rom(r, w);  // stride is fixed at 8 by the policy
-}
 
 }  // namespace
 
 const Kernels* kernels_avx512() { return &kAvx512Kernels; }
-
-RomGatherFn rom_gather_avx512() { return &rom_gather_avx512_impl; }
 
 }  // namespace aesip::netlist::batchdetail
 
@@ -75,7 +69,6 @@ RomGatherFn rom_gather_avx512() { return &rom_gather_avx512_impl; }
 
 namespace aesip::netlist::batchdetail {
 const Kernels* kernels_avx512() { return nullptr; }
-RomGatherFn rom_gather_avx512() { return nullptr; }
 }  // namespace aesip::netlist::batchdetail
 
 #endif

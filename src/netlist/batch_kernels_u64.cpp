@@ -62,30 +62,6 @@ void rom_gather_transpose(const RomSpec& r, Word* w, std::size_t stride) {
   }
 }
 
-void clock_dffs_generic(const Dff* dffs, std::size_t n, Word* w, Word* state, Word* sample,
-                        std::size_t stride) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const Dff& f = dffs[i];
-    for (std::size_t g = 0; g < stride; ++g) {
-      const Word d = w[std::size_t{f.d} * stride + g];
-      if (f.enable == kNoWord) {
-        sample[i * stride + g] = d;
-      } else {
-        const Word en = w[std::size_t{f.enable} * stride + g];
-        sample[i * stride + g] = (en & d) | (~en & state[i * stride + g]);
-      }
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const Dff& f = dffs[i];
-    for (std::size_t g = 0; g < stride; ++g) {
-      const Word v = sample[i * stride + g];
-      state[i * stride + g] = v;
-      w[std::size_t{f.q} * stride + g] = v;
-    }
-  }
-}
-
 namespace {
 
 struct OpsU64 {
@@ -105,7 +81,7 @@ struct OpsU64 {
 
 #include "netlist/batch_kernels.inl"
 
-const Kernels kU64Kernels{OpsU64::kStride, &settle_range<OpsU64>, &clock_dffs_t<OpsU64>};
+const Kernels kU64Kernels{OpsU64::kStride, &settle_tape<OpsU64>, &clock_dffs_t<OpsU64>};
 
 }  // namespace
 

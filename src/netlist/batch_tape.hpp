@@ -2,9 +2,8 @@
 //
 // BatchEvaluator compiles the netlist once into this flat, SSA-like op
 // tape; the per-backend settle kernels (batch_kernels_*.cpp — uint64,
-// NEON, AVX2, AVX-512) and the experimental JIT lowering all interpret the
-// SAME tape, so every backend is bit-for-bit comparable against the scalar
-// Evaluator oracle.  Operands are *word-slot* indices: slot s of an
+// NEON, AVX2, AVX-512) all interpret the SAME tape, so every backend is
+// bit-for-bit comparable against the scalar Evaluator oracle.  Operands are *word-slot* indices: slot s of an
 // evaluator with stride S (64-bit words per net) lives at w[s * S .. s * S
 // + S) — the kernel's vector width is exactly S words, so one op is one
 // vector instruction on the native backends.

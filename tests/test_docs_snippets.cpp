@@ -150,8 +150,8 @@ TEST(DocsNetlist, BatchEvaluatorExampleRunsAsDocumented) {
   const auto out = aesip::netlist::synth_xtime(nl, in);
   nl.add_output_bus(out, "y");
 
-  // The default config auto-detects the widest native backend; force one
-  // (or a shard-pool size) with BatchConfig / AESIP_BATCH_BACKEND.
+  // The default config auto-detects the widest backend; force one with
+  // BatchConfig / AESIP_BATCH_BACKEND.
   aesip::netlist::BatchEvaluator batch(nl);     // compiles the tape once
   const std::size_t lanes = batch.lanes();      // 64 .. 512, backend-dependent
   EXPECT_GE(lanes, 64u);

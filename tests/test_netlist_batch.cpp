@@ -8,14 +8,16 @@
 //
 // The whole suite runs against whatever backend AESIP_BATCH_BACKEND forces
 // (the ctest matrix runs it once per compiled-in backend: u64, avx2,
-// avx512, jit — and neon on aarch64).  When the forced backend is not
+// avx512 — and neon on aarch64).  When the forced backend is not
 // supported on this host, every test skips with the reason, mirroring the
 // hw<4 skips elsewhere in the suite.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cstdlib>
 #include <memory>
+#include <optional>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -296,6 +298,23 @@ TEST_F(NetlistBatch, CombinationalCycleRejectionParity) {
   nl.add_output(y, "y");
   EXPECT_THROW(Evaluator scalar(nl), std::runtime_error);
   EXPECT_THROW(BatchEvaluator batch(nl), std::runtime_error);
+}
+
+// An AESIP_BATCH_BACKEND value that names no backend must throw, like one
+// the host cannot run: a silent fallback to auto-detection would let a
+// misspelled batch_backend_* row test the widest backend under another
+// backend's name.  The variable is restored for the rest of the run.
+TEST(NetlistBatchBackend, UnknownEnvBackendNameThrows) {
+  const char* env = std::getenv("AESIP_BATCH_BACKEND");
+  const std::optional<std::string> saved = env ? std::optional<std::string>(env) : std::nullopt;
+  for (const char* name : {"jit", "avx-512"}) {
+    ::setenv("AESIP_BATCH_BACKEND", name, 1);
+    EXPECT_THROW(nlist::resolve_backend({}), std::runtime_error) << name;
+  }
+  if (saved)
+    ::setenv("AESIP_BATCH_BACKEND", saved->c_str(), 1);
+  else
+    ::unsetenv("AESIP_BATCH_BACKEND");
 }
 
 // The full IP through the Table 1 protocol at every partial batch width
