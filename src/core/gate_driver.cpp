@@ -1,7 +1,10 @@
 #include "core/gate_driver.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
+
+#include "netlist/bit_transpose.hpp"
 
 namespace aesip::core {
 
@@ -158,39 +161,50 @@ GateIpBatchDriver::GateIpBatchDriver(const netlist::Netlist& nl, const netlist::
   ev_.settle();
 }
 
+// Lane packing runs on 8x8 bit-matrix transposes: byte k of 8 lanes,
+// packed one byte per lane, transposes into those lanes' bits of din
+// 8k..8k+7 (and dout unpacks the same way back).
 void GateIpBatchDriver::set_din_lanes(std::span<const std::uint8_t> in, std::size_t n) {
   using Word = netlist::BatchEvaluator::Word;
   constexpr std::size_t kWordLanes = netlist::BatchEvaluator::kBaseLanes;
-  const std::size_t stride = ev_.stride();
-  for (int k = 0; k < 16; ++k)
-    for (int b = 0; b < 8; ++b) {
-      for (std::size_t g = 0; g < stride; ++g) {
-        Word w = 0;
-        for (std::size_t l = 0; l < kWordLanes; ++l) {
-          // Inactive lanes replicate lane 0 so every lane clocks real data.
-          const std::size_t lane = g * kWordLanes + l;
-          const std::size_t src = lane < n ? lane : 0;
-          w |= Word{(in[16 * src + static_cast<std::size_t>(k)] >> b) & 1U} << l;
-        }
-        ev_.set_word(din_[static_cast<std::size_t>(8 * k + b)], w, g);
+  for (std::size_t g = 0; g < ev_.stride(); ++g) {
+    std::array<Word, 128> w{};  // w[8k + b] = din bit 8k+b, lanes 64g..64g+63
+    for (std::size_t blk = 0; blk < kWordLanes / 8; ++blk) {
+      // Inactive lanes replicate lane 0 so every lane clocks real data.
+      std::array<const std::uint8_t*, 8> src{};
+      for (std::size_t j = 0; j < 8; ++j) {
+        const std::size_t lane = g * kWordLanes + 8 * blk + j;
+        src[j] = in.data() + 16 * (lane < n ? lane : 0);
+      }
+      for (std::size_t k = 0; k < 16; ++k) {
+        std::uint64_t t = 0;  // byte j = lane j's byte k
+        for (std::size_t j = 0; j < 8; ++j) t |= std::uint64_t{src[j][k]} << (8 * j);
+        t = netlist::transpose8(t);  // byte b = bit b of byte k across the 8 lanes
+        for (std::size_t b = 0; b < 8; ++b) w[8 * k + b] |= ((t >> (8 * b)) & 0xFFu) << (8 * blk);
       }
     }
+    for (std::size_t i = 0; i < 128; ++i) ev_.set_word(din_[i], w[i], g);
+  }
 }
 
 void GateIpBatchDriver::read_dout_lanes(std::span<std::uint8_t> out, std::size_t n) const {
+  using Word = netlist::BatchEvaluator::Word;
   constexpr std::size_t kWordLanes = netlist::BatchEvaluator::kBaseLanes;
-  for (std::size_t i = 0; i < 16 * n; ++i) out[i] = 0;
-  for (int k = 0; k < 16; ++k)
-    for (int b = 0; b < 8; ++b) {
-      for (std::size_t g = 0; g * kWordLanes < n; ++g) {
-        const auto w = ev_.word(dout_[static_cast<std::size_t>(8 * k + b)], g);
-        const std::size_t top = std::min(n - g * kWordLanes, kWordLanes);
-        for (std::size_t l = 0; l < top; ++l)
-          if ((w >> l) & 1U)
-            out[16 * (g * kWordLanes + l) + static_cast<std::size_t>(k)] |=
-                static_cast<std::uint8_t>(1U << b);
+  for (std::size_t g = 0; g * kWordLanes < n; ++g) {
+    std::array<Word, 128> w{};
+    for (std::size_t i = 0; i < 128; ++i) w[i] = ev_.word(dout_[i], g);
+    for (std::size_t base = g * kWordLanes; base < std::min(n, (g + 1) * kWordLanes); base += 8) {
+      const std::size_t shift = base - g * kWordLanes;
+      const std::size_t top = std::min<std::size_t>(8, n - base);
+      for (std::size_t k = 0; k < 16; ++k) {
+        std::uint64_t t = 0;  // byte b = dout bit 8k+b across the 8 lanes
+        for (std::size_t b = 0; b < 8; ++b) t |= ((w[8 * k + b] >> shift) & 0xFFu) << (8 * b);
+        t = netlist::transpose8(t);  // byte j = lane (base + j)'s byte k
+        for (std::size_t j = 0; j < top; ++j)
+          out[16 * (base + j) + k] = static_cast<std::uint8_t>(t >> (8 * j));
       }
     }
+  }
 }
 
 void GateIpBatchDriver::clock(std::uint64_t weight) {

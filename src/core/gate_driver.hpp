@@ -34,7 +34,8 @@ class GateIpDriver {
   std::array<std::uint8_t, 16> read_dout() const;
   bool data_ok() const { return ev_.get(out_by_name_.at("data_ok")); }
 
-  /// One clock edge (settles first).
+  /// One clock edge: settles the inputs set since the last edge (free if
+  /// none were), then clocks — one netlist sweep per edge.
   void clock();
   std::uint64_t cycles() const noexcept { return cycles_; }
 
@@ -118,14 +119,16 @@ class GateIpBatchDriver {
   bool has_input(const std::string& name) const { return by_name_.count(name) != 0; }
   /// Drive a control input to the same value in every lane.
   void set_broadcast(const std::string& name, bool v) { ev_.broadcast(by_name_.at(name), v); }
-  /// Pack `n` 16-byte blocks (in[16*L..16*L+15] = lane L) onto din.
+  /// Pack `n` 16-byte blocks (in[16*L..16*L+15] = lane L) onto din; lanes
+  /// >= n replicate lane 0.
   void set_din_lanes(std::span<const std::uint8_t> in, std::size_t n);
-  /// Unpack `n` lanes of dout into 16-byte blocks.
+  /// Unpack `n` lanes of dout into 16-byte blocks: writes out[0, 16*n).
   void read_dout_lanes(std::span<std::uint8_t> out, std::size_t n) const;
   bool data_ok() const { return ev_.get(out_by_name_.at("data_ok"), 0); }
 
-  /// One clock edge in every lane (settles first); `weight` is the number
-  /// of device cycles it represents (= active lanes).
+  /// One clock edge in every lane: settles the inputs set since the last
+  /// edge (free if none were), then clocks — one tape sweep per edge.
+  /// `weight` is the number of device cycles it represents (= active lanes).
   void clock(std::uint64_t weight = 1);
   std::uint64_t cycles() const noexcept { return cycles_; }
 

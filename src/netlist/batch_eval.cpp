@@ -240,7 +240,10 @@ void BatchEvaluator::broadcast_bus(const Bus& b, std::uint64_t value) {
 }
 
 void BatchEvaluator::settle() {
+  if (!dirty_) return;
   kern_->settle(tape_.data(), tape_.size(), words_.data(), roms_.data());
+  dirty_ = false;
+  ++sweeps_;
 }
 
 void BatchEvaluator::clock() {
@@ -248,6 +251,7 @@ void BatchEvaluator::clock() {
   // publish, then settle — Evaluator::clock() semantics, lanes() wide.
   kern_->clock_dffs(dffs_.data(), dffs_.size(), words_.data(), dff_state_.data(),
                     dff_sample_.data());
+  dirty_ = true;
   settle();
 }
 
@@ -261,6 +265,7 @@ void BatchEvaluator::reset() {
 void BatchEvaluator::publish_dff(std::size_t index) {
   for (std::size_t g = 0; g < stride_; ++g)
     words_[dffs_[index].q * stride_ + g] = dff_state_[index * stride_ + g];
+  dirty_ = true;
 }
 
 void BatchEvaluator::flip_dff(std::size_t index) {

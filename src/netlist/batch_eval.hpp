@@ -36,6 +36,9 @@
 //
 // The tape is then stably sorted by levelization band, and one settle is
 // a single-threaded sweep over it: the parallelism is the lanes, not cores.
+// A settle sweeps only when some mutator (set*, broadcast*, reset, the
+// flip_dff family, clock) has run since the last sweep, so the drivers'
+// `settle(); clock();` costs one sweep per clock edge, not two.
 //
 // A combinational cycle is rejected at construction exactly like the scalar
 // evaluator.  The scalar evaluator remains the oracle and keeps the
@@ -81,10 +84,14 @@ class BatchEvaluator {
   // --- whole-word access (64 lanes per word index) ----------------------------
   /// Lane word `wi` of net `n`: bit L = the value in lane 64*wi + L.
   Word word(NetId n, std::size_t wi = 0) const { return words_[n * stride_ + wi]; }
-  void set_word(NetId n, Word w, std::size_t wi = 0) { words_[n * stride_ + wi] = w; }
+  void set_word(NetId n, Word w, std::size_t wi = 0) {
+    words_[n * stride_ + wi] = w;
+    dirty_ = true;
+  }
   /// Drive net `n` to the same value in every lane.
   void broadcast(NetId n, bool v) {
     for (std::size_t g = 0; g < stride_; ++g) words_[n * stride_ + g] = v ? ~Word{0} : Word{0};
+    dirty_ = true;
   }
   void broadcast_bus(const Bus& b, std::uint64_t value);
 
@@ -93,6 +100,7 @@ class BatchEvaluator {
     Word& w = words_[n * stride_ + lane / kBaseLanes];
     const Word bit = Word{1} << (lane % kBaseLanes);
     w = v ? (w | bit) : (w & ~bit);
+    dirty_ = true;
   }
   bool get(NetId n, std::size_t lane) const {
     return (words_[n * stride_ + lane / kBaseLanes] >> (lane % kBaseLanes)) & 1U;
@@ -103,9 +111,13 @@ class BatchEvaluator {
 
   // --- simulation -------------------------------------------------------------
   /// Propagate through the compiled tape (call after changing inputs).
+  /// Free when nothing changed since the last sweep: only the mutators
+  /// above and below mark the network dirty.
   void settle();
   /// Rising clock edge in every lane: each DFF whose enable is true in a
-  /// lane samples its D in that lane; then the network settles.
+  /// lane samples its D in that lane; then the network settles (always one
+  /// sweep — publishing Q marks it dirty).  D is read as it stands: call
+  /// settle() first after changing inputs.
   void clock();
   /// Clear all flip-flop state to zero in every lane (no settle — mirrors
   /// the scalar evaluator).
@@ -130,6 +142,9 @@ class BatchEvaluator {
   /// Net words plus LUT-expansion temporaries (per lane word; the physical
   /// footprint is word_count() * stride()).
   std::size_t word_count() const noexcept { return slots_; }
+  /// Tape sweeps run since construction (settles that found the network
+  /// unchanged are not counted).
+  std::uint64_t sweeps() const noexcept { return sweeps_; }
 
  private:
   using Op = batchdetail::Op;
@@ -162,6 +177,8 @@ class BatchEvaluator {
   std::uint32_t const0_word_;
   std::uint32_t const1_word_;
   const batchdetail::Kernels* kern_ = nullptr;
+  bool dirty_ = true;        ///< a mutator ran since the last sweep
+  std::uint64_t sweeps_ = 0;
 };
 
 }  // namespace aesip::netlist

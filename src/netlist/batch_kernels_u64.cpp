@@ -6,6 +6,7 @@
 // by, so it deliberately does NOT use the transpose-based ROM fast path.
 
 #include "netlist/batch_kernels.hpp"
+#include "netlist/bit_transpose.hpp"
 
 namespace aesip::netlist::batchdetail {
 
@@ -23,23 +24,6 @@ void rom_gather_u64(const RomSpec& r, Word* w, std::size_t stride) {
     for (int i = 0; i < 8; ++i) w[std::size_t{r.out[i]} * stride + g] = o[i];
   }
 }
-
-namespace {
-
-/// 8x8 bit-matrix transpose of a uint64 (Hacker's Delight): bit (8r + c)
-/// swaps with bit (8c + r).
-inline std::uint64_t transpose8(std::uint64_t x) {
-  std::uint64_t t;
-  t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
-  x = x ^ t ^ (t << 7);
-  t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
-  x = x ^ t ^ (t << 14);
-  t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
-  x = x ^ t ^ (t << 28);
-  return x;
-}
-
-}  // namespace
 
 void rom_gather_transpose(const RomSpec& r, Word* w, std::size_t stride) {
   for (std::size_t g = 0; g < stride; ++g) {

@@ -90,6 +90,8 @@ std::uint64_t Evaluator::get_bus(const Bus& b) const {
 }
 
 void Evaluator::settle() {
+  if (!dirty_) return;
+  dirty_ = false;
   const auto& cells = nl_.cells();
   const auto& roms = nl_.roms();
   for (const Step& s : order_) {
@@ -147,18 +149,21 @@ void Evaluator::clock() {
   dff_state_ = std::move(sampled);
   for (std::size_t i = 0; i < dff_cells_.size(); ++i)
     values_[nl_.cells()[dff_cells_[i]].out] = dff_state_[i];
+  dirty_ = true;
   settle();
 }
 
 void Evaluator::flip_dff(std::size_t index) {
   dff_state_[index] ^= 1U;
   values_[nl_.cells()[dff_cells_[index]].out] = dff_state_[index];
+  dirty_ = true;
 }
 
 void Evaluator::reset() {
   dff_state_.assign(dff_cells_.size(), 0);
   for (std::size_t i = 0; i < dff_cells_.size(); ++i)
     values_[nl_.cells()[dff_cells_[i]].out] = 0;
+  dirty_ = true;
 }
 
 }  // namespace aesip::netlist

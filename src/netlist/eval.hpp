@@ -19,7 +19,10 @@ class Evaluator {
  public:
   explicit Evaluator(const Netlist& nl);
 
-  void set(NetId n, bool v) { values_[n] = v ? 1 : 0; }
+  void set(NetId n, bool v) {
+    values_[n] = v ? 1 : 0;
+    dirty_ = true;
+  }
   bool get(NetId n) const { return values_[n] != 0; }
 
   /// Drive a bus (bit 0 = LSB) from an integer.
@@ -27,10 +30,14 @@ class Evaluator {
   std::uint64_t get_bus(const Bus& b) const;
 
   /// Propagate through all combinational cells (call after changing inputs).
+  /// Free when nothing changed since the last sweep: set/set_bus, reset,
+  /// flip_dff and clock are the only mutators, and each marks the network
+  /// dirty.
   void settle();
 
   /// Rising clock edge: every DFF whose enable is true (or absent) samples
-  /// its D input; then the network settles.
+  /// its D input as it stands (settle first after changing inputs); then
+  /// the network settles — always one sweep, since Q was republished.
   void clock();
 
   /// Clear all flip-flop state to zero.
@@ -61,6 +68,7 @@ class Evaluator {
   std::vector<Step> order_;
   std::vector<std::size_t> dff_cells_;
   std::vector<std::uint8_t> dff_state_;
+  bool dirty_ = true;  // a mutator ran since the last sweep
 };
 
 }  // namespace aesip::netlist

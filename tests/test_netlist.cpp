@@ -2,10 +2,15 @@
 // (xor trees, muxes, comparators, counters) the IP synthesis rests on.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "netlist/eval.hpp"
 #include "netlist/netlist.hpp"
+#include "settle_probe.hpp"
 
 namespace nlist = aesip::netlist;
 using nlist::Bus;
@@ -258,4 +263,77 @@ TEST(Netlist, StatsCountKinds) {
   EXPECT_EQ(s.gates, 2u);
   EXPECT_EQ(s.dffs, 1u);
   EXPECT_EQ(s.luts, 1u);
+}
+
+namespace {
+
+std::vector<std::uint8_t> all_nets(const nlist::Evaluator& ev) {
+  const auto v = ev.net_values();
+  return std::vector<std::uint8_t>(v.begin(), v.end());
+}
+
+/// What a freshly built evaluator (whose first settle always sweeps)
+/// settles to with `subject`'s inputs and flip-flop state.
+std::vector<std::uint8_t> settled_image(const Netlist& nl, const nlist::Evaluator& subject) {
+  nlist::Evaluator fresh(nl);
+  for (const auto& pin : nl.inputs()) fresh.set(pin.net, subject.get(pin.net));
+  std::size_t index = 0;
+  for (const auto& cell : nl.cells()) {
+    if (cell.kind != nlist::CellKind::kDff) continue;
+    if (subject.get(cell.out)) fresh.flip_dff(index);  // fresh state is all zero
+    ++index;
+  }
+  fresh.settle();
+  return all_nets(fresh);
+}
+
+}  // namespace
+
+// settle() sweeps only a changed network, so every mutator must mark it:
+// after settle, mutate, settle, every net must match a fresh evaluator
+// settled in the same state.
+TEST(Netlist, EveryMutatorMarksTheNetworkForSettle) {
+  Netlist nl;
+  const Bus a = aesip::testing::build_settle_probe(nl);
+  nlist::Evaluator ev(nl);
+  std::mt19937 rng(0x5e771e);
+  for (int cycle = 0; cycle < 4; ++cycle) {  // random inputs and DFF state
+    for (const auto& pin : nl.inputs()) ev.set(pin.net, rng() & 1U);
+    ev.settle();
+    ev.clock();
+  }
+  // Leave some Q bits set for reset() to clear.
+  ev.flip_dff(0);
+  ev.flip_dff(5);
+
+  struct Mutator {
+    const char* name;
+    std::function<void()> apply;
+  };
+  const std::vector<Mutator> mutators = {
+      {"set", [&] { ev.set(a[1], !ev.get(a[1])); }},
+      {"set_bus", [&] { ev.set_bus(a, ev.get_bus(a) ^ 0x5A); }},
+      {"flip_dff", [&] { ev.flip_dff(2); }},
+      {"clock", [&] { ev.clock(); }},
+      {"reset", [&] { ev.reset(); }},
+  };
+  for (const auto& m : mutators) {
+    SCOPED_TRACE(m.name);
+    ev.settle();
+    const auto before = all_nets(ev);
+    m.apply();
+    const auto image = settled_image(nl, ev);
+    ASSERT_NE(image, before) << "vacuous: the mutator changed nothing";
+    ev.settle();
+    ASSERT_EQ(all_nets(ev), image);
+  }
+
+  // A clock straight after a flip still settles the network.
+  for (std::size_t i = 0; i < ev.dff_count(); ++i) {
+    SCOPED_TRACE("flip_dff then clock, dff " + std::to_string(i));
+    ev.settle();
+    ev.flip_dff(i);
+    ev.clock();
+    ASSERT_EQ(all_nets(ev), settled_image(nl, ev));
+  }
 }

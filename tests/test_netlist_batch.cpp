@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <random>
@@ -38,6 +39,7 @@
 #include "netlist/eval.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/synth.hpp"
+#include "settle_probe.hpp"
 
 namespace nlist = aesip::netlist;
 namespace aes = aesip::aes;
@@ -99,6 +101,42 @@ std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint32_t seed) {
   std::vector<std::uint8_t> out(n);
   for (auto& b : out) b = static_cast<std::uint8_t>(rng());
   return out;
+}
+
+/// Every net's lane words, net-major.
+std::vector<std::uint64_t> all_words(const Netlist& nl, const BatchEvaluator& ev) {
+  std::vector<std::uint64_t> out;
+  for (nlist::NetId n = 0; n < nl.net_count(); ++n)
+    for (std::size_t g = 0; g < ev.stride(); ++g) out.push_back(ev.word(n, g));
+  return out;
+}
+
+/// The nets a freshly built evaluator settles to when given `subject`'s
+/// primary inputs and flip-flop state.  A fresh evaluator always sweeps
+/// on its first settle, so this is the ground truth for that state.
+std::vector<std::uint64_t> settled_image(const Netlist& nl, const BatchEvaluator& subject) {
+  BatchEvaluator fresh(nl);
+  for (const auto& pin : nl.inputs())
+    for (std::size_t g = 0; g < subject.stride(); ++g)
+      fresh.set_word(pin.net, subject.word(pin.net, g), g);
+  std::size_t index = 0;
+  for (const auto& cell : nl.cells()) {
+    if (cell.kind != nlist::CellKind::kDff) continue;
+    std::vector<std::uint64_t> q(subject.stride());
+    for (std::size_t g = 0; g < q.size(); ++g) q[g] = subject.word(cell.out, g);
+    fresh.flip_dff_mask(index++, q);  // fresh state is all zero
+  }
+  fresh.settle();
+  return all_words(nl, fresh);
+}
+
+/// din/dout net ids of an IP netlist, bit 8k+b = bit b of byte k.
+Bus port_bus(const std::vector<Netlist::PortBit>& ports, const std::string& name) {
+  Bus bus(128, nlist::kNoNet);
+  for (const auto& p : ports)
+    for (std::size_t i = 0; i < 128; ++i)
+      if (p.name == name + "[" + std::to_string(i) + "]") bus[i] = p.net;
+  return bus;
 }
 
 }  // namespace
@@ -300,6 +338,102 @@ TEST_F(NetlistBatch, CombinationalCycleRejectionParity) {
   EXPECT_THROW(BatchEvaluator batch(nl), std::runtime_error);
 }
 
+// settle() sweeps only when the network changed, so every mutator must
+// mark it: settle, apply one mutator, settle again, and every net must
+// equal what a freshly built evaluator settles to in the same state.  A
+// mutator that forgot to mark the network leaves stale nets behind.
+TEST_F(NetlistBatch, EveryMutatorMarksTheNetworkForSettle) {
+  Netlist nl;
+  const Bus a = aesip::testing::build_settle_probe(nl);
+  BatchEvaluator ev(nl);
+  const std::size_t S = ev.stride();
+  const std::size_t L = ev.lanes();
+  std::mt19937_64 rng(0x5e771e);
+  for (int cycle = 0; cycle < 4; ++cycle) {  // random inputs and DFF state
+    for (const auto& pin : nl.inputs())
+      for (std::size_t g = 0; g < S; ++g) ev.set_word(pin.net, rng(), g);
+    ev.settle();
+    ev.clock();
+  }
+
+  struct Mutator {
+    const char* name;
+    std::function<void()> apply;
+  };
+  const std::vector<Mutator> mutators = {
+      {"set", [&] { ev.set(a[1], L - 1, !ev.get(a[1], L - 1)); }},
+      {"set_word", [&] { ev.set_word(a[2], ~ev.word(a[2], S - 1), S - 1); }},
+      {"broadcast", [&] { ev.broadcast(a[3], !ev.get(a[3], 0)); }},
+      {"set_bus", [&] { ev.set_bus(a, L / 2, ev.get_bus(a, L / 2) ^ 0x5A); }},
+      {"broadcast_bus", [&] { ev.broadcast_bus(a, ev.get_bus(a, 0) ^ 0xFF); }},
+      {"flip_dff", [&] { ev.flip_dff(2); }},
+      {"flip_dff_lane", [&] { ev.flip_dff_lane(4, L - 1); }},
+      {"flip_dff_mask",
+       [&] { ev.flip_dff_mask(6, std::vector<std::uint64_t>(S, 0x0123456789ABCDEFull)); }},
+      {"clock", [&] { ev.clock(); }},
+      {"reset", [&] { ev.reset(); }},
+  };
+  for (const auto& m : mutators) {
+    SCOPED_TRACE(m.name);
+    ev.settle();
+    const auto before = all_words(nl, ev);
+    m.apply();
+    const auto image = settled_image(nl, ev);
+    ASSERT_NE(image, before) << "vacuous: the mutator changed nothing";
+    ev.settle();
+    ASSERT_EQ(all_words(nl, ev), image);
+  }
+
+  // A clock straight after a flip: the edge samples D as it stood, and its
+  // own sweep must still settle the network.
+  for (std::size_t i = 0; i < ev.dff_count(); ++i) {
+    SCOPED_TRACE("flip_dff_lane then clock, dff " + std::to_string(i));
+    ev.settle();
+    ev.flip_dff_lane(i, (37 * i) % L);
+    ev.clock();
+    ASSERT_EQ(all_words(nl, ev), settled_image(nl, ev));
+  }
+}
+
+// The sweep counter: a fresh evaluator's first settle sweeps, a settle of
+// an unchanged network is free, clock() always sweeps once, and a full
+// AES-128 pass costs one sweep per clock edge plus one for each edge that
+// follows an input change (the load edge and the edge that drops wr_data).
+TEST_F(NetlistBatch, SettleSweepsOnlyAChangedNetwork) {
+  Netlist probe;
+  const Bus a = aesip::testing::build_settle_probe(probe);
+  BatchEvaluator ev(probe);
+  ASSERT_EQ(ev.sweeps(), 0u);
+  ev.settle();
+  ASSERT_EQ(ev.sweeps(), 1u);
+  ev.settle();
+  ev.settle();
+  EXPECT_EQ(ev.sweeps(), 1u);
+  ev.clock();
+  EXPECT_EQ(ev.sweeps(), 2u);
+  ev.set(a[0], 0, true);
+  ev.settle();
+  ev.clock();
+  EXPECT_EQ(ev.sweeps(), 4u);
+
+  const auto nl = core::synthesize_ip(core::IpMode::kBoth, /*sbox_as_rom=*/true);
+  core::GateIpBatchDriver batch(nl);
+  const auto key = random_bytes(16, 91);
+  batch.reset();
+  batch.load_key(key, /*needs_setup=*/true);
+  const auto plain = random_bytes(16, 92);
+  std::vector<std::uint8_t> got(16);
+  const std::uint64_t before = batch.evaluator().sweeps();
+  const auto r = batch.process_batch(plain, got, 1, /*encrypt=*/true);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->cycles, 50);
+  EXPECT_EQ(batch.evaluator().sweeps() - before, 53u);
+  std::array<std::uint8_t, 16> want{};
+  aes::Aes128(std::span<const std::uint8_t, 16>(key.data(), 16))
+      .encrypt_block(std::span<const std::uint8_t, 16>(plain.data(), 16), want);
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin()));
+}
+
 // An AESIP_BATCH_BACKEND value that names no backend must throw, like one
 // the host cannot run: a silent fallback to auto-detection would let a
 // misspelled batch_backend_* row test the widest backend under another
@@ -385,6 +519,62 @@ TEST_F(NetlistBatch, FullIpPartialBatchesMatchReference) {
       ASSERT_TRUE(std::equal(want->data.begin(), want->data.end(), got.begin() + static_cast<std::ptrdiff_t>(16 * blk)))
           << "n=" << n << " block " << blk;
     }
+  }
+}
+
+// Lane packing against the per-bit loop it replaced: set_din_lanes must
+// produce the same din words (lanes >= n replicating lane 0), and
+// read_dout_lanes must unpack exactly 16*n bytes — guard bytes after them
+// stay untouched — and round-trip what set_din_lanes packed.
+TEST_F(NetlistBatch, LanePackingMatchesBitLoop) {
+  const auto nl = core::synthesize_ip(core::IpMode::kEncrypt, /*sbox_as_rom=*/true);
+  core::GateIpBatchDriver batch(nl);
+  auto& ev = batch.evaluator();
+  const Bus din = port_bus(nl.inputs(), "din");
+  const Bus dout = port_bus(nl.outputs(), "dout");
+  const std::size_t stride = ev.stride();
+  constexpr std::uint8_t kGuard = 0xA5;
+
+  std::uint32_t seed = 300;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{63},
+                              std::size_t{64}, std::size_t{65}, batch.lanes()}) {
+    if (n > batch.lanes()) continue;
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const auto in = random_bytes(16 * n, seed++);
+    batch.set_din_lanes(in, n);
+    for (std::size_t i = 0; i < 128; ++i)
+      for (std::size_t g = 0; g < stride; ++g) {
+        std::uint64_t want = 0;
+        for (std::size_t l = 0; l < 64; ++l) {
+          const std::size_t lane = 64 * g + l;
+          const std::size_t src = lane < n ? lane : 0;
+          want |= std::uint64_t{(in[16 * src + i / 8] >> (i % 8)) & 1U} << l;
+        }
+        ASSERT_EQ(ev.word(din[i], g), want) << "din bit " << i << " word " << g;
+      }
+
+    // Round trip: the packed din words, copied onto dout, unpack to `in`.
+    for (std::size_t i = 0; i < 128; ++i)
+      for (std::size_t g = 0; g < stride; ++g) ev.set_word(dout[i], ev.word(din[i], g), g);
+    std::vector<std::uint8_t> out(16 * n + 32, kGuard);
+    batch.read_dout_lanes(out, n);
+    ASSERT_TRUE(std::equal(in.begin(), in.end(), out.begin()));
+    ASSERT_TRUE(std::all_of(out.begin() + static_cast<std::ptrdiff_t>(16 * n), out.end(),
+                            [](std::uint8_t b) { return b == kGuard; }));
+
+    // Arbitrary dout words against the bit loop.
+    std::mt19937_64 rng(seed++);
+    for (std::size_t i = 0; i < 128; ++i)
+      for (std::size_t g = 0; g < stride; ++g) ev.set_word(dout[i], rng(), g);
+    std::fill(out.begin(), out.end(), kGuard);
+    batch.read_dout_lanes(out, n);
+    std::vector<std::uint8_t> want(16 * n + 32, kGuard);
+    std::fill_n(want.begin(), 16 * n, std::uint8_t{0});
+    for (std::size_t i = 0; i < 128; ++i)
+      for (std::size_t lane = 0; lane < n; ++lane)
+        if (ev.get(dout[i], lane))
+          want[16 * lane + i / 8] |= static_cast<std::uint8_t>(1U << (i % 8));
+    ASSERT_EQ(out, want);
   }
 }
 
