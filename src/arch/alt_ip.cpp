@@ -25,12 +25,6 @@ hdl::Word128 mix_columns128(const hdl::Word128& w) {
   return out;
 }
 
-hdl::Word128 sub_bytes128(const hdl::Word128& w) {
-  hdl::Word128 out;
-  for (std::size_t i = 0; i < 16; ++i) out.b[i] = aes::kSBox[w.b[i]];
-  return out;
-}
-
 std::uint32_t rot_word(std::uint32_t w) noexcept { return (w >> 8) | (w << 24); }
 
 }  // namespace
@@ -136,100 +130,6 @@ void All32Ip::tick() {
         hdl::Word128 result = state_;
         result.set_column(3, col);
         dout.write(result);
-        data_ok.write(true);
-        if (data_pending_ && key_valid_) start_block();
-        else phase_ = Phase::kIdle;
-      }
-      break;
-    }
-  }
-}
-
-// ===== Full128Ip ================================================================
-
-Full128Ip::Full128Ip(hdl::Simulator& sim)
-    : hdl::Module("full128_ip"),
-      setup(sim, "setup", 1),
-      wr_data(sim, "wr_data", 1),
-      wr_key(sim, "wr_key", 1),
-      encdec(sim, "encdec", 1, true),
-      data_ok(sim, "data_ok", 1),
-      din(sim, "din", 128),
-      dout(sim, "dout", 128) {
-  kstran_ = std::make_unique<core::SubWord32Unit>(sim, "f128.kstran", aes::kSBox);
-  sim.add_module(*this);
-}
-
-void Full128Ip::evaluate() {
-  const int src = phase_ == Phase::kExpand && round_ >= 1 ? round_ - 1 : 0;
-  kstran_->addr.write(rot_word(round_keys_[static_cast<std::size_t>(src)].column(3)));
-}
-
-void Full128Ip::start_block() {
-  data_pending_ = false;
-  state_ = data_in_reg_ ^ round_keys_[0];
-  round_ = 1;
-  phase_ = Phase::kRound;
-}
-
-void Full128Ip::tick() {
-  data_ok.write(false);
-  if (setup.read()) {
-    phase_ = Phase::kIdle;
-    data_pending_ = false;
-    key_valid_ = false;
-    return;
-  }
-  if (wr_key.read()) {
-    key_reg_ = din.read();
-    round_keys_[0] = key_reg_;
-    key_valid_ = false;
-    data_pending_ = false;
-    round_ = 1;
-    phase_ = Phase::kExpand;
-    return;
-  }
-  if (wr_data.read()) {
-    data_in_reg_ = din.read();
-    data_pending_ = true;
-  }
-
-  switch (phase_) {
-    case Phase::kIdle:
-      if (data_pending_ && key_valid_) start_block();
-      break;
-
-    case Phase::kExpand: {
-      // One full round key per cycle into the key RAM — the storage the
-      // paper's on-the-fly schedule exists to avoid.
-      const hdl::Word128& prev = round_keys_[static_cast<std::size_t>(round_ - 1)];
-      hdl::Word128 next;
-      next.set_column(0, prev.column(0) ^ kstran_->data.read() ^
-                             gf::rcon(static_cast<unsigned>(round_)));
-      for (int c = 1; c < 4; ++c)
-        next.set_column(c, next.column(c - 1) ^ prev.column(c));
-      round_keys_[static_cast<std::size_t>(round_)] = next;
-      if (round_ < 10) {
-        ++round_;
-      } else {
-        key_valid_ = true;
-        phase_ = Phase::kIdle;
-      }
-      break;
-    }
-
-    case Phase::kRound: {
-      // The fused round: 16 S-boxes + ShiftRow + MixColumn + AddKey in one
-      // (long) cycle.
-      const hdl::Word128 sub = sub_bytes128(state_);
-      const hdl::Word128 sr = shift_rows128(sub);
-      const hdl::Word128 pre = round_ < 10 ? mix_columns128(sr) : sr;
-      const hdl::Word128 next = pre ^ round_keys_[static_cast<std::size_t>(round_)];
-      if (round_ < 10) {
-        state_ = next;
-        ++round_;
-      } else {
-        dout.write(next);
         data_ok.write(true);
         if (data_pending_ && key_valid_) start_block();
         else phase_ = Phase::kIdle;

@@ -7,18 +7,16 @@
 // block.  Same 8-S-box budget as the mixed design — which is exactly the
 // paper's point: the 128-bit linear section costs no memory, only cycles.
 //
-// Full128Ip — the high-performance organization of the authors' companion
-// design [1] and the Hammercores processor [15]: a fused 128-bit round
-// (16 data S-boxes) with round keys precomputed into storage at key-load
-// time, one round per cycle, 10 cycles per block.  Trades 2.5x the S-box
-// memory plus 1408 bits of key RAM for 5x the paper IP's throughput — the
-// other end of the area/performance axis of Table 3.
+// The other end of the area/performance axis of Table 3 — the fused
+// 128-bit round with stored round keys of the authors' companion design [1]
+// and the Hammercores processor [15] — is the variant family's
+// `unroll-xtime` (arch::VariantIp / synthesize_variant, docs/variants.md):
+// 10 cycles per block, 2.5x the S-box memory plus 1408 bits of key RAM.
 //
-// Both expose the same Table 1 bus protocol as the main IP (encrypt-only),
-// so the same BusDriver measures all three.
+// All32Ip exposes the same Table 1 bus protocol as the main IP
+// (encrypt-only), so the same GenericBusDriver measures all of them.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 
@@ -63,42 +61,6 @@ class All32Ip final : public hdl::Module {
   Phase phase_ = Phase::kIdle;
   int round_ = 0;
   int sub_ = 0;
-};
-
-/// Fused 128-bit round with stored round keys: 10 cycles per block.
-class Full128Ip final : public hdl::Module {
- public:
-  static constexpr int kCyclesPerBlock = 10;
-  static constexpr int kKeyExpandCycles = 10;
-
-  explicit Full128Ip(hdl::Simulator& sim);
-
-  hdl::Signal<bool> setup, wr_data, wr_key, encdec, data_ok;
-  hdl::Signal<hdl::Word128> din, dout;
-
-  bool key_ready() const noexcept { return key_valid_; }
-  bool data_pending() const noexcept { return data_pending_; }
-  bool busy() const noexcept { return phase_ != Phase::kIdle; }
-  int sbox_count() const noexcept { return 20; }  // 16 data + 4 key expansion
-  /// Bits of round-key storage the on-the-fly design avoids (11 x 128).
-  static constexpr int kKeyRamBits = 11 * 128;
-
-  void evaluate() override;
-  void tick() override;
-
- private:
-  enum class Phase : std::uint8_t { kIdle, kExpand, kRound };
-
-  void start_block();
-
-  std::unique_ptr<core::SubWord32Unit> kstran_;
-
-  hdl::Word128 data_in_reg_, key_reg_;
-  bool data_pending_ = false, key_valid_ = false;
-  hdl::Word128 state_;
-  std::array<hdl::Word128, 11> round_keys_;  // the stored schedule
-  Phase phase_ = Phase::kIdle;
-  int round_ = 0;
 };
 
 }  // namespace aesip::arch

@@ -52,14 +52,4 @@ const std::string& Ring::owner(std::uint64_t session_id) const {
 
 bool Ring::contains(const std::string& node_id) const { return nodes_.count(node_id) != 0; }
 
-std::vector<std::string> Ring::nodes() const {
-  std::vector<std::string> out;
-  out.reserve(nodes_.size());
-  for (const auto& [id, n] : nodes_) {
-    (void)n;
-    out.push_back(id);
-  }
-  return out;
-}
-
 }  // namespace aesip::cluster

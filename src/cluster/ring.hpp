@@ -20,7 +20,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace aesip::cluster {
 
@@ -43,7 +42,6 @@ class Ring {
   bool contains(const std::string& node_id) const;
   std::size_t node_count() const noexcept { return nodes_.size(); }
   std::size_t vnodes() const noexcept { return vnodes_; }
-  std::vector<std::string> nodes() const;
 
  private:
   std::size_t vnodes_;

@@ -871,13 +871,7 @@ FarmStats Farm::stats() const {
     s.queue_high_water = std::max(s.queue_high_water, queues_[i]->high_water());
   }
 
-  const auto lat = latency_us_hist_.snapshot();
-  s.latency.samples = lat.count;
-  s.latency.mean_us = lat.mean();
-  s.latency.p50_us = static_cast<double>(lat.percentile(0.50));
-  s.latency.p90_us = static_cast<double>(lat.percentile(0.90));
-  s.latency.p99_us = static_cast<double>(lat.percentile(0.99));
-  s.latency.max_us = static_cast<double>(lat.max);
+  s.latency_us = latency_us_hist_.snapshot();
   return s;
 }
 
@@ -938,18 +932,7 @@ void FarmStats::merge_from(const FarmStats& other) {
   total_cycles += other.total_cycles;
   max_worker_cycles = std::max(max_worker_cycles, other.max_worker_cycles);
   total_setup_cycles += other.total_setup_cycles;
-
-  // Percentile summaries cannot merge exactly; weighted mean + max bounds.
-  const auto n1 = latency.samples, n2 = other.latency.samples;
-  if (n1 + n2 > 0)
-    latency.mean_us = (latency.mean_us * static_cast<double>(n1) +
-                       other.latency.mean_us * static_cast<double>(n2)) /
-                      static_cast<double>(n1 + n2);
-  latency.p50_us = std::max(latency.p50_us, other.latency.p50_us);
-  latency.p90_us = std::max(latency.p90_us, other.latency.p90_us);
-  latency.p99_us = std::max(latency.p99_us, other.latency.p99_us);
-  latency.max_us = std::max(latency.max_us, other.latency.max_us);
-  latency.samples = n1 + n2;
+  latency_us.merge(other.latency_us);
 
   per_worker.insert(per_worker.end(), other.per_worker.begin(), other.per_worker.end());
 }
@@ -1004,10 +987,13 @@ std::string FarmStats::report(double clock_ns) const {
       sim_mbps(clock_ns), clock_ns, sim_blocks_per_sec(clock_ns), workers);
   add("  host:      %.0f blocks/s wall clock over %.2f s\n", blocks_per_wall_sec(),
       wall_seconds);
-  if (latency.samples)
-    add("  latency:   p50 %.0f us, p90 %.0f us, p99 %.0f us, max %.0f us (%llu samples)\n",
-        latency.p50_us, latency.p90_us, latency.p99_us, latency.max_us,
-        static_cast<unsigned long long>(latency.samples));
+  if (latency_us.count)
+    add("  latency:   p50 %llu us, p90 %llu us, p99 %llu us, max %llu us (%llu samples)\n",
+        static_cast<unsigned long long>(latency_us.percentile(0.50)),
+        static_cast<unsigned long long>(latency_us.percentile(0.90)),
+        static_cast<unsigned long long>(latency_us.percentile(0.99)),
+        static_cast<unsigned long long>(latency_us.max),
+        static_cast<unsigned long long>(latency_us.count));
   if (trace_events)
     add("  trace:     %llu events recorded, %llu overwritten by ring wrap\n",
         static_cast<unsigned long long>(trace_events),
@@ -1024,33 +1010,10 @@ std::string FarmStats::report(double clock_ns) const {
   return out;
 }
 
-namespace {
-void write_histogram_json(report::JsonWriter& j, const obs::HistogramSnapshot& h) {
-  j.begin_object();
-  j.key("count").value(h.count);
-  j.key("sum").value(h.sum);
-  j.key("mean").value(h.mean());
-  j.key("max").value(h.max);
-  j.key("p50").value(h.percentile(0.50));
-  j.key("p90").value(h.percentile(0.90));
-  j.key("p99").value(h.percentile(0.99));
-  j.key("buckets").begin_array();  // [inclusive upper bound, count] pairs
-  for (int b = 0; b < obs::HistogramSnapshot::kBuckets; ++b) {
-    const auto n = h.buckets[static_cast<std::size_t>(b)];
-    if (!n) continue;
-    j.begin_array();
-    j.value(obs::HistogramSnapshot::bucket_upper(b));
-    j.value(n);
-    j.end_array();
-  }
-  j.end_array();
-  j.end_object();
-}
-}  // namespace
-
 void FarmStats::write_json(std::ostream& os, double clock_ns) const {
   report::JsonWriter j(os);
   j.begin_object();
+  if (!node.empty()) j.key("node").value(node);
   j.key("workers").value(workers);
   j.key("engine").value(engine);
   j.key("batch_backend").value(batch_backend);
@@ -1067,9 +1030,9 @@ void FarmStats::write_json(std::ostream& os, double clock_ns) const {
   j.key("queue_capacity").value(queue_capacity);
   j.key("queue_high_water").value(queue_high_water);
   j.key("queue_depth");
-  write_histogram_json(j, queue_depth);
+  obs::write_histogram_json(j, queue_depth);
   j.key("queue_wait_us");
-  write_histogram_json(j, queue_wait_us);
+  obs::write_histogram_json(j, queue_wait_us);
   j.key("trace_events").value(trace_events);
   j.key("trace_dropped").value(trace_dropped);
   j.key("swaps").value(swaps);
@@ -1084,7 +1047,7 @@ void FarmStats::write_json(std::ostream& os, double clock_ns) const {
   j.key("sessions_migrated").value(sessions_migrated);
   j.key("workers_enabled").value(workers_enabled);
   j.key("swap_pause_us");
-  write_histogram_json(j, swap_pause_us);
+  obs::write_histogram_json(j, swap_pause_us);
   j.key("wall_seconds").value(wall_seconds);
   j.key("blocks_per_wall_sec").value(blocks_per_wall_sec());
   j.key("total_cycles").value(total_cycles);
@@ -1094,14 +1057,8 @@ void FarmStats::write_json(std::ostream& os, double clock_ns) const {
   j.key("clock_ns").value(clock_ns);
   j.key("sim_blocks_per_sec").value(sim_blocks_per_sec(clock_ns));
   j.key("sim_mbps").value(sim_mbps(clock_ns));
-  j.key("latency_us").begin_object();
-  j.key("mean").value(latency.mean_us);
-  j.key("p50").value(latency.p50_us);
-  j.key("p90").value(latency.p90_us);
-  j.key("p99").value(latency.p99_us);
-  j.key("max").value(latency.max_us);
-  j.key("samples").value(latency.samples);
-  j.end_object();
+  j.key("latency_us");
+  obs::write_histogram_json(j, latency_us);
   j.key("per_worker").begin_array();
   for (const auto& w : per_worker) {
     j.begin_object();

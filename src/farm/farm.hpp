@@ -104,7 +104,7 @@ struct FarmConfig {
   /// `spot_check_boost_fraction` (clamped up to at least the base rate)
   /// until `spot_check_decay_jobs` consecutive clean checks pass, then
   /// decays back to the base rate.  0 keeps the static policy.  Boost
-  /// episodes and boosted checks are counted in FarmStats / FleetStatus.
+  /// episodes and boosted checks are counted in FarmStats.
   double spot_check_boost_fraction = 0.0;
   std::uint64_t spot_check_decay_jobs = 64;
 };

@@ -12,8 +12,9 @@
 //    This is the paper's replication story quantified: N cheap cores ≈ N x
 //    the Table 2 single-core throughput, minus re-key overhead.
 //
-// FarmStats is a plain value snapshot — safe to copy out of a running farm
-// and serialize (report()/write_json()) without holding farm locks.
+// FarmStats is the one snapshot of a farm: a plain value, safe to copy out
+// of a running farm and serialize (report()/write_json()) without holding
+// farm locks. The fleet admin plane and the cluster roll-up use it as is.
 #pragma once
 
 #include <cstdint>
@@ -37,14 +38,8 @@ struct WorkerStats {
   bool enabled = true;             ///< false while quarantined (no new routes)
 };
 
-/// Request latency over the farm's lifetime, from a log2-bucket histogram:
-/// the mean and max are exact, a percentile is its bucket's upper bound.
-struct LatencyStats {
-  double mean_us = 0, p50_us = 0, p90_us = 0, p99_us = 0, max_us = 0;
-  std::uint64_t samples = 0;
-};
-
 struct FarmStats {
+  std::string node;  ///< cluster node id when a clustered server labels it, else ""
   int workers = 0;
   std::string engine;  ///< CipherEngine kind the workers run ("custom" for factories)
   std::string batch_backend = "none";  ///< lane backend behind process_batch
@@ -94,7 +89,7 @@ struct FarmStats {
   std::uint64_t max_worker_cycles = 0;  ///< simulated makespan
   std::uint64_t total_setup_cycles = 0;
 
-  LatencyStats latency;  ///< host-side submit->complete, microseconds
+  obs::HistogramSnapshot latency_us;  ///< host-side submit -> complete, per request
   std::vector<WorkerStats> per_worker;
 
   // --- derived -------------------------------------------------------------
@@ -119,21 +114,20 @@ struct FarmStats {
     return total ? static_cast<double>(key_hits) / static_cast<double>(total) : 0.0;
   }
 
-  /// Fold another farm's stats into this one — the cluster-wide roll-up
-  /// (`aesip fleet status --nodes`). Counters and cycle totals add;
-  /// gauges that count resources (workers, sessions_live, queue_capacity)
-  /// add; high-water marks and makespan take the max; histograms merge
-  /// exactly (log2 buckets align). LatencyStats percentiles cannot merge
-  /// exactly from summaries alone: mean is weighted by samples, the p50/
-  /// p90/p99/max fields take the max — an upper bound, never an
-  /// under-report. per_worker lists concatenate in call order.
+  /// Fold another farm's stats into this one — the cluster-wide roll-up.
+  /// Counters and cycle totals add; gauges that count resources (workers,
+  /// sessions_live, queue_capacity) add; high-water marks, wall time and
+  /// makespan take the max; every histogram (latency_us included) merges
+  /// exactly, since log2 buckets align. per_worker lists concatenate in
+  /// call order; `node` keeps this side's label.
   void merge_from(const FarmStats& other);
 
   /// Human-readable multi-line report (clock_ns scales the simulated-domain
   /// figures; the paper's Acex1K column is 14 ns).
   std::string report(double clock_ns = 14.0) const;
 
-  /// Machine-readable dump for BENCH_*.json trend tracking.
+  /// The farm's JSON document: BENCH_*.json trend tracking, and the reply
+  /// to both kStats and kAdminFleetStatus. Carries "node" when labelled.
   void write_json(std::ostream& os, double clock_ns = 14.0) const;
 };
 

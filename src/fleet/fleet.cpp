@@ -1,125 +1,8 @@
 #include "fleet/fleet.hpp"
 
-#include <cstdio>
-
-#include "report/json.hpp"
 #include "seu/live.hpp"
 
 namespace aesip::fleet {
-
-// --- FleetController ---------------------------------------------------------
-
-std::vector<farm::SwapReport> FleetController::swap_all(engine::EngineKind kind) {
-  return swap_all(kind, arch::VariantSpec{});
-}
-
-std::vector<farm::SwapReport> FleetController::swap_all(engine::EngineKind kind,
-                                                        const arch::VariantSpec& variant) {
-  std::vector<std::future<farm::SwapReport>> futures;
-  futures.reserve(static_cast<std::size_t>(farm_.config().workers));
-  for (int w = 0; w < farm_.config().workers; ++w)
-    futures.push_back(farm_.swap_engine(w, kind, variant));
-  std::vector<farm::SwapReport> reports;
-  reports.reserve(futures.size());
-  for (auto& f : futures) reports.push_back(f.get());
-  return reports;
-}
-
-FleetStatus FleetController::status() const {
-  const farm::FarmStats s = farm_.stats();
-  FleetStatus st;
-  st.workers = s.workers;
-  st.workers_enabled = s.workers_enabled;
-  st.batch_backend = s.batch_backend;
-  st.batch_lanes = s.batch_lanes;
-  st.swaps = s.swaps;
-  st.heals = s.heals;
-  st.quarantines = s.quarantines;
-  st.spot_checks = s.spot_checks;
-  st.spot_mismatches = s.spot_mismatches;
-  st.replayed_jobs = s.replayed_jobs;
-  st.spot_boosts = s.spot_boosts;
-  st.spot_boost_checks = s.spot_boost_checks;
-  st.workers_boosted = s.workers_boosted;
-  st.sessions_migrated = s.sessions_migrated;
-  st.swap_pause_p50_us = static_cast<double>(s.swap_pause_us.percentile(0.50));
-  st.swap_pause_max_us = static_cast<double>(s.swap_pause_us.max);
-  st.per_worker.reserve(s.per_worker.size());
-  for (std::size_t i = 0; i < s.per_worker.size(); ++i) {
-    WorkerStatus w;
-    w.worker = static_cast<int>(i);
-    w.engine = s.per_worker[i].engine;
-    w.enabled = s.per_worker[i].enabled;
-    w.blocks = s.per_worker[i].blocks;
-    st.per_worker.push_back(std::move(w));
-  }
-  return st;
-}
-
-std::string FleetStatus::report() const {
-  char line[192];
-  std::string out;
-  const auto add = [&](const char* fmt, auto... args) {
-    std::snprintf(line, sizeof line, fmt, args...);
-    out += line;
-  };
-  add("fleet%s%s: %d workers (%d enabled), %llu swaps, %llu heals, %llu quarantines\n",
-      node.empty() ? "" : "@", node.c_str(), workers, workers_enabled,
-      static_cast<unsigned long long>(swaps),
-      static_cast<unsigned long long>(heals), static_cast<unsigned long long>(quarantines));
-  add("  batch:      %s backend, %zu lanes per engine pass\n", batch_backend.c_str(),
-      batch_lanes);
-  add("  spot-check: %llu checked, %llu mismatched, %llu replayed; %llu sessions migrated\n",
-      static_cast<unsigned long long>(spot_checks),
-      static_cast<unsigned long long>(spot_mismatches),
-      static_cast<unsigned long long>(replayed_jobs),
-      static_cast<unsigned long long>(sessions_migrated));
-  if (spot_boosts)
-    add("  adaptive:   %llu boosts, %llu boosted checks, %d workers boosted now\n",
-        static_cast<unsigned long long>(spot_boosts),
-        static_cast<unsigned long long>(spot_boost_checks), workers_boosted);
-  if (swaps || heals)
-    add("  swap pause: p50 %.0f us, max %.0f us\n", swap_pause_p50_us, swap_pause_max_us);
-  for (const auto& w : per_worker)
-    add("  worker %2d: %-10s %8llu blocks%s\n", w.worker, w.engine.c_str(),
-        static_cast<unsigned long long>(w.blocks), w.enabled ? "" : "  [quarantined]");
-  return out;
-}
-
-void FleetStatus::write_json(std::ostream& os) const {
-  report::JsonWriter j(os);
-  j.begin_object();
-  if (!node.empty()) j.key("node").value(node);
-  j.key("workers").value(workers);
-  j.key("workers_enabled").value(workers_enabled);
-  j.key("batch_backend").value(batch_backend);
-  j.key("batch_lanes").value(batch_lanes);
-  j.key("swaps").value(swaps);
-  j.key("heals").value(heals);
-  j.key("quarantines").value(quarantines);
-  j.key("spot_checks").value(spot_checks);
-  j.key("spot_mismatches").value(spot_mismatches);
-  j.key("replayed_jobs").value(replayed_jobs);
-  j.key("spot_boosts").value(spot_boosts);
-  j.key("spot_boost_checks").value(spot_boost_checks);
-  j.key("workers_boosted").value(workers_boosted);
-  j.key("sessions_migrated").value(sessions_migrated);
-  j.key("swap_pause_p50_us").value(swap_pause_p50_us);
-  j.key("swap_pause_max_us").value(swap_pause_max_us);
-  j.key("per_worker").begin_array();
-  for (const auto& w : per_worker) {
-    j.begin_object();
-    j.key("worker").value(w.worker);
-    j.key("engine").value(w.engine);
-    j.key("enabled").value(w.enabled);
-    j.key("blocks").value(w.blocks);
-    j.end_object();
-  }
-  j.end_array();
-  j.end_object();
-}
-
-// --- ChaosInjector -----------------------------------------------------------
 
 std::size_t ChaosInjector::corrupting_site() {
   if (!sites_scanned_) {

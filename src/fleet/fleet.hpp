@@ -1,105 +1,28 @@
-// Fleet management: the farm as a *mutable* population of cores.
+// Fleet chaos: SEU-driven fault injection into a live farm.
 //
-// Everything below the farm treats a worker's engine as fixed for the
-// process lifetime. This layer drops that assumption and manages the farm
-// the way an operator manages a rack of FPGA boards:
+// farm::Farm is the fleet's one control surface (swap_engine,
+// set_worker_enabled, inject_fault) and farm::FarmStats its one snapshot;
+// the wire admin plane (net::Server) and the tests call them directly.
+// This layer adds the one stateful piece on top:
 //
-//   * FleetController — the admin facade: hot-swap a worker's engine
-//     (sw <-> behavioral <-> netlist) under live traffic, quarantine and
-//     resume workers, inject faults, and snapshot fleet health. It is a
-//     thin blocking wrapper over Farm's future-based control plane, shaped
-//     for the wire admin opcodes (net::Server) and the `aesip fleet` CLI.
+//   * ChaosInjector — flips netlist DFF state in a live NetlistEngine
+//     mid-traffic. Sites are chosen from the shared gate netlist by
+//     standby-upset classification (seu/live.hpp), so an injection is
+//     *provably corrupting* — exactly the fault the farm's spot-check
+//     policy must catch and heal. Deterministic per seed.
 //
-//   * ChaosInjector — SEU-driven chaos testing: flips netlist DFF state in
-//     a live NetlistEngine mid-traffic. Sites are chosen from the shared
-//     gate netlist by standby-upset classification (seu/live.hpp), so an
-//     injection is *provably corrupting* — exactly the fault the farm's
-//     spot-check policy must catch and heal. Deterministic per seed.
-//
-// Thread safety: FleetController and ChaosInjector are plain call-through
-// objects over Farm's thread-safe control plane; each instance may be used
-// from one thread at a time (the server's event loop, a CLI, a test).
+// Thread safety: a ChaosInjector holds an RNG and a lazily built site
+// list, so each instance is used from one thread at a time (the server
+// serializes its own behind a mutex).
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <random>
-#include <string>
 #include <vector>
 
 #include "farm/farm.hpp"
 
 namespace aesip::fleet {
-
-/// One worker's health row in a fleet snapshot.
-struct WorkerStatus {
-  int worker = -1;
-  std::string engine;
-  bool enabled = true;
-  std::uint64_t blocks = 0;
-};
-
-/// Point-in-time fleet health: the reconfiguration counters plus one row
-/// per worker. A plain value — safe to serialize off the snapshot thread.
-struct FleetStatus {
-  std::string node;  ///< cluster node id ("" when not clustered) — labels roll-up rows
-  int workers = 0;
-  int workers_enabled = 0;
-  std::string batch_backend = "none";  ///< lane backend behind the workers' batch path
-  std::size_t batch_lanes = 1;         ///< blocks per engine pass on that backend
-  std::uint64_t swaps = 0;
-  std::uint64_t heals = 0;
-  std::uint64_t quarantines = 0;
-  std::uint64_t spot_checks = 0;
-  std::uint64_t spot_mismatches = 0;
-  std::uint64_t replayed_jobs = 0;
-  std::uint64_t spot_boosts = 0;       ///< adaptive controller: boost episodes entered
-  std::uint64_t spot_boost_checks = 0; ///< checks sampled at the boosted rate
-  int workers_boosted = 0;             ///< gauge: workers currently boosted
-  std::uint64_t sessions_migrated = 0;
-  double swap_pause_p50_us = 0;
-  double swap_pause_max_us = 0;
-  std::vector<WorkerStatus> per_worker;
-
-  std::string report() const;
-  void write_json(std::ostream& os) const;
-};
-
-/// Blocking admin facade over the farm's control plane.
-class FleetController {
- public:
-  explicit FleetController(farm::Farm& farm) : farm_(farm) {}
-
-  /// Hot-swap one worker's engine; blocks until the worker executed it.
-  farm::SwapReport swap(int worker, engine::EngineKind kind) {
-    return farm_.swap_engine(worker, kind).get();
-  }
-  /// Hot-swap one worker to a specific round-engine variant of `kind`
-  /// (e.g. netlist pipe5-xtime); see arch::VariantSpec::parse for names.
-  farm::SwapReport swap(int worker, engine::EngineKind kind, const arch::VariantSpec& variant) {
-    return farm_.swap_engine(worker, kind, variant).get();
-  }
-  /// Swap every worker: all control jobs are queued first (the swaps
-  /// overlap), then joined. The farm never drains.
-  std::vector<farm::SwapReport> swap_all(engine::EngineKind kind);
-  /// Swap every worker to one variant of `kind`, overlapped the same way.
-  std::vector<farm::SwapReport> swap_all(engine::EngineKind kind,
-                                         const arch::VariantSpec& variant);
-
-  void quarantine(int worker) { farm_.set_worker_enabled(worker, false); }
-  void resume(int worker) { farm_.set_worker_enabled(worker, true); }
-
-  /// Flip DFF `site` in `worker`'s live engine; false when the engine kind
-  /// has no gate-level state (sw/behavioral).
-  bool inject(int worker, std::size_t site) { return farm_.inject_fault(worker, site).get(); }
-
-  FleetStatus status() const;
-
-  farm::Farm& farm() noexcept { return farm_; }
-
- private:
-  farm::Farm& farm_;
-};
 
 /// SEU-driven chaos: inject corrupting standby upsets into live engines.
 class ChaosInjector {

@@ -136,7 +136,8 @@ class Client {
   void bye();
 
   // --- fleet admin plane (requires a server with ServerConfig::admin) ------
-  /// Fleet health snapshot JSON (kAdminFleetStatus -> kAdminStatusOk).
+  /// The stats_json() document over the admin plane (kAdminFleetStatus ->
+  /// kAdminStatusOk); refused with kAdminDisabled when the plane is off.
   std::string fleet_status_json();
   /// Hot-swap one worker (or all when `worker` is -1) to engine `kind`
   /// (0=sw 1=behavioral 2=netlist); blocks until the swap(s) executed.

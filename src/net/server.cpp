@@ -501,14 +501,9 @@ bool Server::handle_frame(Connection& c, Frame&& f) {
       if (maybe_redirect(c, f)) return false;
       handle_data_frame(c, std::move(f));
       return true;
-    case Op::kStats: {
-      std::ostringstream os;
-      farm_.stats().write_json(os, cfg_.farm.clock_ns);
-      const std::string s = os.str();
-      send_frame(c, Op::kStatsOk, f.seq, f.flags,
-                 std::vector<std::uint8_t>(s.begin(), s.end()));
+    case Op::kStats:
+      send_frame(c, Op::kStatsOk, f.seq, f.flags, stats_payload());
       return true;
-    }
     case Op::kGossip: {
       if (!director_) {
         send_error(c, f.seq, ErrorCode::kNotClustered, "server is not clustered",
@@ -550,10 +545,24 @@ bool Server::handle_frame(Connection& c, Frame&& f) {
   }
 }
 
-/// The fleet admin plane. Quarantine and status answer inline; swap and
-/// inject execute on the target worker's own thread, so the response is
-/// parked as a PendingAdmin the reap pass polls — the loop never blocks on
-/// a worker. admin_mu_ serializes the fleet facade across event loops.
+farm::FarmStats Server::farm_stats() const {
+  farm::FarmStats s = farm_.stats();
+  if (cfg_.cluster) s.node = cfg_.cluster->node_id;
+  return s;
+}
+
+std::vector<std::uint8_t> Server::stats_payload() const {
+  std::ostringstream os;
+  farm_stats().write_json(os, cfg_.farm.clock_ns);
+  const std::string s = os.str();
+  return {s.begin(), s.end()};
+}
+
+/// The fleet admin plane, straight onto the farm's control surface.
+/// Quarantine and status answer inline; swap and inject execute on the
+/// target worker's own thread, so the response is parked as a PendingAdmin
+/// the reap pass polls — the loop never blocks on a worker. admin_mu_
+/// serializes the stateful ChaosInjector across event loops.
 bool Server::handle_admin_frame(Connection& c, Frame&& f) {
   if (!cfg_.admin) {
     send_error(c, f.seq, ErrorCode::kAdminDisabled, "admin plane disabled", /*fatal=*/false);
@@ -563,19 +572,9 @@ bool Server::handle_admin_frame(Connection& c, Frame&& f) {
   const int workers = cfg_.farm.workers;
 
   switch (f.op) {
-    case Op::kAdminFleetStatus: {
-      std::ostringstream os;
-      {
-        std::lock_guard lk(admin_mu_);
-        fleet::FleetStatus st = fleet_.status();
-        if (cfg_.cluster) st.node = cfg_.cluster->node_id;
-        st.write_json(os);
-      }
-      const std::string s = os.str();
-      send_frame(c, Op::kAdminStatusOk, f.seq, f.flags,
-                 std::vector<std::uint8_t>(s.begin(), s.end()));
+    case Op::kAdminFleetStatus:
+      send_frame(c, Op::kAdminStatusOk, f.seq, f.flags, stats_payload());
       return true;
-    }
     case Op::kAdminSwapEngine: {
       if (f.payload.size() < 2 || f.payload[1] > 2) {
         send_error(c, f.seq, ErrorCode::kBadPayload,
@@ -606,10 +605,7 @@ bool Server::handle_admin_frame(Connection& c, Frame&& f) {
         targets.push_back(f.payload[0]);
       }
       auto futures = std::make_shared<std::vector<std::future<farm::SwapReport>>>();
-      {
-        std::lock_guard lk(admin_mu_);
-        for (const int w : targets) futures->push_back(farm_.swap_engine(w, kind, variant));
-      }
+      for (const int w : targets) futures->push_back(farm_.swap_engine(w, kind, variant));
       std::string to = engine::kind_name(kind);
       if (!(variant == arch::VariantSpec{})) to += ":" + variant.name();
       c.admin_pending.push_back(Connection::PendingAdmin{
@@ -642,15 +638,8 @@ bool Server::handle_admin_frame(Connection& c, Frame&& f) {
       }
       const int w = f.payload[0];
       const bool resume = f.payload[1] == 1;
-      bool serving = true;
-      {
-        std::lock_guard lk(admin_mu_);
-        if (resume)
-          fleet_.resume(w);
-        else
-          fleet_.quarantine(w);
-        serving = farm_.stats().workers_enabled > 0;
-      }
+      farm_.set_worker_enabled(w, resume);
+      const bool serving = farm_.stats().workers_enabled > 0;
       // Cluster tie-in: a node whose last worker is quarantined cannot do
       // work — leave the ring so gossip re-homes its sessions; resuming a
       // worker rejoins. (No-op when not clustered.)

@@ -173,7 +173,8 @@ class Server {
   void stop();
 
   ServerStats stats() const;
-  farm::FarmStats farm_stats() const { return farm_.stats(); }
+  /// The farm's snapshot, labelled with this node's id when clustered.
+  farm::FarmStats farm_stats() const;
   /// The membership directory, or nullptr when not clustered.
   const cluster::Director* director() const noexcept { return director_.get(); }
 
@@ -198,6 +199,9 @@ class Server {
   bool service_reads(Connection& c);
   bool handle_frame(Connection& c, Frame&& f);
   bool handle_admin_frame(Connection& c, Frame&& f);
+  /// farm_stats() as JSON: the one document both kStats and
+  /// kAdminFleetStatus answer with.
+  std::vector<std::uint8_t> stats_payload() const;
   void handle_data_frame(Connection& c, Frame&& f);
   bool maybe_redirect(Connection& c, const Frame& f);
   bool retry_deferred(Connection& c);
@@ -212,9 +216,8 @@ class Server {
   ServerConfig cfg_;
   Transport* transport_;  ///< for the gossip thread's outbound dials
   farm::Farm farm_;
-  fleet::FleetController fleet_{farm_};  ///< admin facade (guarded by admin_mu_)
-  fleet::ChaosInjector chaos_;           ///< site classification for kAdminInject
-  std::mutex admin_mu_;                  ///< fleet_/chaos_ may be hit from any loop
+  fleet::ChaosInjector chaos_;  ///< site classification for kAdminInject
+  std::mutex admin_mu_;         ///< chaos_ may be hit from any loop
   std::unique_ptr<Listener> listener_;
   std::string address_;
   std::unique_ptr<cluster::Director> director_;  ///< null when not clustered

@@ -43,7 +43,7 @@
 //               is the sender's encoded Director view -> kGossipOk carries
 //               the receiver's view back. Refused with kNotClustered at a
 //               server running without --cluster.
-//   kAdminFleetStatus  empty -> kAdminStatusOk carries the fleet JSON
+//   kAdminFleetStatus  empty -> kAdminStatusOk carries the kStatsOk JSON
 //   kAdminSwapEngine   [u8 worker, 0xFF = all][u8 EngineKind: 0=sw
 //                      1=behavioral 2=netlist][optional variant name bytes,
 //                      e.g. "pipe5-xtime" (arch::VariantSpec::parse); absent

@@ -19,6 +19,10 @@
 #include <bit>
 #include <cstdint>
 
+namespace aesip::report {
+class JsonWriter;
+}
+
 namespace aesip::obs {
 
 /// Plain-value copy of a Histogram, safe to serialize and compare.
@@ -69,6 +73,11 @@ struct HistogramSnapshot {
     return max;
   }
 };
+
+/// Render a snapshot as one JSON object: count, sum, mean, max, p50/p90/
+/// p99 and the non-empty buckets as [inclusive upper bound, count] pairs.
+/// Every stats document (the farm's, `aesip metrics`) uses this writer.
+void write_histogram_json(report::JsonWriter& j, const HistogramSnapshot& h);
 
 class Histogram {
  public:

@@ -1,7 +1,8 @@
 // The comparison architectures, measured: the all-32-bit organization
 // really takes 12 cycles/round (the paper's Section 4 number), the
-// full-128 stored-key organization really takes 10 cycles/block and pays
-// for it in S-boxes and key RAM — and both encrypt correctly.
+// full-128 stored-key organization (the variant family's unroll-xtime)
+// really takes 10 cycles/block and pays for it in S-boxes and key RAM —
+// and both encrypt correctly.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -9,6 +10,7 @@
 #include "aes/cipher.hpp"
 #include "arch/alt_ip.hpp"
 #include "arch/cycle_model.hpp"
+#include "arch/variant.hpp"
 #include "core/bfm.hpp"
 #include "core/rijndael_ip.hpp"
 #include "hdl/simulator.hpp"
@@ -32,7 +34,18 @@ struct AltBench {
   hdl::Simulator sim;
   Ip ip;
   core::GenericBusDriver<Ip> bus;
-  AltBench() : ip(sim), bus(sim, ip) { bus.reset(); }
+  template <typename... Args>
+  explicit AltBench(const Args&... args) : ip(sim, args...), bus(sim, ip) {
+    bus.reset();
+  }
+};
+
+// The full-128-bit stored-key organization: one fused round per cycle
+// over a precomputed key RAM, encrypt-only.
+const arch::VariantSpec kFull128 = *arch::VariantSpec::parse("unroll-xtime");
+
+struct Full128Bench : AltBench<arch::VariantIp> {
+  Full128Bench() : AltBench(kFull128, core::IpMode::kEncrypt) {}
 };
 
 }  // namespace
@@ -97,7 +110,7 @@ TEST(All32, SameSboxBudgetAsMixedDesign) {
 // --- full-128-bit stored-key organization ----------------------------------------------
 
 TEST(Full128, EncryptsCorrectly) {
-  AltBench<arch::Full128Ip> b;
+  Full128Bench b;
   const auto key = random_block(6);
   const auto pt = random_block(7);
   aes::Aes128 ref(key);
@@ -110,7 +123,7 @@ TEST(Full128, EncryptsCorrectly) {
 class Full128Conformance : public ::testing::TestWithParam<int> {};
 
 TEST_P(Full128Conformance, MatchesReference) {
-  AltBench<arch::Full128Ip> b;
+  Full128Bench b;
   const auto key = random_block(static_cast<std::uint32_t>(GetParam()) + 40);
   const auto pt = random_block(static_cast<std::uint32_t>(GetParam()) + 50);
   aes::Aes128 ref(key);
@@ -123,20 +136,20 @@ TEST_P(Full128Conformance, MatchesReference) {
 INSTANTIATE_TEST_SUITE_P(Vectors, Full128Conformance, ::testing::Range(0, 8));
 
 TEST(Full128, LatencyIsTenCycles) {
-  AltBench<arch::Full128Ip> b;
+  Full128Bench b;
   b.bus.load_key(random_block(8));
   b.bus.process_block(random_block(9));
   EXPECT_EQ(b.bus.last_latency(), 10u);
 }
 
 TEST(Full128, KeyExpansionTakesTenCycles) {
-  AltBench<arch::Full128Ip> b;
+  Full128Bench b;
   EXPECT_EQ(b.bus.load_key(random_block(10)), 10u)
       << "one stored round key per cycle";
 }
 
 TEST(Full128, StreamingSustains10PerBlock) {
-  AltBench<arch::Full128Ip> b;
+  Full128Bench b;
   b.bus.load_key(random_block(11));
   std::vector<std::array<std::uint8_t, 16>> blocks;
   for (std::uint32_t i = 0; i < 6; ++i) blocks.push_back(random_block(60 + i));
@@ -152,19 +165,19 @@ TEST(Full128, StreamingSustains10PerBlock) {
 }
 
 TEST(Full128, PaysInSboxesAndKeyRam) {
-  hdl::Simulator s1, s2;
-  arch::Full128Ip f128(s1);
-  core::RijndaelIp mixed(s2, core::IpMode::kEncrypt);
-  EXPECT_EQ(f128.sbox_count(), 20);
-  EXPECT_GT(f128.sbox_count(), 2 * mixed.sbox_count());
-  EXPECT_EQ(arch::Full128Ip::kKeyRamBits, 1408);
+  hdl::Simulator sim;
+  core::RijndaelIp mixed(sim, core::IpMode::kEncrypt);
+  const int f128_sboxes = arch::sbox_count(arch::full128());  // 16 data + 4 key expansion
+  EXPECT_EQ(f128_sboxes, 20);
+  EXPECT_GT(f128_sboxes, 2 * mixed.sbox_count());
+  EXPECT_EQ(kFull128.schedule_words() * 32, 1408);  // 11 stored round keys
 }
 
 // --- the three-way measured comparison ---------------------------------------------------
 
 TEST(Ablation, MeasuredCycleRatiosMatchSection4) {
   AltBench<arch::All32Ip> a32;
-  AltBench<arch::Full128Ip> f128;
+  Full128Bench f128;
   hdl::Simulator sim;
   core::RijndaelIp mixed_ip(sim, core::IpMode::kEncrypt);
   core::BusDriver mixed_bus(sim, mixed_ip);

@@ -309,7 +309,7 @@ TEST(DocsFleet, ChaosExampleRunsAsDocumented) {
   }
   EXPECT_TRUE(detected);
 
-  const auto st = fleet::FleetController(f).status();
+  const auto st = f.stats();
   EXPECT_EQ(st.spot_mismatches, st.replayed_jobs);
   EXPECT_GE(st.heals, 1u);
 }

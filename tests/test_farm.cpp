@@ -780,3 +780,82 @@ TEST(Farm, SpotCheckConvictsTheWholePass) {
   EXPECT_EQ(st.spot_mismatches, reqs.size());
   EXPECT_EQ(st.heals, 1u);
 }
+
+// --- FarmStats::merge_from: the cluster roll-up --------------------------------
+
+namespace {
+
+/// The merge a roll-up must equal: every bucket, count and sum added, the
+/// max taken — computed here without HistogramSnapshot::merge.
+aesip::obs::HistogramSnapshot bucketwise(const aesip::obs::HistogramSnapshot& a,
+                                         const aesip::obs::HistogramSnapshot& b) {
+  aesip::obs::HistogramSnapshot out;
+  out.count = a.count + b.count;
+  out.sum = a.sum + b.sum;
+  out.max = std::max(a.max, b.max);
+  for (std::size_t i = 0; i < out.buckets.size(); ++i)
+    out.buckets[i] = a.buckets[i] + b.buckets[i];
+  return out;
+}
+
+void expect_same(const aesip::obs::HistogramSnapshot& got,
+                 const aesip::obs::HistogramSnapshot& want, const char* what) {
+  EXPECT_EQ(got.count, want.count) << what;
+  EXPECT_EQ(got.sum, want.sum) << what;
+  EXPECT_EQ(got.max, want.max) << what;
+  EXPECT_EQ(got.buckets, want.buckets) << what;
+}
+
+}  // namespace
+
+TEST(FarmStats, MergeFromSumsCountersAndMergesHistogramsExactly) {
+  // Two unequal farms: different worker counts, traffic and a swap on one.
+  farm::FarmConfig ca;
+  ca.workers = 2;
+  ca.engine = engine::EngineKind::kBehavioral;
+  farm::FarmConfig cb = ca;
+  cb.workers = 1;
+  farm::Farm fa(ca);
+  farm::Farm fb(cb);
+  std::mt19937 rng(77);
+  for (int i = 0; i < 12; ++i) {
+    const auto key = random_key128(rng);
+    const auto req = random_request(rng, static_cast<std::uint64_t>(i % 3), key);
+    EXPECT_EQ(fa.process(req).data, reference(req));
+    if (i % 3 == 0) fb.process(random_request(rng, 9, key));
+  }
+  fb.swap_engine(0, engine::EngineKind::kSoftware).get();
+  fb.process(random_request(rng, 9, random_key128(rng)));
+
+  const farm::FarmStats a = fa.stats();
+  const farm::FarmStats b = fb.stats();
+  ASSERT_GT(a.latency_us.count, 0u);
+  ASSERT_GT(b.latency_us.count, 0u);
+  ASSERT_GT(b.swap_pause_us.count, 0u);
+  farm::FarmStats m = a;
+  m.merge_from(b);
+
+  EXPECT_EQ(m.workers, 3);
+  EXPECT_EQ(m.requests, a.requests + b.requests);
+  EXPECT_EQ(m.blocks, a.blocks + b.blocks);
+  EXPECT_EQ(m.key_hits, a.key_hits + b.key_hits);
+  EXPECT_EQ(m.key_loads, a.key_loads + b.key_loads);
+  EXPECT_EQ(m.swaps, a.swaps + b.swaps);
+  EXPECT_EQ(m.workers_enabled, a.workers_enabled + b.workers_enabled);
+  EXPECT_EQ(m.queue_capacity, a.queue_capacity + b.queue_capacity);
+  EXPECT_EQ(m.total_cycles, a.total_cycles + b.total_cycles);
+  EXPECT_EQ(m.total_setup_cycles, a.total_setup_cycles + b.total_setup_cycles);
+  ASSERT_EQ(m.per_worker.size(), 3u);
+  EXPECT_EQ(m.per_worker[2].engine, b.per_worker[0].engine);
+
+  expect_same(m.latency_us, bucketwise(a.latency_us, b.latency_us), "latency_us");
+  expect_same(m.queue_wait_us, bucketwise(a.queue_wait_us, b.queue_wait_us), "queue_wait_us");
+  expect_same(m.queue_depth, bucketwise(a.queue_depth, b.queue_depth), "queue_depth");
+  expect_same(m.swap_pause_us, bucketwise(a.swap_pause_us, b.swap_pause_us), "swap_pause_us");
+  EXPECT_EQ(m.latency_us.count, m.requests);
+
+  // The nodes ran concurrently: wall time and makespan are the longest.
+  EXPECT_EQ(m.wall_seconds, std::max(a.wall_seconds, b.wall_seconds));
+  EXPECT_EQ(m.max_worker_cycles, std::max(a.max_worker_cycles, b.max_worker_cycles));
+  EXPECT_GT(m.max_worker_cycles, 0u);
+}

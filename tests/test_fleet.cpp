@@ -9,6 +9,7 @@
 #include <future>
 #include <memory>
 #include <random>
+#include <regex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -175,17 +176,22 @@ TEST(FleetSwap, BadWorkerIndexThrows) {
   EXPECT_THROW(f.inject_fault(5, 0), std::out_of_range);
 }
 
-TEST(FleetSwap, ControllerSwapAllOverlaps) {
+// A fleet-wide swap: every worker's control job is queued before any is
+// joined, so the swaps overlap and the farm never drains.
+TEST(FleetSwap, SwapEveryWorkerOverlaps) {
   farm::FarmConfig cfg;
   cfg.workers = 3;
   cfg.engine = engine::EngineKind::kSoftware;
   farm::Farm f(cfg);
-  fleet::FleetController ctl(f);
 
-  const auto reports = ctl.swap_all(engine::EngineKind::kBehavioral);
+  std::vector<std::future<farm::SwapReport>> pending;
+  for (int w = 0; w < cfg.workers; ++w)
+    pending.push_back(f.swap_engine(w, engine::EngineKind::kBehavioral));
+  std::vector<farm::SwapReport> reports;
+  for (auto& p : pending) reports.push_back(p.get());
   ASSERT_EQ(reports.size(), 3u);
   for (const auto& r : reports) EXPECT_EQ(r.to, std::string("behavioral"));
-  const auto status = ctl.status();
+  const auto status = f.stats();
   EXPECT_EQ(status.swaps, 3u);
   for (const auto& w : status.per_worker) EXPECT_EQ(w.engine, "behavioral");
 }
@@ -236,7 +242,7 @@ TEST(FleetSpotCheck, MismatchReplaysBitExactAndHeals) {
 
 // The adaptive controller: a mismatch flips the worker to the boosted
 // sampling rate; spot_check_decay_jobs consecutive clean checks decay it
-// back. Counters surface through FarmStats, FleetStatus and its JSON.
+// back. Counters surface through FarmStats and its JSON.
 TEST(FleetSpotCheck, AdaptiveBoostRaisesThenDecays) {
   farm::FarmConfig cfg;
   cfg.workers = 1;
@@ -246,7 +252,6 @@ TEST(FleetSpotCheck, AdaptiveBoostRaisesThenDecays) {
   cfg.heal_on_mismatch = true;
   cfg.engine_factory = [] { return std::make_unique<FaultyEngine>(); };
   farm::Farm f(cfg);
-  fleet::FleetController ctl(f);
 
   std::mt19937 rng(9);
   farm::Key128 key;
@@ -282,8 +287,8 @@ TEST(FleetSpotCheck, AdaptiveBoostRaisesThenDecays) {
   EXPECT_EQ(st.spot_boosts, 2u);
   EXPECT_EQ(st.workers_boosted, 1);
 
-  // FleetStatus mirrors the counters, in the struct and in the JSON.
-  const auto status = ctl.status();
+  // The snapshot carries the counters, in the struct and in the JSON.
+  const auto status = f.stats();
   EXPECT_EQ(status.spot_boosts, 2u);
   EXPECT_EQ(status.spot_boost_checks, 3u);
   EXPECT_EQ(status.workers_boosted, 1);
@@ -461,6 +466,79 @@ TEST(FleetAdmin, DisabledPlaneRefusesEveryAdminOp) {
     client.bye();
   }
   server.stop();
+}
+
+// The admin status reply is the kStats document itself: one renderer, one
+// shape. Only the wall clock moves between the two reads.
+std::string without_wall_clock(const std::string& json) {
+  static const std::regex kWall("\"(wall_seconds|blocks_per_wall_sec|utilization)\": [-+.0-9e]+");
+  return std::regex_replace(json, kWall, "\"$1\": _");
+}
+
+TEST(FleetAdmin, StatusAndStatsAreOneDocument) {
+  net::LoopbackTransport transport;
+  net::Server server(transport, "onedoc", admin_server_cfg());
+  server.start();
+  {
+    net::Client client(transport, "onedoc", 1);
+    farm::Key128 key{};
+    client.set_key(key);
+    client.enc_blocks(/*cbc=*/false, farm::Key128{}, std::vector<std::uint8_t>(32, 7));
+    client.drain();
+    const auto stats = client.stats_json();
+    const auto status = client.fleet_status_json();
+    EXPECT_EQ(without_wall_clock(status), without_wall_clock(stats));
+    EXPECT_NE(status.find("\"workers\": 2"), std::string::npos) << status;
+    EXPECT_NE(status.find("\"latency_us\": {"), std::string::npos) << status;
+    EXPECT_NE(status.find("\"swap_pause_us\": {"), std::string::npos) << status;
+    EXPECT_EQ(status.find("\"node\""), std::string::npos) << "standalone servers carry no node";
+    client.bye();
+  }
+  server.stop();
+}
+
+TEST(FleetAdmin, ClusteredNodeNamedInBothReplies) {
+  auto cfg = admin_server_cfg();
+  net::ClusterConfig cc;
+  cc.node_id = "node-a";
+  cfg.cluster = cc;
+  net::LoopbackTransport transport;
+  net::Server server(transport, "clustered", cfg);
+  server.start();
+  {
+    net::ClientConfig pinned;
+    pinned.pinned = true;
+    net::Client client(transport, "clustered", 1, pinned);
+    const auto stats = client.stats_json();
+    const auto status = client.fleet_status_json();
+    EXPECT_NE(stats.find("\"node\": \"node-a\""), std::string::npos) << stats;
+    EXPECT_NE(status.find("\"node\": \"node-a\""), std::string::npos) << status;
+    EXPECT_EQ(without_wall_clock(status), without_wall_clock(stats));
+    EXPECT_EQ(server.farm_stats().node, "node-a");
+    client.bye();
+  }
+  server.stop();
+}
+
+TEST(FleetAdmin, DisabledPlaneStillAnswersStats) {
+  auto cfg = admin_server_cfg();
+  cfg.admin = false;
+  net::LoopbackTransport transport;
+  net::Server server(transport, "statsonly", cfg);
+  server.start();
+  {
+    net::Client client(transport, "statsonly", 1);
+    EXPECT_NE(client.stats_json().find("\"workers\": 2"), std::string::npos);
+    try {
+      client.fleet_status_json();
+      FAIL() << "kAdminFleetStatus answered with the admin plane disabled";
+    } catch (const net::WireError& e) {
+      EXPECT_EQ(e.code(), net::ErrorCode::kAdminDisabled);
+    }
+    client.bye();
+  }
+  server.stop();
+  EXPECT_EQ(server.stats().admin_frames, 0u);
 }
 
 TEST(FleetAdmin, SwapAllUnderWireTrafficStaysBitExact) {

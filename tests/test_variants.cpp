@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <future>
 #include <random>
 #include <set>
 #include <span>
@@ -24,7 +25,6 @@
 #include "core/gate_driver.hpp"
 #include "engine/engine.hpp"
 #include "farm/farm.hpp"
-#include "fleet/fleet.hpp"
 #include "hdl/simulator.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
@@ -34,7 +34,6 @@ namespace arch = aesip::arch;
 namespace core = aesip::core;
 namespace engine = aesip::engine;
 namespace farm = aesip::farm;
-namespace fleet = aesip::fleet;
 namespace net = aesip::net;
 namespace aes = aesip::aes;
 using arch::RoundArch;
@@ -293,7 +292,16 @@ TEST(VariantFleet, SwapBetweenVariantsUnderTraffic) {
   cfg.workers = 2;
   cfg.engine = engine::EngineKind::kBehavioral;
   farm::Farm f(cfg);
-  fleet::FleetController ctl(f);
+  // Fleet-wide swap: every worker's control job is queued first (the swaps
+  // overlap), then joined. The farm never drains.
+  const auto swap_all = [&](const VariantSpec& variant) {
+    std::vector<std::future<farm::SwapReport>> pending;
+    for (int w = 0; w < cfg.workers; ++w)
+      pending.push_back(f.swap_engine(w, engine::EngineKind::kBehavioral, variant));
+    std::vector<farm::SwapReport> reports;
+    for (auto& p : pending) reports.push_back(p.get());
+    return reports;
+  };
 
   std::mt19937 rng(9);
   farm::Key128 key{};
@@ -320,18 +328,19 @@ TEST(VariantFleet, SwapBetweenVariantsUnderTraffic) {
   };
 
   one_round(0);
-  const auto rep = ctl.swap(0, engine::EngineKind::kBehavioral, must_parse("pipe5-xtime"));
+  const auto rep =
+      f.swap_engine(0, engine::EngineKind::kBehavioral, must_parse("pipe5-xtime")).get();
   EXPECT_EQ(rep.to, "behavioral:pipe5-xtime");
   one_round(1);
   EXPECT_EQ(f.stats().per_worker[0].engine, "behavioral:pipe5-xtime");
 
   // Fleet-wide swap to another variant; then back to the paper core, whose
   // label is the bare kind name again.
-  const auto reps = ctl.swap_all(engine::EngineKind::kBehavioral, must_parse("unroll-xtime"));
+  const auto reps = swap_all(must_parse("unroll-xtime"));
   ASSERT_EQ(reps.size(), 2u);
   for (const auto& r : reps) EXPECT_EQ(r.to, "behavioral:unroll-xtime");
   one_round(2);
-  ctl.swap_all(engine::EngineKind::kBehavioral, VariantSpec{});
+  swap_all(VariantSpec{});
   one_round(3);
   for (const auto& w : f.stats().per_worker) EXPECT_EQ(w.engine, "behavioral");
 }

@@ -74,6 +74,7 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/transport.hpp"
+#include "obs/histogram.hpp"
 #include "obs/profiler.hpp"
 #include "report/json.hpp"
 #include "core/ip_synth.hpp"
@@ -505,19 +506,6 @@ int cmd_farm(const Args& args) {
 
 // --- metrics -----------------------------------------------------------------------
 
-// Shared by the farm summary in cmd_metrics: percentile figures straight
-// off a histogram snapshot.
-void json_histogram_summary(report::JsonWriter& j, const obs::HistogramSnapshot& h) {
-  j.begin_object();
-  j.key("count").value(h.count);
-  j.key("mean").value(h.mean());
-  j.key("p50").value(h.percentile(0.50));
-  j.key("p90").value(h.percentile(0.90));
-  j.key("p99").value(h.percentile(0.99));
-  j.key("max").value(h.max);
-  j.end_object();
-}
-
 int cmd_metrics(const Args& args) {
   const std::uint64_t n_blocks = std::stoull(arg_or(args, "blocks", "32"));
   if (n_blocks == 0) die("--blocks must be >= 1");
@@ -784,9 +772,9 @@ int cmd_metrics(const Args& args) {
       j.key("blocks").value(fst->blocks);
       j.key("key_hit_rate").value(fst->key_hit_rate());
       j.key("queue_depth");
-      json_histogram_summary(j, fst->queue_depth);
+      obs::write_histogram_json(j, fst->queue_depth);
       j.key("queue_wait_us");
-      json_histogram_summary(j, fst->queue_wait_us);
+      obs::write_histogram_json(j, fst->queue_wait_us);
       j.key("trace_events").value(fst->trace_events);
       j.key("trace_dropped").value(fst->trace_dropped);
       j.key("fleet").begin_object();
