@@ -133,6 +133,17 @@ struct BackendPoint {
   std::vector<LanePoint> sweep;   // occupancy sweep: 1 / 8 / 64 / full
 };
 
+/// What the live-cone sweeps skip on a full-lane encrypt pass: tape ops
+/// executed and flip-flops clocked, against what full sweeps and full
+/// clocks of the same pass would have cost.
+struct ConeFigures {
+  double ops_per_block = 0;       // ops executed / blocks
+  double ops_per_block_full = 0;  // sweeps x tape size / blocks
+  double dffs_per_edge = 0;       // flip-flops clocked per clock edge
+  std::size_t dffs = 0;           // every flip-flop: a full clock
+  std::size_t cache_bytes = 0;    // the control-state cache after the run
+};
+
 struct NetlistBatchResult {
   double ns_per_block_scalar = 0;  // scalar Evaluator via GateIpDriver
   double ns_per_block_u64 = 0;     // the 64-lane portable baseline
@@ -142,6 +153,7 @@ struct NetlistBatchResult {
   const char* backend = "u64";     // the active backend's name
   std::size_t lanes = 64;
   std::size_t tape_ops = 0;
+  ConeFigures cone;                // on the active backend
   std::vector<BackendPoint> backends;
   std::size_t active_index = 0;    // row in `backends` the dispatch resolves to
 };
@@ -200,10 +212,24 @@ NetlistBatchResult measure_netlist_batch() {
     bd.process_batch(in, out, pt.lanes, true);  // warm up
     std::vector<std::size_t> points{1, 8, 64};
     if (pt.lanes > 64) points.push_back(pt.lanes);
+    const auto& ev = bd.evaluator();
     for (const std::size_t lanes : points) {
+      const std::uint64_t ops0 = ev.ops_executed(), sweeps0 = ev.sweeps();
+      const std::uint64_t dffs0 = ev.dffs_clocked(), cycles0 = bd.cycles();
       const auto t0 = std::chrono::steady_clock::now();
       for (int p = 0; p < kBatchPasses; ++p) bd.process_batch(in, out, lanes, true);
       const auto t1 = std::chrono::steady_clock::now();
+      if (b == active && lanes == pt.lanes) {
+        const double blocks = static_cast<double>(kBatchPasses) * static_cast<double>(lanes);
+        r.cone.ops_per_block = static_cast<double>(ev.ops_executed() - ops0) / blocks;
+        r.cone.ops_per_block_full =
+            static_cast<double>((ev.sweeps() - sweeps0) * ev.tape_size()) / blocks;
+        // Each clock of a full pass is weighted by its lane count.
+        r.cone.dffs_per_edge = static_cast<double>(ev.dffs_clocked() - dffs0) /
+                               (static_cast<double>(bd.cycles() - cycles0) / lanes);
+        r.cone.dffs = ev.dff_count();
+        r.cone.cache_bytes = ev.cache_bytes();
+      }
       const double ns_per_block =
           static_cast<double>(
               std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()) /
@@ -295,13 +321,17 @@ void measure_and_dump() {
   }
   std::printf("  active          %s (%zu lanes), %zu tape ops\n", nb.backend, nb.lanes,
               nb.tape_ops);
+  std::printf("  live cone       %8.1f ops/block (full sweeps: %.1f), %.1f of %zu flip-flops "
+              "clocked per edge, %zu B cached\n",
+              nb.cone.ops_per_block, nb.cone.ops_per_block_full, nb.cone.dffs_per_edge,
+              nb.cone.dffs, nb.cone.cache_bytes);
   std::printf("  vs scalar       %12.2f x           (target: >= 20x)\n", nb.speedup_per_block);
   std::printf("  vs u64 lanes    %12.2f x           (the SIMD widening gate; target: >= 4x)\n\n",
               nb.speedup_vs_u64);
 
   std::ofstream jf("BENCH_simspeed.json");
   aesip::report::JsonWriter j(jf);
-  aesip::report::begin_bench_envelope(j, "simspeed", 5);
+  aesip::report::begin_bench_envelope(j, "simspeed", 6);
   j.begin_object();  // config
   j.key("blocks").value(kBlocks);
   j.key("trials").value(kTrials);
@@ -332,11 +362,12 @@ void measure_and_dump() {
     j.end_object();
   }
   j.end_array();
-  // Payload v5 (docs/benchmarks.md): the active backend's figures, the
+  // Payload v6 (docs/benchmarks.md): the active backend's figures, the
   // historical >= 20x scalar gate, the resolved backend/lane geometry, the
-  // per-backend rows (skip-with-reason where the host cannot run one), and
-  // the `simd` sub-gate — widest backend >= 4x over the unchanged u64
-  // baseline, skipped with a reason when u64 is all the host has.
+  // per-backend rows (skip-with-reason where the host cannot run one), the
+  // `simd` sub-gate — widest backend >= 4x over the unchanged u64
+  // baseline, skipped with a reason when u64 is all the host has — and the
+  // `live_cone` figures (ops and flip-flop clocks the pruned sweeps ran).
   j.key("netlist_batch").begin_object();
   j.key("backend").value(nb.backend);
   j.key("lanes").value(nb.lanes);
@@ -357,6 +388,13 @@ void measure_and_dump() {
     j.key("target").value(4.0);
     j.key("meets_target").value(nb.speedup_vs_u64 >= 4.0);
   }
+  j.end_object();
+  j.key("live_cone").begin_object();
+  j.key("ops_per_block").value(nb.cone.ops_per_block);
+  j.key("ops_per_block_full").value(nb.cone.ops_per_block_full);
+  j.key("dffs_per_edge").value(nb.cone.dffs_per_edge);
+  j.key("dffs").value(nb.cone.dffs);
+  j.key("cache_bytes").value(nb.cone.cache_bytes);
   j.end_object();
   j.key("backends").begin_array();
   for (const auto& bp : nb.backends) {

@@ -146,8 +146,21 @@ std::optional<GateIpDriver::StreamResult> GateIpDriver::stream(std::span<const s
 
 // --- GateIpBatchDriver -------------------------------------------------------
 
+namespace {
+
+/// The control inputs the batch driver only ever drives alike in every lane.
+std::vector<netlist::NetId> broadcast_pins(const netlist::Netlist& nl) {
+  std::vector<netlist::NetId> pins;
+  for (const auto& pi : nl.inputs())
+    if (pi.name == "setup" || pi.name == "wr_data" || pi.name == "wr_key" || pi.name == "encdec")
+      pins.push_back(pi.net);
+  return pins;
+}
+
+}  // namespace
+
 GateIpBatchDriver::GateIpBatchDriver(const netlist::Netlist& nl, const netlist::BatchConfig& cfg)
-    : ev_(nl, cfg) {
+    : ev_(nl, cfg, broadcast_pins(nl)) {
   for (const auto& pi : nl.inputs()) by_name_[pi.name] = pi.net;
   for (const auto& po : nl.outputs()) out_by_name_[po.name] = po.net;
   for (int i = 0; i < 128; ++i) {

@@ -92,8 +92,14 @@ class GateIpDriver {
 /// 512 on AVX-512; see netlist/batch_backend.hpp for the runtime
 /// dispatch).  Control inputs (setup/wr_*/encdec) are broadcast to every
 /// lane, so the FSM state is identical across lanes and data_ok can be
-/// sampled from lane 0.  The din/dout buses carry per-lane block data (the
-/// lane packing transpose lives in set_din_lanes / read_dout_lanes).
+/// sampled from lane 0.  The driver names those four pins to the
+/// evaluator as its broadcast pins: they and the flip-flops they alone
+/// steer are the control state each edge's live-cone sweep is pruned by
+/// (netlist/batch_eval.hpp), so an edge of the paper core runs ~14 % of
+/// the tape and clocks ~15 % of the flip-flops.  The din/dout buses carry
+/// per-lane block data (the lane packing transpose lives in set_din_lanes
+/// / read_dout_lanes); data_ok and dout are flip-flop outputs, current
+/// after every pruned edge.
 ///
 /// Keys are per lane too: the wr_key beats ride din, so load_key_lanes()
 /// writes a different key into each lane with one multi-beat write and one
@@ -127,8 +133,9 @@ class GateIpBatchDriver {
   bool data_ok() const { return ev_.get(out_by_name_.at("data_ok"), 0); }
 
   /// One clock edge in every lane: settles the inputs set since the last
-  /// edge (free if none were), then clocks — one tape sweep per edge.
-  /// `weight` is the number of device cycles it represents (= active lanes).
+  /// edge (free if none were), then clocks — one live-cone sweep per edge,
+  /// two on an edge that follows an input change.  `weight` is the number
+  /// of device cycles it represents (= active lanes).
   void clock(std::uint64_t weight = 1);
   std::uint64_t cycles() const noexcept { return cycles_; }
 

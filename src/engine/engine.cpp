@@ -242,6 +242,7 @@ std::uint64_t NetlistEngine::run_pass(std::span<const std::uint8_t> in,
                                       std::span<std::uint8_t> out, std::size_t n,
                                       std::size_t active, bool encrypt) {
   const auto r = drv_.process_lanes(in, out, n, active, encrypt);
+  batch_stats_.lane_divergences = drv_.evaluator().lane_divergences();
   if (!r) throw std::runtime_error("NetlistEngine: data_ok never rose (gate-level hang)");
   last_latency_ = static_cast<std::uint64_t>(r->cycles);
   // The gate FSM walks the same phases the behavioral model counts; derive

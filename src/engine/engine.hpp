@@ -140,6 +140,10 @@ class CipherEngine {
     std::uint64_t calls = 0;   ///< process_batch invocations
     std::uint64_t blocks = 0;  ///< blocks processed through the batch path
     std::uint64_t passes = 0;  ///< execution-resource dispatches
+    /// Evaluator sweeps whose control state differed between lanes and so
+    /// ran the whole netlist (NetlistEngine only; 0 on clean traffic — see
+    /// netlist::BatchEvaluator::lane_divergences()).
+    std::uint64_t lane_divergences = 0;
     double mean_lanes() const noexcept {
       return passes ? static_cast<double>(blocks) / static_cast<double>(passes) : 0.0;
     }

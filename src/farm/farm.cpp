@@ -394,9 +394,12 @@ void Farm::run_packed(Drain& d, std::size_t first, std::size_t last, WorkerConte
     // its jobs that are still open with the exception.
     try {
       const std::uint64_t p0 = eng.batch_stats().passes;
+      const std::uint64_t v0 = eng.batch_stats().lane_divergences;
       eng.process_keyed(std::span(d.in).first(fill * aes::kBlock),
                         std::span(d.out).first(fill * aes::kBlock), d.spans, encrypt);
       ctr.passes.fetch_add(eng.batch_stats().passes - p0, std::memory_order_relaxed);
+      ctr.lane_divergences.fetch_add(eng.batch_stats().lane_divergences - v0,
+                                     std::memory_order_relaxed);
       finish_pass(d, ctx, index);
     } catch (...) {
       for (const std::size_t li : d.pass_legs)
@@ -498,6 +501,7 @@ void Farm::execute(Job& job, WorkerContext& ctx, int index) {
     engine::EngineBlockCipher cipher(eng);
     const std::uint64_t c0 = eng.cycles();
     const std::uint64_t p0 = eng.batch_stats().passes;
+    const std::uint64_t v0 = eng.batch_stats().lane_divergences;
     const std::uint64_t setup = eng.rekey(job.key.view());
     ctx.last_key = job.key;  // swap_engine replays this onto the fresh engine
     ctx.has_key = true;
@@ -529,6 +533,8 @@ void Farm::execute(Job& job, WorkerContext& ctx, int index) {
     const std::uint64_t cycles = eng.cycles() - c0;
     ctr.passes.fetch_add(eng.batch_stats().passes - p0 + scalar_passes,
                          std::memory_order_relaxed);
+    ctr.lane_divergences.fetch_add(eng.batch_stats().lane_divergences - v0,
+                                   std::memory_order_relaxed);
 
     // Spot-check policy: re-run a sampled fraction of jobs through the
     // software oracle. A mismatch means the *engine* is corrupted (SEU,
@@ -860,6 +866,7 @@ FarmStats Farm::stats() const {
     w.setup_cycles = counters_[i].setup_cycles.load(std::memory_order_relaxed);
     w.busy_ns = counters_[i].busy_ns.load(std::memory_order_relaxed);
     w.passes = counters_[i].passes.load(std::memory_order_relaxed);
+    w.lane_divergences = counters_[i].lane_divergences.load(std::memory_order_relaxed);
     w.utilization = wall_ns > 0 ? static_cast<double>(w.busy_ns) / wall_ns : 0.0;
     w.engine = worker_engine_[i].load(std::memory_order_relaxed);
     w.enabled = sessions_.worker_enabled(static_cast<int>(i));
@@ -1068,6 +1075,7 @@ void FarmStats::write_json(std::ostream& os, double clock_ns) const {
     j.key("setup_cycles").value(w.setup_cycles);
     j.key("busy_ns").value(w.busy_ns);
     j.key("passes").value(w.passes);
+    j.key("lane_divergences").value(w.lane_divergences);
     j.key("utilization").value(w.utilization);
     j.key("engine").value(w.engine);
     j.key("enabled").value(w.enabled);

@@ -248,6 +248,7 @@ class Farm {
     std::atomic<std::uint64_t> setup_cycles{0};
     std::atomic<std::uint64_t> busy_ns{0};
     std::atomic<std::uint64_t> passes{0};
+    std::atomic<std::uint64_t> lane_divergences{0};
   };
   /// A drained job's progress through packed passes, and the worker's
   /// reused pass buffers; defined in farm.cpp.

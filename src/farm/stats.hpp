@@ -33,6 +33,7 @@ struct WorkerStats {
   std::uint64_t setup_cycles = 0;  ///< cycles spent re-keying (the affinity miss cost)
   std::uint64_t busy_ns = 0;       ///< host time spent executing jobs
   std::uint64_t passes = 0;        ///< engine passes run (blocks / passes = blocks per pass)
+  std::uint64_t lane_divergences = 0;  ///< engine sweeps whose lanes' control state split
   double utilization = 0;          ///< busy_ns / farm wall time, in [0,1]
   std::string engine;              ///< engine currently installed (may differ after swaps)
   bool enabled = true;             ///< false while quarantined (no new routes)

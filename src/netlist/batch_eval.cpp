@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "netlist/batch_kernels.hpp"
 
@@ -18,6 +19,14 @@ struct Node {
   std::size_t index;
 };
 
+constexpr std::size_t kBits = BatchEvaluator::kBaseLanes;  // per bitmap word
+
+std::size_t bitmap_words(std::size_t bits) { return (bits + kBits - 1) / kBits; }
+
+void set_bit(std::vector<BatchEvaluator::Word>& bits, std::size_t i) {
+  bits[i / kBits] |= BatchEvaluator::Word{1} << (i % kBits);
+}
+
 const batchdetail::Kernels* kernels_for(BatchBackend b) {
   switch (b) {
     case BatchBackend::kU64: return batchdetail::kernels_u64();
@@ -30,7 +39,8 @@ const batchdetail::Kernels* kernels_for(BatchBackend b) {
 
 }  // namespace
 
-BatchEvaluator::BatchEvaluator(const Netlist& nl, const BatchConfig& cfg)
+BatchEvaluator::BatchEvaluator(const Netlist& nl, const BatchConfig& cfg,
+                               std::span<const NetId> broadcast_pins)
     : nl_(nl),
       backend_(resolve_backend(cfg)),
       stride_(backend_lanes(backend_) / kBaseLanes),
@@ -135,6 +145,7 @@ BatchEvaluator::BatchEvaluator(const Netlist& nl, const BatchConfig& cfg)
     throw std::runtime_error("netlist::BatchEvaluator: combinational cycle detected");
 
   build_levels();
+  find_control(broadcast_pins);
 
   // Backend hookup.  The slot count is final only now (LUT temporaries),
   // so physical storage allocates here.
@@ -224,6 +235,229 @@ void BatchEvaluator::build_levels() {
   tape_ = std::move(sorted);
 }
 
+// The control state: the broadcast pins plus the control flip-flops, the
+// greatest set of flip-flops whose D and enable are functions of the pins,
+// the constants and each other.  Start from every flip-flop and drop the
+// ones whose D or enable reads a non-uniform slot until nothing changes.
+// A slot is uniform when every lane holds the same value whenever the
+// control sources do: constants, pins, control Qs and ops over them.
+void BatchEvaluator::find_control(std::span<const NetId> broadcast_pins) {
+  sources_.assign(bitmap_words(slots_), 0);
+  set_bit(sources_, const0_word_);
+  set_bit(sources_, const1_word_);
+  for (const auto& pi : nl_.inputs()) set_bit(sources_, pi.net);
+  for (const Dff& f : dffs_) set_bit(sources_, f.q);
+  for (const NetId pin : broadcast_pins) {
+    if (std::none_of(nl_.inputs().begin(), nl_.inputs().end(),
+                     [&](const Netlist::PortBit& pi) { return pi.net == pin; }))
+      throw std::invalid_argument("netlist::BatchEvaluator: broadcast pin " +
+                                  std::to_string(pin) + " is not a primary input");
+    control_slots_.push_back(pin);
+  }
+
+  auto op_uniform = [&](const Op& op) {
+    if (op.kind == OpKind::kRom)
+      return std::all_of(std::begin(roms_[op.dst].addr), std::end(roms_[op.dst].addr),
+                         [&](std::uint32_t a) { return uniform_[a]; });
+    bool u = uniform_[op.a];
+    if (op.kind != OpKind::kCopy && op.kind != OpKind::kNot) u = u && uniform_[op.b];
+    if (op.kind == OpKind::kMux) u = u && uniform_[op.c];
+    return u;
+  };
+  std::vector<std::uint8_t> control(dffs_.size(), 1);
+  for (bool changed = true; changed;) {
+    uniform_.assign(slots_, false);
+    uniform_[const0_word_] = uniform_[const1_word_] = true;
+    for (const std::uint32_t pin : control_slots_) uniform_[pin] = true;
+    for (std::size_t i = 0; i < dffs_.size(); ++i)
+      if (control[i]) uniform_[dffs_[i].q] = true;
+    for (const Op& op : tape_) {
+      if (!op_uniform(op)) continue;
+      if (op.kind == OpKind::kRom)
+        for (const std::uint32_t o : roms_[op.dst].out) uniform_[o] = true;
+      else
+        uniform_[op.dst] = true;
+    }
+    changed = false;
+    for (std::size_t i = 0; i < dffs_.size(); ++i) {
+      const Dff& f = dffs_[i];
+      if (control[i] && (!uniform_[f.d] || (f.enable != kNoWord && !uniform_[f.enable]))) {
+        control[i] = 0;
+        changed = true;
+      }
+    }
+  }
+  for (std::uint32_t i = 0; i < dffs_.size(); ++i)
+    if (control[i]) {
+      control_dffs_.push_back(i);
+      control_slots_.push_back(dffs_[i].q);
+    }
+  key_.assign(bitmap_words(control_slots_.size()), 0);
+
+  // The decisions: uniform operands that can cut a datapath operand out
+  // of the cone, and uniform enables.
+  std::vector<std::uint8_t> decides(slots_, 0);
+  for (std::uint32_t i = 0; i < tape_.size(); ++i) {
+    const Op& op = tape_[i];
+    if (op_uniform(op)) {
+      uniform_ops_.push_back(i);
+      continue;
+    }
+    switch (op.kind) {
+      case OpKind::kAnd:
+      case OpKind::kAndn:
+      case OpKind::kOr:
+      case OpKind::kOrn:
+        decides[op.a] |= uniform_[op.a];
+        decides[op.b] |= uniform_[op.b];
+        break;
+      case OpKind::kMux:
+        decides[op.a] |= uniform_[op.a];
+        break;
+      default:
+        break;
+    }
+  }
+  for (const Dff& f : dffs_)
+    if (f.enable != kNoWord && uniform_[f.enable]) decides[f.enable] = 1;
+  for (std::uint32_t s = 0; s < slots_; ++s)
+    if (decides[s]) decision_slots_.push_back(s);
+}
+
+const BatchEvaluator::Cone* BatchEvaluator::current_cone() {
+  std::fill(key_.begin(), key_.end(), Word{0});
+  for (std::size_t i = 0; i < control_slots_.size(); ++i) {
+    const Word* w = words_.data() + std::size_t{control_slots_[i]} * stride_;
+    if (w[0] != 0 && w[0] != ~Word{0}) return nullptr;
+    for (std::size_t g = 1; g < stride_; ++g)
+      if (w[g] != w[0]) return nullptr;
+    key_[i / kBaseLanes] |= (w[0] & 1U) << (i % kBaseLanes);
+  }
+  auto it = by_state_.find(key_);
+  if (it == by_state_.end()) it = by_state_.emplace(key_, build_cone()).first;
+  return it->second;
+}
+
+// A new control state: evaluate the control network in scalar (one byte
+// per slot, no lane-wide sweep), read off the decisions, and walk the tape
+// only when no earlier state made the same ones.
+const BatchEvaluator::Cone* BatchEvaluator::build_cone() {
+  std::vector<std::uint8_t> v(slots_, 0);
+  v[const1_word_] = 1;
+  for (std::size_t i = 0; i < control_slots_.size(); ++i)
+    v[control_slots_[i]] = key_[i / kBaseLanes] >> (i % kBaseLanes) & 1U;
+  for (const std::uint32_t i : uniform_ops_) {
+    const Op& op = tape_[i];
+    switch (op.kind) {
+      case OpKind::kRom: {
+        const RomSpec& r = roms_[op.dst];
+        unsigned addr = 0;
+        for (int k = 0; k < 8; ++k) addr |= unsigned{v[r.addr[k]]} << k;
+        for (int k = 0; k < 8; ++k) v[r.out[k]] = r.table[addr] >> k & 1U;
+        break;
+      }
+      case OpKind::kCopy: v[op.dst] = v[op.a]; break;
+      case OpKind::kNot: v[op.dst] = v[op.a] ^ 1U; break;
+      case OpKind::kAnd: v[op.dst] = v[op.a] & v[op.b]; break;
+      case OpKind::kAndn: v[op.dst] = (v[op.a] ^ 1U) & v[op.b]; break;
+      case OpKind::kOr: v[op.dst] = v[op.a] | v[op.b]; break;
+      case OpKind::kOrn: v[op.dst] = (v[op.a] ^ 1U) | v[op.b]; break;
+      case OpKind::kXor: v[op.dst] = v[op.a] ^ v[op.b]; break;
+      case OpKind::kMux: v[op.dst] = v[op.a] ? v[op.c] : v[op.b]; break;
+    }
+  }
+  std::vector<Word> decisions(bitmap_words(decision_slots_.size()), 0);
+  for (std::size_t i = 0; i < decision_slots_.size(); ++i)
+    if (v[decision_slots_[i]]) set_bit(decisions, i);
+  if (const auto it = by_decisions_.find(decisions); it != by_decisions_.end()) return &it->second;
+
+  // Roots: the D and enable of every flip-flop not disabled in this state,
+  // and the primary outputs.  One backward pass over the (topologically
+  // ordered) tape collects the ops they need.
+  std::vector<std::uint8_t> need(slots_, 0);
+  std::vector<Word> dffs(bitmap_words(dffs_.size()), 0);
+  std::uint32_t dff_count = 0;
+  for (std::size_t i = 0; i < dffs_.size(); ++i) {
+    const Dff& f = dffs_[i];
+    if (f.enable != kNoWord && uniform_[f.enable] && !v[f.enable]) continue;
+    set_bit(dffs, i);
+    ++dff_count;
+    need[f.d] = 1;
+    if (f.enable != kNoWord) need[f.enable] = 1;
+  }
+  for (const auto& po : nl_.outputs()) need[po.net] = 1;
+  // A two-input op needs only operand `a` when it is uniform and holds
+  // `a_decides` (say an AND's 0), only `b` likewise, else both.
+  auto follow = [&](const Op& op, std::uint8_t a_decides, std::uint8_t b_decides) {
+    if (uniform_[op.a] && v[op.a] == a_decides) {
+      need[op.a] = 1;
+    } else if (uniform_[op.b] && v[op.b] == b_decides) {
+      need[op.b] = 1;
+    } else {
+      need[op.a] = need[op.b] = 1;
+    }
+  };
+  std::vector<Word> ops(bitmap_words(tape_.size()), 0);
+  std::uint32_t op_count = 0;
+  std::vector<Word> fresh = sources_;
+  for (std::size_t i = tape_.size(); i-- > 0;) {
+    const Op& op = tape_[i];
+    if (op.kind == OpKind::kRom) {
+      const RomSpec& r = roms_[op.dst];
+      if (std::none_of(std::begin(r.out), std::end(r.out),
+                       [&](std::uint32_t o) { return need[o] != 0; }))
+        continue;
+      for (const std::uint32_t o : r.out) set_bit(fresh, o);
+      for (const std::uint32_t a : r.addr) need[a] = 1;
+      set_bit(ops, i);
+      ++op_count;
+      continue;
+    }
+    if (!need[op.dst]) continue;
+    set_bit(fresh, op.dst);
+    set_bit(ops, i);
+    ++op_count;
+    if (uniform_[op.dst]) {  // control logic: compute it whole
+      need[op.a] = 1;
+      if (op.kind != OpKind::kCopy && op.kind != OpKind::kNot) need[op.b] = 1;
+      if (op.kind == OpKind::kMux) need[op.c] = 1;
+      continue;
+    }
+    switch (op.kind) {
+      case OpKind::kCopy:
+      case OpKind::kNot: need[op.a] = 1; break;
+      case OpKind::kXor: need[op.a] = need[op.b] = 1; break;
+      case OpKind::kAnd: follow(op, 0, 0); break;
+      case OpKind::kAndn: follow(op, 1, 0); break;  // ~a & b
+      case OpKind::kOr: follow(op, 1, 1); break;
+      case OpKind::kOrn: follow(op, 0, 1); break;   // ~a | b
+      case OpKind::kMux:
+        need[op.a] = 1;
+        if (uniform_[op.a]) {
+          need[v[op.a] ? op.c : op.b] = 1;
+        } else {
+          need[op.b] = need[op.c] = 1;
+        }
+        break;
+      case OpKind::kRom: break;  // handled above
+    }
+  }
+
+  const auto os = op_sets_.emplace(std::move(ops), std::move(fresh)).first;
+  const auto ds = dff_sets_.insert(std::move(dffs)).first;
+  const Cone cone{&os->first, &os->second, &*ds, op_count, dff_count};
+  return &by_decisions_.emplace(std::move(decisions), cone).first->second;
+}
+
+std::size_t BatchEvaluator::cache_bytes() const noexcept {
+  std::size_t n = 0;
+  for (const auto& [ops, fresh] : op_sets_) n += (ops.size() + fresh.size()) * sizeof(Word);
+  for (const auto& dffs : dff_sets_) n += dffs.size() * sizeof(Word);
+  for (const auto& [key, cone] : by_state_) n += key.size() * sizeof(Word) + sizeof(cone);
+  for (const auto& [key, cone] : by_decisions_) n += key.size() * sizeof(Word) + sizeof(cone);
+  return n;
+}
+
 void BatchEvaluator::set_bus(const Bus& b, std::size_t lane, std::uint64_t value) {
   for (std::size_t i = 0; i < b.size(); ++i) set(b[i], lane, (value >> i) & 1U);
 }
@@ -240,19 +474,42 @@ void BatchEvaluator::broadcast_bus(const Bus& b, std::uint64_t value) {
 }
 
 void BatchEvaluator::settle() {
-  if (!dirty_) return;
-  kern_->settle(tape_.data(), tape_.size(), words_.data(), roms_.data());
-  dirty_ = false;
-  ++sweeps_;
+  if (dirty_) sweep();
 }
 
 void BatchEvaluator::clock() {
-  // Sample every enabled D first (pre-edge values in every lane), then
-  // publish, then settle — Evaluator::clock() semantics, lanes() wide.
-  kern_->clock_dffs(dffs_.data(), dffs_.size(), words_.data(), dff_state_.data(),
-                    dff_sample_.data());
-  dirty_ = true;
-  settle();
+  // Sample the live Ds first (pre-edge values in every lane, as the last
+  // sweep left them), then publish, then settle — Evaluator::clock()
+  // semantics, lanes() wide.
+  kern_->clock_dffs(dffs_.data(), cone_ ? cone_->dffs->data() : nullptr, dffs_.size(),
+                    words_.data(), dff_state_.data(), dff_sample_.data());
+  dffs_clocked_ += cone_ ? cone_->dff_count : dffs_.size();
+  sweep();
+}
+
+void BatchEvaluator::sweep() {
+  cone_ = current_cone();
+  if (!cone_) {
+    ++lane_divergences_;
+    full_sweep();
+    return;
+  }
+  kern_->settle(tape_.data(), cone_->ops->data(), tape_.size(), words_.data(), roms_.data());
+  ++sweeps_;
+  ops_executed_ += cone_->op_count;
+  stale_ = true;
+  dirty_ = false;
+}
+
+void BatchEvaluator::full_sweep() const {
+  // A mutator since the last sweep may have moved the control state, so
+  // the next edge clocks every flip-flop.
+  if (dirty_) cone_ = nullptr;
+  kern_->settle(tape_.data(), nullptr, tape_.size(), words_.data(), roms_.data());
+  ++sweeps_;
+  ops_executed_ += tape_.size();
+  stale_ = false;
+  dirty_ = false;
 }
 
 void BatchEvaluator::reset() {

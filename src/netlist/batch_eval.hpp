@@ -31,14 +31,37 @@
 //     8x8 bit-matrix transposes) while the u64 baseline keeps the original
 //     per-lane loop.
 //   * DFF state is kept as packed lane words; clock() samples every enabled
-//     D (per-lane enable masking), publishes Q, then settles — the same
-//     pre-edge semantics as Evaluator::clock().
+//     D (per-lane enable masking) as it stands, publishes Q, then settles —
+//     the same pre-edge semantics as Evaluator::clock().
 //
-// The tape is then stably sorted by levelization band, and one settle is
-// a single-threaded sweep over it: the parallelism is the lanes, not cores.
-// A settle sweeps only when some mutator (set*, broadcast*, reset, the
-// flip_dff family, clock) has run since the last sweep, so the drivers'
-// `settle(); clock();` costs one sweep per clock edge, not two.
+// The tape is then stably sorted by levelization band; a sweep runs the
+// kernels over it single-threaded: the parallelism is the lanes, not cores.
+//
+// Live-cone sweeps.  The broadcast pins a driver names at construction
+// (the IP's setup/wr_data/wr_key/encdec) drive every lane alike, and so do
+// the *control* flip-flops: those whose D and enable depend only on
+// constants, those pins and other control flip-flops (a fixed point over
+// the tape).  Their lane-0 bits are one control state.  For each state a
+// sweep runs only the live cone: the ops feeding the D and enable of every
+// flip-flop whose enable is not 0 in that state, and the primary outputs.
+// Where a MUX, AND, OR, ANDN or ORN has a control operand facing a datapath
+// operand, the cone follows only the operand that decides the value, and
+// the next clock() samples only the live flip-flops.  The live op and
+// flip-flop sets (bitmaps) are cached per state, keyed through the
+// *decisions* the state makes (a scalar evaluation of the control network,
+// no lane-wide sweep) and deduplicated by content.  A sweep whose pins or control flip-flops
+// differ between lanes (a per-lane set() of a pin, flip_dff_lane() on a
+// control flip-flop) runs the whole tape instead and counts a
+// lane_divergences().
+//
+// The network therefore holds *stale* nets outside the last cone.  Reads
+// hide them: word(), get() and get_bus() of a net that the last sweep did
+// not write run one full sweep first, so every read sees the network
+// settled on its current inputs.  Primary inputs, constants, flip-flop Qs
+// and primary outputs are always current.  A settle() or clock() sweeps
+// only when some mutator (set*, broadcast*, reset, the flip_dff family,
+// clock) has run since the last sweep, so the drivers' `settle(); clock();`
+// costs one sweep per clock edge, not two.
 //
 // A combinational cycle is rejected at construction exactly like the scalar
 // evaluator.  The scalar evaluator remains the oracle and keeps the
@@ -46,6 +69,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -68,7 +93,12 @@ class BatchEvaluator {
   /// Compile `nl` and resolve the backend (throws std::runtime_error if
   /// an explicitly requested backend is unknown or unsupported on this
   /// host, or if the netlist has a combinational cycle).
-  explicit BatchEvaluator(const Netlist& nl, const BatchConfig& cfg = {});
+  /// `broadcast_pins` names the primary inputs the caller drives alike in
+  /// every lane (throws std::invalid_argument for a net that is not a
+  /// primary input); they and the flip-flops they alone steer make up the
+  /// control state that prunes each sweep.
+  explicit BatchEvaluator(const Netlist& nl, const BatchConfig& cfg = {},
+                          std::span<const NetId> broadcast_pins = {});
   BatchEvaluator(const BatchEvaluator&) = delete;
   BatchEvaluator& operator=(const BatchEvaluator&) = delete;
 
@@ -83,7 +113,10 @@ class BatchEvaluator {
 
   // --- whole-word access (64 lanes per word index) ----------------------------
   /// Lane word `wi` of net `n`: bit L = the value in lane 64*wi + L.
-  Word word(NetId n, std::size_t wi = 0) const { return words_[n * stride_ + wi]; }
+  Word word(NetId n, std::size_t wi = 0) const {
+    refresh(n);
+    return words_[n * stride_ + wi];
+  }
   void set_word(NetId n, Word w, std::size_t wi = 0) {
     words_[n * stride_ + wi] = w;
     dirty_ = true;
@@ -103,6 +136,7 @@ class BatchEvaluator {
     dirty_ = true;
   }
   bool get(NetId n, std::size_t lane) const {
+    refresh(n);
     return (words_[n * stride_ + lane / kBaseLanes] >> (lane % kBaseLanes)) & 1U;
   }
   /// Drive a bus (bit 0 = LSB) in one lane from an integer.
@@ -110,14 +144,16 @@ class BatchEvaluator {
   std::uint64_t get_bus(const Bus& b, std::size_t lane) const;
 
   // --- simulation -------------------------------------------------------------
-  /// Propagate through the compiled tape (call after changing inputs).
-  /// Free when nothing changed since the last sweep: only the mutators
-  /// above and below mark the network dirty.
+  /// Propagate the inputs through the live cone of the current control
+  /// state (call after changing inputs).  Free when nothing changed since
+  /// the last sweep: only the mutators above and below mark the network
+  /// dirty.  Nets outside the cone are settled by the first read that
+  /// needs them.
   void settle();
-  /// Rising clock edge in every lane: each DFF whose enable is true in a
-  /// lane samples its D in that lane; then the network settles (always one
-  /// sweep — publishing Q marks it dirty).  D is read as it stands: call
-  /// settle() first after changing inputs.
+  /// Rising clock edge in every lane: each live DFF whose enable is true in
+  /// a lane samples its D in that lane; then the network settles (always
+  /// one sweep — publishing Q marks it dirty).  D is read as it stands:
+  /// call settle() first after changing inputs.
   void clock();
   /// Clear all flip-flop state to zero in every lane (no settle — mirrors
   /// the scalar evaluator).
@@ -137,14 +173,26 @@ class BatchEvaluator {
 
   // --- inspection -------------------------------------------------------------
   std::size_t dff_count() const noexcept { return dffs_.size(); }
+  /// Indices (as flip_dff takes them) of the control flip-flops.
+  const std::vector<std::uint32_t>& control_dffs() const noexcept { return control_dffs_; }
   /// Word ops in the compiled tape (compile-quality metric for benches).
   std::size_t tape_size() const noexcept { return tape_.size(); }
   /// Net words plus LUT-expansion temporaries (per lane word; the physical
   /// footprint is word_count() * stride()).
   std::size_t word_count() const noexcept { return slots_; }
-  /// Tape sweeps run since construction (settles that found the network
-  /// unchanged are not counted).
+  /// Tape sweeps run since construction, pruned or full (settles that
+  /// found the network unchanged are not counted).
   std::uint64_t sweeps() const noexcept { return sweeps_; }
+  /// Tape ops those sweeps executed.
+  std::uint64_t ops_executed() const noexcept { return ops_executed_; }
+  /// Flip-flop samples the clock edges took (live flip-flops per edge).
+  std::uint64_t dffs_clocked() const noexcept { return dffs_clocked_; }
+  /// Sweeps that found the control state differing between lanes and so
+  /// ran the whole tape.
+  std::uint64_t lane_divergences() const noexcept { return lane_divergences_; }
+  /// Bytes held by the control-state cache: the live op and flip-flop
+  /// bitmaps, the slots each op set writes, and the keys.
+  std::size_t cache_bytes() const noexcept;
 
  private:
   using Op = batchdetail::Op;
@@ -152,6 +200,18 @@ class BatchEvaluator {
   using Dff = batchdetail::Dff;
   using RomSpec = batchdetail::RomSpec;
   static constexpr std::uint32_t kNoWord = batchdetail::kNoWord;
+
+  /// One control state's sweep: the live ops (a bitmap over the tape)
+  /// with the bitmap of slots they leave current, and the live flip-flops
+  /// (a bitmap over dffs_) the following edge clocks.  The bitmaps live in
+  /// the content-deduplicated pools below.
+  struct Cone {
+    const std::vector<Word>* ops;
+    const std::vector<Word>* fresh;
+    const std::vector<Word>* dffs;
+    std::uint32_t op_count;
+    std::uint32_t dff_count;
+  };
 
   std::uint32_t new_temp() { return static_cast<std::uint32_t>(slots_++); }
   /// Compile `mask` over inputs[0..arity) into tape ops; writes the result
@@ -162,13 +222,26 @@ class BatchEvaluator {
                      std::uint32_t b = 0, std::uint32_t c = 0);
   /// Stably sort the tape by levelization band.
   void build_levels();
+  /// Find the control flip-flops and the decision slots (fixed point).
+  void find_control(std::span<const NetId> broadcast_pins);
+  /// The cone of the control state the network holds now, or nullptr when
+  /// its lanes disagree.
+  const Cone* current_cone();
+  const Cone* build_cone();
+  /// Sweep the current control state's cone (the whole tape on divergence).
+  void sweep();
+  /// Sweep the whole tape.
+  void full_sweep() const;
+  void refresh(NetId n) const {
+    if (stale_ && !((*cone_->fresh)[n / kBaseLanes] >> (n % kBaseLanes) & 1U)) full_sweep();
+  }
   void publish_dff(std::size_t index);
 
   const Netlist& nl_;
   BatchBackend backend_;
   std::size_t stride_;
-  std::size_t slots_ = 0;    ///< logical lane-word slots (nets + temps)
-  std::vector<Word> words_;  ///< slots_ * stride_ physical words
+  std::size_t slots_ = 0;            ///< logical lane-word slots (nets + temps)
+  mutable std::vector<Word> words_;  ///< slots_ * stride_ physical words
   std::vector<Op> tape_;
   std::vector<RomSpec> roms_;
   std::vector<Dff> dffs_;
@@ -177,8 +250,29 @@ class BatchEvaluator {
   std::uint32_t const0_word_;
   std::uint32_t const1_word_;
   const batchdetail::Kernels* kern_ = nullptr;
-  bool dirty_ = true;        ///< a mutator ran since the last sweep
-  std::uint64_t sweeps_ = 0;
+
+  // Control analysis (fixed at construction).
+  std::vector<std::uint32_t> control_dffs_;
+  std::vector<std::uint32_t> control_slots_;  ///< pins, then control Qs: key bit order
+  std::vector<bool> uniform_;                 ///< per slot: a function of the control state
+  std::vector<std::uint32_t> uniform_ops_;    ///< tape indices over uniform operands only
+  std::vector<std::uint32_t> decision_slots_;  ///< uniform slots that steer the cone
+  std::vector<Word> sources_;                 ///< bitmap: inputs, constants, Qs
+
+  // Control-state cache: state -> decisions -> deduplicated sets.
+  std::map<std::vector<Word>, const Cone*> by_state_;
+  std::map<std::vector<Word>, Cone> by_decisions_;
+  std::map<std::vector<Word>, std::vector<Word>> op_sets_;  ///< live ops -> slots they write
+  std::set<std::vector<Word>> dff_sets_;
+  std::vector<Word> key_;  ///< current_cone() scratch
+
+  mutable const Cone* cone_ = nullptr;  ///< last sweep's cone; nullptr = full
+  mutable bool dirty_ = true;  ///< a mutator ran since the last sweep
+  mutable bool stale_ = false;  ///< the last sweep was cone_'s, not full
+  mutable std::uint64_t sweeps_ = 0;
+  mutable std::uint64_t ops_executed_ = 0;
+  std::uint64_t dffs_clocked_ = 0;
+  std::uint64_t lane_divergences_ = 0;
 };
 
 }  // namespace aesip::netlist

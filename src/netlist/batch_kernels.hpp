@@ -17,12 +17,16 @@ namespace aesip::netlist::batchdetail {
 
 struct Kernels {
   std::size_t stride;  ///< 64-bit words per net (lanes = 64 * stride)
-  /// Interpret the whole tape, ops [0, n), in order.
-  void (*settle)(const Op* ops, std::size_t n, Word* w, const RomSpec* roms);
-  /// Sample every enabled D (pre-edge, per-lane enable masking), then
-  /// publish Q — Evaluator::clock() semantics, lanes wide.  The caller
-  /// settles afterwards.
-  void (*clock_dffs)(const Dff* dffs, std::size_t n, Word* w, Word* state, Word* sample);
+  /// Interpret, in tape order, the ops of tape[0, n) whose bits are set
+  /// in `live` (one control state's pruned op set; for_each_index) — a
+  /// null `live` runs the whole tape.
+  void (*settle)(const Op* tape, const Word* live, std::size_t n, Word* w, const RomSpec* roms);
+  /// Sample the D of each flip-flop of dffs[0, n) selected by `live` (all
+  /// of them for a null mask) where its enable is set (pre-edge, per-lane
+  /// enable masking), then publish Q — Evaluator::clock() semantics, lanes
+  /// wide.  The caller settles afterwards.
+  void (*clock_dffs)(const Dff* dffs, const Word* live, std::size_t n, Word* w, Word* state,
+                     Word* sample);
 };
 
 const Kernels* kernels_u64();

@@ -9,6 +9,8 @@
 // vector instruction on the native backends.
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 
 namespace aesip::netlist::batchdetail {
@@ -44,5 +46,18 @@ struct RomSpec {
   std::uint32_t out[8];
   const std::uint8_t* table;
 };
+
+/// Call fn(i) for each i < n in increasing order: every i whose bit is set
+/// in `mask` (bit i % 64 of mask[i / 64]), or every i for a null mask.
+template <class Fn>
+inline void for_each_index(const Word* mask, std::size_t n, Fn&& fn) {
+  if (!mask) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  for (std::size_t k = 0; 64 * k < n; ++k)
+    for (Word bits = mask[k]; bits != 0; bits &= bits - 1)
+      fn(64 * k + static_cast<std::size_t>(std::countr_zero(bits)));
+}
 
 }  // namespace aesip::netlist::batchdetail

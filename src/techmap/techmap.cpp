@@ -45,102 +45,6 @@ struct ConeInfo {
 
 }  // namespace
 
-SweepResult sweep_unused(const Netlist& mapped) {
-  SweepResult result;
-  const auto& cells = mapped.cells();
-  const auto& roms = mapped.roms();
-  const auto& driver = mapped.driver();
-
-  // ROM index driving each net (driver() only covers cells).
-  std::vector<std::int32_t> rom_of(mapped.net_count(), -1);
-  for (std::size_t ri = 0; ri < roms.size(); ++ri)
-    for (const NetId o : roms[ri].out) rom_of[o] = static_cast<std::int32_t>(ri);
-
-  // Backward reachability over nets.
-  std::vector<std::uint8_t> live(mapped.net_count(), 0);
-  std::vector<NetId> work;
-  auto mark = [&](NetId n) {
-    if (n == kNoNet || live[n]) return;
-    live[n] = 1;
-    work.push_back(n);
-  };
-  for (const auto& po : mapped.outputs()) mark(po.net);
-  while (!work.empty()) {
-    const NetId n = work.back();
-    work.pop_back();
-    if (const std::int32_t d = driver[n]; d >= 0) {
-      const Cell& c = cells[static_cast<std::size_t>(d)];
-      for (int k = 0; k < c.fanin_count(); ++k) mark(c.in[static_cast<std::size_t>(k)]);
-    } else if (const std::int32_t ri = rom_of[n]; ri >= 0) {
-      for (const NetId a : roms[static_cast<std::size_t>(ri)].addr) mark(a);
-    }
-  }
-
-  // Rebuild, preserving order, skipping dead logic.
-  Netlist& out = result.swept;
-  std::vector<NetId> netmap(mapped.net_count(), kNoNet);
-  netmap[mapped.const0()] = out.const0();
-  netmap[mapped.const1()] = out.const1();
-  for (const auto& pi : mapped.inputs()) netmap[pi.net] = out.add_input(pi.name);
-  for (const Cell& c : cells)
-    if (c.kind == CellKind::kDff) {
-      if (live[c.out]) netmap[c.out] = out.new_net();
-      else ++result.stats.removed_dffs;
-    }
-
-  struct Item {
-    NetId order_net;
-    bool is_rom;
-    std::size_t index;
-  };
-  std::vector<Item> items;
-  for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-    const Cell& c = cells[ci];
-    if (c.kind == CellKind::kLut) items.push_back({c.out, false, ci});
-    else if (c.kind != CellKind::kDff && c.kind != CellKind::kConst0 &&
-             c.kind != CellKind::kConst1)
-      throw std::invalid_argument("sweep: netlist contains unmapped primitive gates");
-  }
-  for (std::size_t ri = 0; ri < roms.size(); ++ri)
-    items.push_back({roms[ri].out[0], true, ri});
-  std::sort(items.begin(), items.end(),
-            [](const Item& a, const Item& b) { return a.order_net < b.order_net; });
-
-  for (const Item& item : items) {
-    if (item.is_rom) {
-      const auto& rom = roms[item.index];
-      bool any_live = false;
-      for (const NetId o : rom.out) any_live = any_live || live[o];
-      if (!any_live) {
-        ++result.stats.removed_roms;
-        continue;
-      }
-      netlist::Bus addr;
-      for (const NetId a : rom.addr) addr.push_back(netmap[a]);
-      const netlist::Bus outs = out.add_rom(rom.table, addr, rom.name);
-      for (int i = 0; i < 8; ++i)
-        netmap[rom.out[static_cast<std::size_t>(i)]] = outs[static_cast<std::size_t>(i)];
-      continue;
-    }
-    const Cell& c = cells[item.index];
-    if (!live[c.out]) {
-      ++result.stats.removed_luts;
-      continue;
-    }
-    std::vector<NetId> ins;
-    for (int k = 0; k < c.lut_arity; ++k) ins.push_back(netmap[c.in[static_cast<std::size_t>(k)]]);
-    netmap[c.out] = out.add_lut(c.lut_mask, ins);
-  }
-
-  for (const Cell& c : cells) {
-    if (c.kind != CellKind::kDff || !live[c.out]) continue;
-    const NetId en = c.in[1] == kNoNet ? kNoNet : netmap[c.in[1]];
-    out.add_dff_with_out(netmap[c.out], netmap[c.in[0]], en);
-  }
-  for (const auto& po : mapped.outputs()) out.add_output(netmap[po.net], po.name);
-  return result;
-}
-
 std::uint16_t lut_restrict(std::uint16_t mask, int arity, int var, bool value) noexcept {
   std::uint16_t out = 0;
   const int out_bits = 1 << (arity - 1);

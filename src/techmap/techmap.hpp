@@ -47,28 +47,6 @@ MapResult map_to_luts(const netlist::Netlist& design);
 
 // --- LUT truth-table helpers (exposed for tests) ---------------------------
 
-// --- dead-logic sweep --------------------------------------------------------
-
-struct SweepStats {
-  std::size_t removed_luts = 0;
-  std::size_t removed_dffs = 0;
-  std::size_t removed_roms = 0;
-};
-
-struct SweepResult {
-  netlist::Netlist swept;
-  SweepStats stats;
-};
-
-/// Remove logic with no transitive path to any primary output: backward
-/// reachability from the outputs, through flip-flop D/enable pins, keeping
-/// a ROM alive if any of its outputs is.  An optional post-pass a real
-/// flow runs after mapping; note it may drop flip-flops, so run formal
-/// equivalence against the *swept* baseline, not across the sweep.
-SweepResult sweep_unused(const netlist::Netlist& mapped);
-
-// --- LUT truth-table helpers (exposed for tests) ---------------------------
-
 /// Restrict `mask` (over `arity` vars) by fixing variable `var` to `value`;
 /// the result is a mask over arity-1 variables (var removed, higher
 /// variables shifted down).

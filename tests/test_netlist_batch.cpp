@@ -393,12 +393,35 @@ TEST_F(NetlistBatch, EveryMutatorMarksTheNetworkForSettle) {
     ev.clock();
     ASSERT_EQ(all_words(nl, ev), settled_image(nl, ev));
   }
+
+  // Pruned edges of the IP: each edge sweeps only its control state's
+  // cone, so most nets are stale until a read needs them.  Reading every
+  // net must still see exactly the fully settled network.
+  const auto ip = core::synthesize_ip(core::IpMode::kBoth, /*sbox_as_rom=*/true);
+  core::GateIpBatchDriver drv(ip);
+  auto& pruned = drv.evaluator();
+  drv.reset();
+  drv.load_key(random_bytes(16, 5), /*needs_setup=*/true);
+  drv.set_din_lanes(random_bytes(16 * drv.lanes(), 6), drv.lanes());
+  drv.set_broadcast("wr_data", true);
+  for (int edge = 0; edge < 12; ++edge) {
+    SCOPED_TRACE("pruned edge " + std::to_string(edge));
+    const std::uint64_t ops = pruned.ops_executed();
+    const std::uint64_t sweeps = pruned.sweeps();
+    drv.clock();
+    ASSERT_LT(pruned.ops_executed() - ops, (pruned.sweeps() - sweeps) * pruned.tape_size())
+        << "vacuous: the edge swept the whole tape";
+    ASSERT_EQ(all_words(ip, pruned), settled_image(ip, pruned));
+    drv.set_broadcast("wr_data", false);
+  }
 }
 
 // The sweep counter: a fresh evaluator's first settle sweeps, a settle of
 // an unchanged network is free, clock() always sweeps once, and a full
 // AES-128 pass costs one sweep per clock edge plus one for each edge that
 // follows an input change (the load edge and the edge that drops wr_data).
+// Those sweeps run live cones, so the pass executes a fraction of the ops
+// and flip-flop samples full sweeps and clocks would.
 TEST_F(NetlistBatch, SettleSweepsOnlyAChangedNetwork) {
   Netlist probe;
   const Bus a = aesip::testing::build_settle_probe(probe);
@@ -423,15 +446,210 @@ TEST_F(NetlistBatch, SettleSweepsOnlyAChangedNetwork) {
   batch.load_key(key, /*needs_setup=*/true);
   const auto plain = random_bytes(16, 92);
   std::vector<std::uint8_t> got(16);
-  const std::uint64_t before = batch.evaluator().sweeps();
+  const auto& ev_ip = batch.evaluator();
+  const std::uint64_t before = ev_ip.sweeps();
+  const std::uint64_t ops = ev_ip.ops_executed();
+  const std::uint64_t dffs = ev_ip.dffs_clocked();
   const auto r = batch.process_batch(plain, got, 1, /*encrypt=*/true);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->cycles, 50);
-  EXPECT_EQ(batch.evaluator().sweeps() - before, 53u);
+  EXPECT_EQ(ev_ip.sweeps() - before, 53u);
+  // The live cones: at least 4x fewer ops than 53 full sweeps, and at
+  // least 4x fewer flip-flop samples than 51 full clocks.
+  EXPECT_LT(4 * (ev_ip.ops_executed() - ops), 53 * ev_ip.tape_size());
+  EXPECT_LT(4 * (ev_ip.dffs_clocked() - dffs), 51 * ev_ip.dff_count());
   std::array<std::uint8_t, 16> want{};
   aes::Aes128(std::span<const std::uint8_t, 16>(key.data(), 16))
       .encrypt_block(std::span<const std::uint8_t, 16>(plain.data(), 16), want);
   EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin()));
+}
+
+namespace {
+
+/// Copy `from`'s primary inputs and flip-flop state into `to`.
+void mirror(const Netlist& nl, const BatchEvaluator& from, BatchEvaluator& to) {
+  for (const auto& pin : nl.inputs())
+    for (std::size_t g = 0; g < from.stride(); ++g)
+      to.set_word(pin.net, from.word(pin.net, g), g);
+  std::size_t index = 0;
+  std::vector<std::uint64_t> mask(from.stride());
+  for (const auto& cell : nl.cells()) {
+    if (cell.kind != nlist::CellKind::kDff) continue;
+    for (std::size_t g = 0; g < mask.size(); ++g)
+      mask[g] = from.word(cell.out, g) ^ to.word(cell.out, g);
+    to.flip_dff_mask(index++, mask);
+  }
+}
+
+/// One clock edge through `drv`, checked against `twin`, an evaluator
+/// given the same inputs and state and read in full (so fully settled).
+/// Before the edge, the D and enable of every flip-flop enabled in some
+/// lane, and every output, must already be current — reading them may not
+/// cost a sweep; after it, every flip-flop holds what a full clock of
+/// every flip-flop would have latched.
+void checked_edge(const Netlist& nl, core::GateIpBatchDriver& drv, BatchEvaluator& twin) {
+  BatchEvaluator& ev = drv.evaluator();
+  const std::size_t S = ev.stride();
+  ev.settle();
+  mirror(nl, ev, twin);
+  twin.settle();
+  const std::uint64_t sweeps = ev.sweeps();
+  std::vector<std::uint64_t> next;
+  for (const auto& cell : nl.cells()) {
+    if (cell.kind != nlist::CellKind::kDff) continue;
+    bool enabled = false;
+    for (std::size_t g = 0; g < S; ++g) {
+      const std::uint64_t d = twin.word(cell.in[0], g);
+      const std::uint64_t en = cell.in[1] == nlist::kNoNet ? ~0ULL : twin.word(cell.in[1], g);
+      next.push_back((en & d) | (~en & ev.word(cell.out, g)));
+      enabled = enabled || en != 0;
+    }
+    if (!enabled) continue;  // off in every lane: the edge may skip it
+    for (std::size_t g = 0; g < S; ++g) {
+      ASSERT_EQ(ev.word(cell.in[0], g), twin.word(cell.in[0], g)) << "D of dff net " << cell.out;
+      if (cell.in[1] != nlist::kNoNet) {
+        ASSERT_EQ(ev.word(cell.in[1], g), twin.word(cell.in[1], g)) << "enable of " << cell.out;
+      }
+    }
+  }
+  for (const auto& po : nl.outputs())
+    for (std::size_t g = 0; g < S; ++g)
+      ASSERT_EQ(ev.word(po.net, g), twin.word(po.net, g)) << "output " << po.name;
+  ASSERT_EQ(ev.sweeps(), sweeps) << "a live net was stale before the edge";
+
+  drv.clock();
+  std::size_t k = 0;
+  for (const auto& cell : nl.cells()) {
+    if (cell.kind != nlist::CellKind::kDff) continue;
+    for (std::size_t g = 0; g < S; ++g)
+      ASSERT_EQ(ev.word(cell.out, g), next[k++]) << "dff net " << cell.out << " word " << g;
+  }
+}
+
+}  // namespace
+
+// Live-cone edges against full sweeps, edge by edge: the Table 1
+// protocol for every key size — reset, a per-lane random key install and
+// an encrypt and a decrypt pass of random blocks — with every edge checked
+// by checked_edge().  The bytes must also match the software reference
+// in every lane, and clean traffic never diverges.
+TEST_F(NetlistBatch, PrunedEdgeMatchesFullSweep) {
+  for (const int bits : {128, 192, 256}) {
+    SCOPED_TRACE("AES-" + std::to_string(bits));
+    const auto nl = aesip::engine::make_ip_netlist(core::IpMode::kBoth, bits);
+    core::GateIpBatchDriver drv(*nl);
+    BatchEvaluator twin(*nl);
+    const std::size_t L = drv.lanes();
+    const std::size_t kl = static_cast<std::size_t>(bits / 8);
+    const auto edge = [&] { checked_edge(*nl, drv, twin); };
+
+    drv.set_broadcast("setup", true);
+    ASSERT_NO_FATAL_FAILURE(edge());
+    drv.set_broadcast("setup", false);
+    ASSERT_NO_FATAL_FAILURE(edge());
+
+    const auto keys = random_bytes(kl * L, 700 + static_cast<std::uint32_t>(bits));
+    std::vector<std::uint8_t> beat(16 * L);
+    for (std::size_t off = 0; off < kl; off += 16) {
+      std::fill(beat.begin(), beat.end(), std::uint8_t{0});
+      for (std::size_t l = 0; l < L; ++l)
+        std::copy_n(keys.begin() + static_cast<std::ptrdiff_t>(kl * l + off),
+                    std::min<std::size_t>(16, kl - off),
+                    beat.begin() + static_cast<std::ptrdiff_t>(16 * l));
+      drv.set_din_lanes(beat, L);
+      drv.set_broadcast("wr_key", true);
+      ASSERT_NO_FATAL_FAILURE(edge());
+      drv.set_broadcast("wr_key", false);
+    }
+    for (int i = 0; i < 4 * (bits / 32 + 6); ++i) ASSERT_NO_FATAL_FAILURE(edge());
+
+    for (const bool enc : {true, false}) {
+      SCOPED_TRACE(enc ? "encrypt" : "decrypt");
+      const auto in = random_bytes(16 * L, 710 + static_cast<std::uint32_t>(bits) + enc);
+      drv.set_broadcast("encdec", enc);
+      drv.set_din_lanes(in, L);
+      drv.set_broadcast("wr_data", true);
+      ASSERT_NO_FATAL_FAILURE(edge());
+      drv.set_broadcast("wr_data", false);
+      int cycles = 0;
+      while (!drv.data_ok()) {
+        ASSERT_LT(++cycles, 200) << "data_ok never rose";
+        ASSERT_NO_FATAL_FAILURE(edge());
+      }
+      EXPECT_EQ(cycles, 5 * (bits / 32 + 6));
+      std::vector<std::uint8_t> out(16 * L);
+      drv.read_dout_lanes(out, L);
+      for (std::size_t l = 0; l < L; ++l) {
+        const auto ref = aes::Rijndael::for_key(
+            std::span<const std::uint8_t>(keys.data() + kl * l, kl));
+        const std::span<const std::uint8_t> block(in.data() + 16 * l, 16);
+        const auto want = enc ? aes::ecb_encrypt(ref, block) : aes::ecb_decrypt(ref, block);
+        ASSERT_TRUE(std::equal(want.begin(), want.end(),
+                               out.begin() + static_cast<std::ptrdiff_t>(16 * l)))
+            << "lane " << l;
+      }
+    }
+    EXPECT_EQ(drv.evaluator().lane_divergences(), 0u);
+  }
+}
+
+// A control flip-flop upset in one lane splits the lanes' control state:
+// the sweeps from then on run the whole tape and count a divergence, and
+// every other lane still computes exactly.  Clean traffic never counts one.
+TEST_F(NetlistBatch, ControlFlipInOneLaneFallsBack) {
+  const auto nl = core::synthesize_ip(core::IpMode::kBoth, /*sbox_as_rom=*/true);
+  core::GateIpBatchDriver drv(nl);
+  auto& ev = drv.evaluator();
+  const std::size_t L = drv.lanes();
+  const auto& control = ev.control_dffs();
+  ASSERT_FALSE(control.empty());
+  const std::array<nlist::NetId, 1> not_a_pin{nl.outputs().front().net};
+  EXPECT_THROW(BatchEvaluator(nl, {}, not_a_pin), std::invalid_argument)
+      << "only a primary input can be a broadcast pin";
+  const auto key = random_bytes(16, 81);
+  const aes::Aes128 ref(std::span<const std::uint8_t, 16>(key.data(), 16));
+  const auto in = random_bytes(16 * L, 82);
+  std::vector<std::uint8_t> want(16 * L);
+  for (std::size_t l = 0; l < L; ++l)
+    ref.encrypt_block(std::span<const std::uint8_t, 16>(in.data() + 16 * l, 16),
+                      std::span<std::uint8_t, 16>(want.data() + 16 * l, 16));
+  std::vector<std::uint8_t> out(16 * L);
+
+  drv.reset();
+  drv.load_key(key, /*needs_setup=*/true);
+  ASSERT_TRUE(drv.process_batch(in, out, L, /*encrypt=*/true).has_value());
+  ASSERT_EQ(out, want);
+  ASSERT_EQ(ev.lane_divergences(), 0u) << "clean traffic diverged";
+
+  for (const std::size_t site : {control.front(), control[control.size() / 2], control.back()}) {
+    SCOPED_TRACE("control dff " + std::to_string(site));
+    drv.reset();
+    drv.load_key(key, /*needs_setup=*/true);
+    const std::uint64_t before = ev.lane_divergences();
+    drv.set_broadcast("encdec", true);
+    drv.set_din_lanes(in, L);
+    drv.set_broadcast("wr_data", true);
+    drv.clock();
+    drv.set_broadcast("wr_data", false);
+    for (int i = 0; i < 7; ++i) drv.clock();  // into the second round
+    ev.flip_dff_lane(site, L - 1);
+    drv.clock();
+    EXPECT_GT(ev.lane_divergences(), before) << "the split edge did not fall back";
+    int cycles = 8;
+    while (!drv.data_ok() && cycles < 200) {
+      drv.clock();
+      ++cycles;
+    }
+    ASSERT_TRUE(drv.data_ok()) << "lane 0 hung";
+    EXPECT_EQ(cycles, 50);
+    std::fill(out.begin(), out.end(), std::uint8_t{0});
+    drv.read_dout_lanes(out, L);
+    for (std::size_t l = 0; l + 1 < L; ++l)
+      ASSERT_TRUE(std::equal(want.begin() + static_cast<std::ptrdiff_t>(16 * l),
+                             want.begin() + static_cast<std::ptrdiff_t>(16 * l + 16),
+                             out.begin() + static_cast<std::ptrdiff_t>(16 * l)))
+          << "lane " << l;
+  }
 }
 
 // An AESIP_BATCH_BACKEND value that names no backend must throw, like one

@@ -1,9 +1,8 @@
 // Structural hygiene: Netlist::validate() on every construction and
-// transformation path in the repository, and the dead-logic sweep pass.
+// transformation path in the repository.
 #include <gtest/gtest.h>
 
 #include "core/ip_synth.hpp"
-#include "netlist/eval.hpp"
 #include "netlist/netlist.hpp"
 #include "seu/tmr.hpp"
 #include "techmap/techmap.hpp"
@@ -12,7 +11,6 @@ namespace core = aesip::core;
 namespace nlist = aesip::netlist;
 namespace txm = aesip::techmap;
 using core::IpMode;
-using nlist::Bus;
 using nlist::Netlist;
 using nlist::NetId;
 
@@ -73,82 +71,7 @@ TEST(Validate, EveryFlowArtifactIsWellFormed) {
   }
 }
 
-TEST(Validate, TmrAndSweepArtifactsAreWellFormed) {
+TEST(Validate, TmrArtifactIsWellFormed) {
   const auto mapped = txm::map_to_luts(core::synthesize_ip(IpMode::kEncrypt, true));
   expect_valid(aesip::seu::harden_tmr(mapped.mapped).hardened, "TMR netlist");
-  expect_valid(txm::sweep_unused(mapped.mapped).swept, "swept netlist");
-}
-
-// --- sweep --------------------------------------------------------------------------
-
-TEST(Sweep, RemovesDanglingLogic) {
-  Netlist nl;
-  const Bus in = nl.add_input_bus("in", 4);
-  const std::array<NetId, 2> used{in[0], in[1]};
-  const NetId y = nl.add_lut(0x6, used);
-  nl.add_output(y, "y");
-  // Dead logic: a LUT and a register nobody reads.
-  const std::array<NetId, 2> dead_in{in[2], in[3]};
-  const NetId dead = nl.add_lut(0x8, dead_in);
-  (void)nl.add_dff(dead);
-  const auto r = txm::sweep_unused(nl);
-  EXPECT_EQ(r.stats.removed_luts, 1u);
-  EXPECT_EQ(r.stats.removed_dffs, 1u);
-  EXPECT_EQ(r.swept.stats().luts, 1u);
-  EXPECT_EQ(r.swept.stats().dffs, 0u);
-}
-
-TEST(Sweep, KeepsFeedbackState) {
-  // A counter's registers feed each other and the output: all live.
-  Netlist nl;
-  Bus q;
-  for (int i = 0; i < 3; ++i) q.push_back(nl.new_net());
-  const Bus d = nl.increment(q);
-  for (int i = 0; i < 3; ++i)
-    nl.add_dff_with_out(q[static_cast<std::size_t>(i)], d[static_cast<std::size_t>(i)]);
-  nl.add_output(q[2], "msb");  // only the MSB is observed
-  const auto mapped = txm::map_to_luts(nl);
-  const auto r = txm::sweep_unused(mapped.mapped);
-  EXPECT_EQ(r.stats.removed_dffs, 0u)
-      << "lower counter bits feed the MSB through the carry chain";
-  // Behaviour preserved.
-  nlist::Evaluator ev(r.swept);
-  ev.settle();
-  int msb_changes = 0;
-  bool prev = ev.get(r.swept.outputs()[0].net);
-  for (int c = 0; c < 16; ++c) {
-    ev.clock();
-    const bool cur = ev.get(r.swept.outputs()[0].net);
-    if (cur != prev) ++msb_changes;
-    prev = cur;
-  }
-  EXPECT_EQ(msb_changes, 4) << "3-bit counter MSB toggles every 4 cycles";
-}
-
-TEST(Sweep, DropsWholeDeadRom) {
-  Netlist nl;
-  const Bus addr = nl.add_input_bus("addr", 8);
-  std::array<std::uint8_t, 256> table{};
-  (void)nl.add_rom(table, addr, "dead");
-  nl.add_output(addr[0], "y");
-  const auto r = txm::sweep_unused(nl);
-  EXPECT_EQ(r.stats.removed_roms, 1u);
-  EXPECT_EQ(r.swept.stats().roms, 0u);
-}
-
-TEST(Sweep, MappedIpLosesOnlyTheDebugRegister) {
-  // The encrypt IP carries one unused decode register (first_round is only
-  // consumed by decrypt-capable variants); nothing else may be dead.
-  const auto mapped = txm::map_to_luts(core::synthesize_ip(IpMode::kEncrypt, true));
-  const auto r = txm::sweep_unused(mapped.mapped);
-  EXPECT_LE(r.stats.removed_dffs, 2u);
-  EXPECT_LE(r.stats.removed_luts, 4u);
-  EXPECT_EQ(r.stats.removed_roms, 0u);
-}
-
-TEST(Sweep, RejectsUnmappedGates) {
-  Netlist nl;
-  const NetId a = nl.add_input("a");
-  nl.add_output(nl.gate_not(a), "y");
-  EXPECT_THROW(txm::sweep_unused(nl), std::invalid_argument);
 }

@@ -723,6 +723,7 @@ int cmd_metrics(const Args& args) {
     j.key("engine").value(eng->name());
     j.key("batch_backend").value(batch_backend);
     j.key("batch_lanes").value(batch_lanes);
+    j.key("lane_divergences").value(eng->batch_stats().lane_divergences);
     j.key("blocks_per_direction").value(n_blocks);
     j.key("invariants_ok").value(ok);
 
@@ -795,6 +796,9 @@ int cmd_metrics(const Args& args) {
       j.end_array();
       j.key("passes").begin_array();
       for (const auto& w : fst->per_worker) j.value(w.passes);
+      j.end_array();
+      j.key("lane_divergences").begin_array();
+      for (const auto& w : fst->per_worker) j.value(w.lane_divergences);
       j.end_array();
       j.end_object();
     }

@@ -128,7 +128,7 @@ for f in "$repo"/BENCH_*.json; do
   fi
 
   if [ "$stem" = "simspeed" ]; then
-    # The batch-evaluation gates (docs/netlist.md), payload v5: the
+    # The batch-evaluation gates (docs/netlist.md), payload v6: the
     # netlist_batch section must name the resolved backend and lane width,
     # carry per-backend rows (skipped rows need a reason), pass the
     # historical >= 20x speedup over the scalar evaluator, and pass the

@@ -50,6 +50,7 @@ fi
 for needle in \
   '"fleet": {' \
   '"passes": [' \
+  '"lane_divergences": [' \
   '"batch_backend": "' \
   '"batch_lanes": ' \
   '"swaps": 0' \
@@ -72,7 +73,8 @@ fi
 
 # A netlist engine forced onto the portable backend must report exactly
 # that backend and its 64-lane geometry — the deterministic pin for the
-# batch_backend / batch_lanes keys (the unforced value is host-dependent).
+# batch_backend / batch_lanes keys (the unforced value is host-dependent) —
+# and clean traffic must never split its lanes' control state.
 uout=$(AESIP_BATCH_BACKEND=u64 "$aesip" metrics --blocks 4 --farm no --engine netlist --json - 2>&1)
 if [ $? -ne 0 ]; then
   echo "check_metrics: aesip metrics --engine netlist (u64 backend) failed" >&2
@@ -81,7 +83,8 @@ if [ $? -ne 0 ]; then
 fi
 for needle in \
   '"batch_backend": "u64"' \
-  '"batch_lanes": 64'
+  '"batch_lanes": 64' \
+  '"lane_divergences": 0'
 do
   if ! echo "$uout" | grep -qF "$needle"; then
     echo "check_metrics: missing $needle in the forced-u64 netlist run" >&2
@@ -123,5 +126,5 @@ if [ "$fail" -ne 0 ]; then
   echo "check_metrics: FAILED" >&2
   exit 1
 fi
-echo "check_metrics: OK (5 cycles/round, 50 cycles/block, 40-cycle key setup, batch backend keys, fleet + net counters)"
+echo "check_metrics: OK (5 cycles/round, 50 cycles/block, 40-cycle key setup, batch backend keys, fleet + net counters, lane divergences)"
 exit 0
