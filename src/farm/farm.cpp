@@ -9,7 +9,6 @@
 
 #include "aes/cipher.hpp"
 #include "aes/modes.hpp"
-#include "engine/batch_modes.hpp"
 #include "engine/engine.hpp"
 #include "report/json.hpp"
 
@@ -21,6 +20,14 @@ namespace {
 constexpr const char* kTraceNames[] = {"ecb", "cbc", "ctr"};
 
 std::size_t block_count(std::size_t bytes) { return (bytes + aes::kBlock - 1) / aes::kBlock; }
+
+/// Whole microseconds from `from` to `to`.
+std::uint64_t micros_since(std::chrono::steady_clock::time_point from,
+                           std::chrono::steady_clock::time_point to =
+                               std::chrono::steady_clock::now()) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(to - from).count());
+}
 
 /// Stats label for an engine kind running a variant: the bare kind name
 /// for the paper core (backward-compatible), "kind:variant" otherwise.
@@ -161,7 +168,6 @@ std::future<Result> Farm::submit(Request req) {
   job.key = req.key;
   job.iv = req.iv;
   job.payload = std::move(req.payload);
-  job.key_hot_predicted = route.key_hot;
   job.t_submit = std::chrono::steady_clock::now();
   auto future = job.promise.get_future();
   if (!queues_[static_cast<std::size_t>(route.worker)]->push(std::move(job)))
@@ -179,7 +185,6 @@ std::optional<std::future<Result>> Farm::try_submit(Request req) {
   job.key = req.key;
   job.iv = req.iv;
   job.payload = std::move(req.payload);
-  job.key_hot_predicted = route.key_hot;
   job.t_submit = std::chrono::steady_clock::now();
   auto future = job.promise.get_future();
   if (!queues_[static_cast<std::size_t>(route.worker)]->try_push(std::move(job))) {
@@ -255,14 +260,17 @@ struct Farm::Leg {
   std::size_t done = 0;    ///< of which a pass has run
   std::vector<std::uint8_t> out;  ///< engine output (CTR: keystream)
   std::uint64_t cycles = 0, setup = 0;
+  std::uint64_t trace_us = 0, trace_ns = 0;  ///< trace event: start, share of pass time
   bool tainted = false;  ///< shared a pass with a spot-check mismatch
   bool answered = false;  ///< with its result, or with the exception a pass threw
+  /// A CBC encryption: block i's input needs block i-1's output, so each
+  /// pass runs one block of it.
+  bool chain() const { return job->mode == Mode::kCbc && job->encrypt; }
 };
 
 struct Farm::Drain {
   std::vector<Job> jobs;
   std::vector<Leg> legs;
-  std::vector<Job*> chains;  ///< CBC encryptions: block chains, run whole
   std::vector<KeyBytes> keys;  ///< distinct keys of the drain, in first-use order
   std::vector<std::size_t> pass_legs;  ///< legs with blocks in the current pass
   std::vector<engine::CipherEngine::KeySpan> spans;  ///< and their blocks, one span each
@@ -296,47 +304,40 @@ void Farm::worker_main(int index) {
 
 void Farm::run_jobs(std::span<Job> jobs, Drain& d, WorkerContext& ctx, int index) {
   d.legs.clear();
-  d.chains.clear();
   d.keys.clear();
   for (auto& job : jobs) {
-    std::size_t lanes = 1;
-    try {
-      lanes = ctx.engine_for(job.key.bits()).batch_lanes();
-    } catch (...) {
-      fail(job);
+    if (job.payload.empty()) {  // nothing for an engine to do
+      queue_wait_us_hist_.record(micros_since(job.t_submit));
+      deliver(job, {}, 0, 0, false, index);
       continue;
     }
-    if (lanes <= 1 || job.payload.empty()) {
-      execute(job, ctx, index);
-    } else if (job.mode == Mode::kCbc && job.encrypt) {
-      d.chains.push_back(&job);
-    } else {
-      Leg leg;
-      leg.job = &job;
-      leg.encrypt = job.mode == Mode::kCtr || job.encrypt;
-      leg.rank = static_cast<std::size_t>(std::ranges::find(d.keys, job.key) - d.keys.begin());
-      if (leg.rank == d.keys.size()) d.keys.push_back(job.key);
-      leg.seq = d.legs.size();
-      leg.blocks = block_count(job.payload.size());
-      leg.out.resize(leg.blocks * aes::kBlock);
-      d.legs.push_back(std::move(leg));
-    }
+    Leg leg;
+    leg.job = &job;
+    leg.encrypt = job.mode == Mode::kCtr || job.encrypt;
+    leg.rank = static_cast<std::size_t>(std::ranges::find(d.keys, job.key) - d.keys.begin());
+    if (leg.rank == d.keys.size()) d.keys.push_back(job.key);
+    leg.seq = d.legs.size();
+    leg.blocks = block_count(job.payload.size());
+    leg.out.resize(leg.blocks * aes::kBlock);
+    d.legs.push_back(std::move(leg));
   }
-  // One pass serves one key size (one engine) and one direction; within
-  // that, legs group by key in first-use order (then queue order) so a
-  // same-key engine path (the CipherEngine::process_keyed default) rekeys
-  // once per key.
+  // One pass serves one key size (one engine) and one direction.  A
+  // lane-packed engine takes the drain in such groups, each by key in
+  // first-use order (then queue order), so a same-key engine path (the
+  // CipherEngine::process_keyed default) rekeys once per key.  A one-lane
+  // engine keeps queue order: sorting would reorder a client's
+  // closed-loop traffic across directions and key sizes for no packing.
   const auto group = [](const Leg& l) { return std::pair(l.job->key.bits(), l.encrypt); };
-  std::ranges::sort(d.legs, [&](const Leg& a, const Leg& b) {
-    return std::tuple(group(a), a.rank, a.seq) < std::tuple(group(b), b.rank, b.seq);
-  });
+  if (ctx.engine->batch_lanes() > 1)
+    std::ranges::sort(d.legs, [&](const Leg& a, const Leg& b) {
+      return std::tuple(group(a), a.rank, a.seq) < std::tuple(group(b), b.rank, b.seq);
+    });
   for (std::size_t first = 0; first < d.legs.size();) {
     std::size_t last = first + 1;
     while (last < d.legs.size() && group(d.legs[last]) == group(d.legs[first])) ++last;
     run_packed(d, first, last, ctx, index);
     first = last;
   }
-  for (Job* job : d.chains) execute(*job, ctx, index);
 }
 
 void Farm::run_packed(Drain& d, std::size_t first, std::size_t last, WorkerContext& ctx,
@@ -344,59 +345,66 @@ void Farm::run_packed(Drain& d, std::size_t first, std::size_t last, WorkerConte
   auto& ctr = counters_[static_cast<std::size_t>(index)];
   const bool encrypt = d.legs[first].encrypt;
   const int bits = d.legs[first].job->key.bits();
-  std::size_t cur = first, cur_done = 0;  // the next block to pack
-  while (cur < last) {
+  // Each pass starts when the one before it ended.
+  auto pass_start = std::chrono::steady_clock::now();
+  for (;;) {
+    while (first < last && d.legs[first].answered) ++first;
+    if (first == last) return;
     // Re-resolve per pass: a heal after a mismatch replaces the engine.
     engine::CipherEngine* engp = nullptr;
     try {
       engp = &ctx.engine_for(bits);
     } catch (...) {
-      for (; cur < last; ++cur)
-        if (!d.legs[cur].answered) fail(*d.legs[cur].job);
+      for (; first < last; ++first)
+        if (!d.legs[first].answered) fail(*d.legs[first].job);
       return;
     }
     engine::CipherEngine& eng = *engp;
+    // A lane-packed pass takes up to batch_lanes() blocks of any open
+    // legs; a one-lane engine's pass is one leg, whole, through its own
+    // batch path.  Either way a chain gives one block per pass.
     const std::size_t lanes = eng.batch_lanes();
-    const auto t_start = std::chrono::steady_clock::now();
     d.pass_legs.clear();
     d.spans.clear();
-    d.in.resize(lanes * aes::kBlock);
-    d.out.resize(lanes * aes::kBlock);
     std::size_t fill = 0;
-    for (; cur < last && fill < lanes; cur_done = 0, ++cur) {
-      Leg& leg = d.legs[cur];
+    for (std::size_t li = first; li < last; ++li) {
+      Leg& leg = d.legs[li];
       if (leg.answered) continue;
       Job& job = *leg.job;
-      if (cur_done == 0)
-        queue_wait_us_hist_.record(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(t_start - job.t_submit)
-                .count()));
-      const std::size_t take = std::min(lanes - fill, leg.blocks - cur_done);
+      if (leg.done == 0) queue_wait_us_hist_.record(micros_since(job.t_submit, pass_start));
+      std::size_t take = leg.chain() ? 1 : leg.blocks - leg.done;
+      if (lanes > 1) take = std::min(take, lanes - fill);
+      d.in.resize((fill + take) * aes::kBlock);
       std::uint8_t* dst = d.in.data() + fill * aes::kBlock;
+      const std::uint8_t* src = job.payload.data() + leg.done * aes::kBlock;
       if (job.mode == Mode::kCtr) {
         const std::span<const std::uint8_t, aes::kBlock> iv(job.iv.data(), aes::kBlock);
         for (std::size_t b = 0; b < take; ++b) {
-          const auto c = aes::ctr_counter_at(iv, static_cast<std::uint64_t>(cur_done + b));
+          const auto c = aes::ctr_counter_at(iv, static_cast<std::uint64_t>(leg.done + b));
           std::ranges::copy(c, dst + b * aes::kBlock);
         }
+      } else if (leg.chain()) {
+        // Plaintext XOR the previous ciphertext (the IV for block 0).
+        const std::uint8_t* prev =
+            leg.done == 0 ? job.iv.data() : leg.out.data() + (leg.done - 1) * aes::kBlock;
+        for (std::size_t k = 0; k < aes::kBlock; ++k) dst[k] = src[k] ^ prev[k];
       } else {
-        std::copy_n(job.payload.data() + cur_done * aes::kBlock, take * aes::kBlock, dst);
+        std::copy_n(src, take * aes::kBlock, dst);
       }
       d.spans.push_back({job.key.view(), take});
-      d.pass_legs.push_back(cur);
+      d.pass_legs.push_back(li);
       fill += take;
-      cur_done += take;
-      if (cur_done < leg.blocks) break;  // the pass is full mid-leg
+      if (lanes == 1 || fill == lanes) break;
     }
-    if (fill == 0) break;
+    d.in.resize(fill * aes::kBlock);
+    d.out.resize(fill * aes::kBlock);
 
     // Anything the pass throws (a gate-level hang, a failed heal) answers
     // its jobs that are still open with the exception.
     try {
       const std::uint64_t p0 = eng.batch_stats().passes;
       const std::uint64_t v0 = eng.batch_stats().lane_divergences;
-      eng.process_keyed(std::span(d.in).first(fill * aes::kBlock),
-                        std::span(d.out).first(fill * aes::kBlock), d.spans, encrypt);
+      eng.process_keyed(d.in, d.out, d.spans, encrypt);
       ctr.passes.fetch_add(eng.batch_stats().passes - p0, std::memory_order_relaxed);
       ctr.lane_divergences.fetch_add(eng.batch_stats().lane_divergences - v0,
                                      std::memory_order_relaxed);
@@ -407,30 +415,38 @@ void Farm::run_packed(Drain& d, std::size_t first, std::size_t last, WorkerConte
           d.legs[li].answered = true;
           fail(*d.legs[li].job);
         }
-      continue;
     }
-
-    // The pass's wall time counts once, split over its jobs by blocks.
-    const auto t_end = std::chrono::steady_clock::now();
-    const auto pass_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(t_end - t_start);
-    ctr.busy_ns.fetch_add(static_cast<std::uint64_t>(pass_ns.count()), std::memory_order_relaxed);
-    if (tracer_) {
-      const auto t0_us = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(t_start - start_).count());
-      const auto pass_us = static_cast<std::uint64_t>(pass_ns.count() / 1000);
-      std::uint64_t at = 0;
-      for (std::size_t i = 0; i < d.pass_legs.size(); ++i) {
-        obs::TraceEvent e;
-        e.ts_us = t0_us + pass_us * at / fill;
+    // The pass's wall time counts once, before its jobs are answered.  A
+    // job's one trace event starts at its place in its first pass and
+    // lasts its share, by blocks, of every pass it ran in.
+    const auto pass_end = std::chrono::steady_clock::now();
+    const auto pass_ns =
+        static_cast<std::uint64_t>(std::chrono::nanoseconds(pass_end - pass_start).count());
+    ctr.busy_ns.fetch_add(pass_ns, std::memory_order_relaxed);
+    for (std::size_t i = 0, at = 0; i < d.pass_legs.size(); ++i) {
+      Leg& leg = d.legs[d.pass_legs[i]];
+      if (tracer_) {
+        const std::uint64_t from = pass_ns * at / fill;
+        if (leg.done == d.spans[i].blocks)  // its first pass
+          leg.trace_us = micros_since(start_, pass_start) + from / 1000;
         at += d.spans[i].blocks;
-        e.dur_us = static_cast<std::uint32_t>(t0_us + pass_us * at / fill - e.ts_us);
-        e.name = static_cast<std::uint16_t>(d.legs[d.pass_legs[i]].job->mode);
+        leg.trace_ns += pass_ns * at / fill - from;
+      }
+      if (leg.answered || leg.done < leg.blocks) continue;
+      if (tracer_) {
+        obs::TraceEvent e;
+        e.ts_us = leg.trace_us;
+        e.dur_us = static_cast<std::uint32_t>(leg.trace_ns / 1000);
+        e.name = static_cast<std::uint16_t>(leg.job->mode);
         e.track = static_cast<std::uint16_t>(index);
-        e.arg = d.spans[i].blocks;
-        e.arg2 = d.spans[i].setup_cycles;
+        e.arg = leg.blocks;
+        e.arg2 = leg.setup;
         tracer_->record(static_cast<std::size_t>(index), e);
       }
+      leg.answered = true;
+      deliver(*leg.job, std::move(leg.out), leg.cycles, leg.setup, d.replayed[i] != 0, index);
     }
+    pass_start = pass_end;
   }
 }
 
@@ -447,9 +463,10 @@ void Farm::finish_pass(Drain& d, WorkerContext& ctx, int index) {
   ctx.last_key = d.legs[d.pass_legs.back()].job->key;  // swap_engine replays it
   ctx.has_key = true;
 
-  // Finish the legs whose last block ran in this pass: undo the mode,
-  // then spot-check.  One mismatch convicts the whole pass: every job
-  // in it is checked before it is answered, then the worker heals.
+  // Finish the legs whose last block ran in this pass: undo the mode
+  // (a chain's output is already its ciphertext), then spot-check.  One
+  // mismatch convicts the whole pass: every job in it is checked before
+  // it is answered, then the worker heals.
   d.checked.assign(d.pass_legs.size(), 0);
   d.replayed.assign(d.pass_legs.size(), 0);
   const double base_rate = cfg_.spot_check_fraction;
@@ -460,7 +477,7 @@ void Farm::finish_pass(Drain& d, WorkerContext& ctx, int index) {
     Leg& leg = d.legs[d.pass_legs[i]];
     if (leg.done < leg.blocks) continue;
     const Job& job = *leg.job;
-    if (job.mode == Mode::kCbc) {
+    if (job.mode == Mode::kCbc && !leg.chain()) {
       for (std::size_t k = 0; k < leg.out.size(); ++k)
         leg.out[k] ^= k < aes::kBlock ? job.iv[k] : job.payload[k - aes::kBlock];
     } else if (job.mode == Mode::kCtr) {
@@ -482,95 +499,8 @@ void Farm::finish_pass(Drain& d, WorkerContext& ctx, int index) {
   }
   for (std::size_t i = 0; i < d.pass_legs.size(); ++i) {
     Leg& leg = d.legs[d.pass_legs[i]];
-    if (leg.done < leg.blocks) continue;
-    if (leg.tainted && !d.checked[i]) d.replayed[i] = !spot_check(*leg.job, leg.out);
-    leg.answered = true;
-    deliver(*leg.job, std::move(leg.out), leg.cycles, leg.setup, d.replayed[i] != 0, index);
-  }
-}
-
-void Farm::execute(Job& job, WorkerContext& ctx, int index) {
-  auto& ctr = counters_[static_cast<std::size_t>(index)];
-  const auto t_start = std::chrono::steady_clock::now();
-  queue_wait_us_hist_.record(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(t_start - job.t_submit).count()));
-  try {
-    // The job's key length picks the engine: the worker's primary core
-    // when it matches, else a same-variant sibling geared for that size.
-    engine::CipherEngine& eng = ctx.engine_for(job.key.bits());
-    engine::EngineBlockCipher cipher(eng);
-    const std::uint64_t c0 = eng.cycles();
-    const std::uint64_t p0 = eng.batch_stats().passes;
-    const std::uint64_t v0 = eng.batch_stats().lane_divergences;
-    const std::uint64_t setup = eng.rekey(job.key.view());
-    ctx.last_key = job.key;  // swap_engine replays this onto the fresh engine
-    ctx.has_key = true;
-    const std::span<const std::uint8_t, aes::kBlock> iv(job.iv.data(), aes::kBlock);
-
-    // Block-parallel mode legs run through the engine's batch path; CBC
-    // encryption is a chain and stays on the scalar block-at-a-time
-    // cipher (one pass per block). Bit-identical either way.
-    std::vector<std::uint8_t> out;
-    std::uint64_t scalar_passes = 0;
-    switch (job.mode) {
-      case Mode::kEcb:
-        out = engine::ecb_crypt_batched(eng, job.payload, job.encrypt);
-        break;
-      case Mode::kCbc:
-        if (job.encrypt) {
-          out = aes::cbc_encrypt(cipher, iv, job.payload);
-          scalar_passes = block_count(job.payload.size());
-        } else {
-          out = engine::cbc_decrypt_batched(eng, iv, job.payload);
-        }
-        break;
-      case Mode::kCtr:
-        out = engine::ctr_crypt_batched(eng, iv, job.payload);
-        break;
-    }
-    // Capture the deltas now: a heal below replaces the engine (and its
-    // counters) before the accounting lines run.
-    const std::uint64_t cycles = eng.cycles() - c0;
-    ctr.passes.fetch_add(eng.batch_stats().passes - p0 + scalar_passes,
-                         std::memory_order_relaxed);
-    ctr.lane_divergences.fetch_add(eng.batch_stats().lane_divergences - v0,
-                                   std::memory_order_relaxed);
-
-    // Spot-check policy: re-run a sampled fraction of jobs through the
-    // software oracle. A mismatch means the *engine* is corrupted (SEU,
-    // chaos injection) — the client gets the oracle's bytes either way, so
-    // corruption is contained to this worker and never observable outside.
-    bool replayed = false;
-    const double base_rate = cfg_.spot_check_fraction;
-    const double rate =
-        ctx.boosted ? std::max(cfg_.spot_check_boost_fraction, base_rate) : base_rate;
-    if (rate > 0.0 && ctx.sample(rate)) {
-      if (ctx.boosted) spot_boost_checks_.fetch_add(1, std::memory_order_relaxed);
-      replayed = !spot_check(job, out);
-      note_check(!replayed, ctx);
-      if (replayed) heal_after_mismatch(ctx, index);
-    }
-
-    const auto t_end = std::chrono::steady_clock::now();
-    ctr.busy_ns.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t_end - t_start).count()),
-        std::memory_order_relaxed);
-    if (tracer_) {
-      obs::TraceEvent e;
-      e.ts_us = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(t_start - start_).count());
-      e.dur_us = static_cast<std::uint32_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(t_end - t_start).count());
-      e.name = static_cast<std::uint16_t>(job.mode);
-      e.track = static_cast<std::uint16_t>(index);
-      e.arg = block_count(job.payload.size());
-      e.arg2 = setup;
-      tracer_->record(static_cast<std::size_t>(index), e);
-    }
-    deliver(job, std::move(out), cycles, setup, replayed, index);
-  } catch (...) {
-    fail(job);
+    if (leg.done == leg.blocks && leg.tainted && !d.checked[i])
+      d.replayed[i] = !spot_check(*leg.job, leg.out);
   }
 }
 
@@ -735,9 +665,7 @@ std::uint64_t Farm::heal_worker(WorkerContext& ctx, int index) {
   // rebuilt lazily here when the last key was a different geometry).
   if (ctx.has_key) ctx.engine_for(ctx.last_key.bits()).load_key(ctx.last_key.view());
   worker_engine_[static_cast<std::size_t>(index)].store(ctx.label, std::memory_order_relaxed);
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                        std::chrono::steady_clock::now() - t0)
-                                        .count());
+  return micros_since(t0);
 }
 
 std::future<SwapReport> Farm::swap_engine(int worker, engine::EngineKind kind) {
@@ -765,10 +693,7 @@ std::future<SwapReport> Farm::swap_engine(int worker, engine::EngineKind kind,
         rep.setup_cycles = ctx.engine_for(ctx.last_key.bits()).load_key(ctx.last_key.view());
         rep.key_replayed = true;
       }
-      rep.pause_us = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() -
-                                                                t0)
-              .count());
+      rep.pause_us = micros_since(t0);
       swap_pause_us_hist_.record(rep.pause_us);
       swaps_.fetch_add(1, std::memory_order_relaxed);
       worker_engine_[static_cast<std::size_t>(index)].store(label, std::memory_order_relaxed);
@@ -807,10 +732,7 @@ std::shared_ptr<const netlist::Netlist> Farm::shared_netlist() const {
 }
 
 void Farm::record_latency(std::chrono::steady_clock::time_point t_submit) {
-  latency_us_hist_.record(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() -
-                                                            t_submit)
-          .count()));
+  latency_us_hist_.record(micros_since(t_submit));
 }
 
 FarmStats Farm::stats() const {

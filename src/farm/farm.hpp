@@ -11,17 +11,18 @@
 // holds its key, exploiting the on-the-fly key schedule: re-keying costs
 // bus cycles (+40 setup cycles for decrypt-capable devices), reuse is free.
 //
-// Workers drain everything queued per wake-up.  On a lane-packed engine
-// (batch_lanes() > 1: the netlist engine) the block-parallel legs of every
-// drained job — ECB, CBC decryption, CTR keystream — pack into shared
-// engine passes through CipherEngine::process_keyed, whatever their
-// sessions and keys, so a pass carries as many blocks as are queued (up
-// to the engine's lane count) instead of one job's.  Each job then
-// finishes on its own and is answered when the pass holding its last
-// block completes.  Engines with one lane run each job whole, in order.
+// Workers drain everything queued per wake-up, and every drained job runs
+// one way: as a leg of engine passes through CipherEngine::process_keyed.
+// On a lane-packed engine (batch_lanes() > 1: the netlist engine) a pass
+// carries the blocks of many legs, whatever their sessions and keys, up
+// to the engine's lane count; a CBC encryption is a chain and gives one
+// block per pass, so the chains of many sessions share passes.  On a
+// one-lane engine a pass is one leg (one block of a chain), in queue
+// order.  Each job finishes on its own and is answered when the pass
+// holding its last block completes; an empty payload is answered at once.
 //
 // Requests carry mode (ECB/CBC/CTR), direction, key, IV and payload.
-// ECB/CBC payloads run on one core (CBC is a chain — it cannot split).
+// ECB/CBC payloads run on one core.
 // Large CTR payloads fan out: the payload is cut into chunk_blocks-sized
 // pieces, each seeded with aes::ctr_counter_at(iv, first_block), scattered
 // round-robin over all workers, and spliced back together in order by the
@@ -229,7 +230,6 @@ class Farm {
     KeyBytes key{};
     Key128 iv{};  ///< IV, or this chunk's starting counter
     std::vector<std::uint8_t> payload;
-    bool key_hot_predicted = false;
     std::chrono::steady_clock::time_point t_submit;
     std::promise<Result> promise;        ///< whole-request jobs only
     std::shared_ptr<FanState> fan;       ///< chunk jobs only
@@ -258,15 +258,18 @@ class Farm {
   static void validate(const Request& req);
   std::future<Result> submit_fanout(Request req);
   void worker_main(int index);
-  /// Run the cipher jobs between two control jobs: packed on a
-  /// lane-packed engine, else one by one through execute().
+  /// Run the cipher jobs between two control jobs as legs of engine
+  /// passes: grouped by key size and direction (and sorted by key) on a
+  /// lane-packed engine, in queue order on a one-lane engine.
   void run_jobs(std::span<Job> jobs, Drain& d, WorkerContext& ctx, int index);
-  /// Pack legs [first, last) of one key size and direction into passes.
+  /// Run legs [first, last) of one key size and direction in passes: up to
+  /// batch_lanes() blocks of any legs, or one leg on a one-lane engine; a
+  /// chain gives one block per pass.
   void run_packed(Drain& d, std::size_t first, std::size_t last, WorkerContext& ctx, int index);
   /// After a pass: collect its output into the legs, then finish (undo the
-  /// mode, spot-check, answer) every job whose last block it ran.
+  /// mode, spot-check) every job whose last block it ran; run_packed
+  /// answers them once the pass is accounted.
   void finish_pass(Drain& d, WorkerContext& ctx, int index);
-  void execute(Job& job, WorkerContext& ctx, int index);
   /// Re-run `job` through the software oracle; on a mismatch, replace
   /// `out` with the oracle's bytes and return false.
   bool spot_check(const Job& job, std::vector<std::uint8_t>& out);

@@ -57,6 +57,13 @@ class EpollReadinessSet final : public ReadinessSet {
     watched_ = std::move(want);
   }
 
+  void forget(int fd) override {
+    const auto it = std::lower_bound(watched_.begin(), watched_.end(), fd);
+    if (it == watched_.end() || *it != fd) return;
+    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
+    watched_.erase(it);
+  }
+
   void wait(std::chrono::milliseconds timeout) override {
     if (epfd_ < 0 || watched_.empty()) {
       std::this_thread::sleep_for(timeout);
@@ -78,6 +85,7 @@ class EpollReadinessSet final : public ReadinessSet {
 class PollReadinessSet final : public ReadinessSet {
  public:
   void rebuild(const std::vector<int>& fds) override { watched_ = normalize(fds); }
+  void forget(int fd) override { std::erase(watched_, fd); }
 
   void wait(std::chrono::milliseconds timeout) override {
     if (watched_.empty()) {

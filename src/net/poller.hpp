@@ -9,6 +9,7 @@
 //
 //   set.rebuild(fds);   // only when the conn set changed (cheap to diff)
 //   set.wait(timeout);  // sleep until any fd is readable, or timeout
+//   set.forget(fd);     // before closing a watched fd
 //
 // Wakeups are advisory, exactly like Listener::wait — callers re-scan their
 // connections, they never trust the wakeup. Duplicate and negative handles
@@ -34,6 +35,13 @@ class ReadinessSet {
   /// Replace the watched set. Order is irrelevant; duplicates and -1 are
   /// tolerated and ignored.
   virtual void rebuild(const std::vector<int>& fds) = 0;
+
+  /// Stop watching `fd`; call it before closing a watched fd.  Once the
+  /// fd is closed its number may be reused at once by any thread (a
+  /// client socket, a connection another loop accepted), so a later
+  /// rebuild() must not touch the old entry, and must see a reused number
+  /// as new.
+  virtual void forget(int fd) = 0;
 
   /// Sleep until any watched fd is readable (or has an error/EOF pending)
   /// or `timeout` elapses. With an empty watch set this is a plain sleep.

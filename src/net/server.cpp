@@ -231,6 +231,7 @@ bool Server::close_finished(Loop& lp, bool draining) {
       if (c.got_hello) counters_.sessions_active.fetch_sub(1, std::memory_order_relaxed);
       counters_.connections_active.fetch_sub(1, std::memory_order_relaxed);
       counters_.connections_closed.fetch_add(1, std::memory_order_relaxed);
+      lp.readiness->forget(c.conn->native_handle());
       c.conn->close();
       it = lp.conns.erase(it);
       lp.live.fetch_sub(1, std::memory_order_acq_rel);

@@ -322,19 +322,37 @@ void BatchEvaluator::find_control(std::span<const NetId> broadcast_pins) {
     if (f.enable != kNoWord && uniform_[f.enable]) decides[f.enable] = 1;
   for (std::uint32_t s = 0; s < slots_; ++s)
     if (decides[s]) decision_slots_.push_back(s);
+  // What one new state can add to the cache at most: its key, and a
+  // decision set with new op, written-slot and flip-flop bitmaps.
+  max_state_bytes_ = (key_.size() + bitmap_words(decision_slots_.size()) +
+                      bitmap_words(tape_.size()) + bitmap_words(slots_) +
+                      bitmap_words(dffs_.size())) *
+                         sizeof(Word) +
+                     sizeof(const Cone*) + sizeof(Cone);
 }
 
 const BatchEvaluator::Cone* BatchEvaluator::current_cone() {
   std::fill(key_.begin(), key_.end(), Word{0});
   for (std::size_t i = 0; i < control_slots_.size(); ++i) {
     const Word* w = words_.data() + std::size_t{control_slots_[i]} * stride_;
-    if (w[0] != 0 && w[0] != ~Word{0}) return nullptr;
-    for (std::size_t g = 1; g < stride_; ++g)
-      if (w[g] != w[0]) return nullptr;
+    bool split = w[0] != 0 && w[0] != ~Word{0};
+    for (std::size_t g = 1; g < stride_; ++g) split |= w[g] != w[0];
+    if (split) {
+      ++lane_divergences_;
+      return nullptr;
+    }
     key_[i / kBaseLanes] |= (w[0] & 1U) << (i % kBaseLanes);
   }
   auto it = by_state_.find(key_);
-  if (it == by_state_.end()) it = by_state_.emplace(key_, build_cone()).first;
+  if (it == by_state_.end()) {
+    // A full cache takes no new state: it is swept whole, uncached.
+    if (cache_bytes_ + max_state_bytes_ > kMaxCacheBytes) {
+      ++uncached_sweeps_;
+      return nullptr;
+    }
+    it = by_state_.emplace(key_, build_cone()).first;
+    cache_bytes_ += key_.size() * sizeof(Word) + sizeof(const Cone*);
+  }
   return it->second;
 }
 
@@ -443,19 +461,13 @@ const BatchEvaluator::Cone* BatchEvaluator::build_cone() {
     }
   }
 
-  const auto os = op_sets_.emplace(std::move(ops), std::move(fresh)).first;
-  const auto ds = dff_sets_.insert(std::move(dffs)).first;
+  const auto [os, new_ops] = op_sets_.emplace(std::move(ops), std::move(fresh));
+  if (new_ops) cache_bytes_ += (os->first.size() + os->second.size()) * sizeof(Word);
+  const auto [ds, new_dffs] = dff_sets_.insert(std::move(dffs));
+  if (new_dffs) cache_bytes_ += ds->size() * sizeof(Word);
+  cache_bytes_ += decisions.size() * sizeof(Word) + sizeof(Cone);
   const Cone cone{&os->first, &os->second, &*ds, op_count, dff_count};
   return &by_decisions_.emplace(std::move(decisions), cone).first->second;
-}
-
-std::size_t BatchEvaluator::cache_bytes() const noexcept {
-  std::size_t n = 0;
-  for (const auto& [ops, fresh] : op_sets_) n += (ops.size() + fresh.size()) * sizeof(Word);
-  for (const auto& dffs : dff_sets_) n += dffs.size() * sizeof(Word);
-  for (const auto& [key, cone] : by_state_) n += key.size() * sizeof(Word) + sizeof(cone);
-  for (const auto& [key, cone] : by_decisions_) n += key.size() * sizeof(Word) + sizeof(cone);
-  return n;
 }
 
 void BatchEvaluator::set_bus(const Bus& b, std::size_t lane, std::uint64_t value) {
@@ -490,7 +502,6 @@ void BatchEvaluator::clock() {
 void BatchEvaluator::sweep() {
   cone_ = current_cone();
   if (!cone_) {
-    ++lane_divergences_;
     full_sweep();
     return;
   }

@@ -52,7 +52,9 @@
 // no lane-wide sweep) and deduplicated by content.  A sweep whose pins or control flip-flops
 // differ between lanes (a per-lane set() of a pin, flip_dff_lane() on a
 // control flip-flop) runs the whole tape instead and counts a
-// lane_divergences().
+// lane_divergences().  The cache holds at most kMaxCacheBytes; once full,
+// a state it does not hold is swept whole too, and counts an
+// uncached_sweeps().
 //
 // The network therefore holds *stale* nets outside the last cone.  Reads
 // hide them: word(), get() and get_bus() of a net that the last sweep did
@@ -89,6 +91,9 @@ class BatchEvaluator {
   using Word = std::uint64_t;
   /// Lanes per uint64 word; lanes() is a multiple of this.
   static constexpr std::size_t kBaseLanes = 64;
+  /// Bound on cache_bytes(): about 14x the largest cache the round-engine
+  /// family builds (295 KB, pipe10-xtime; docs/variants.md).
+  static constexpr std::size_t kMaxCacheBytes = std::size_t{4} << 20;
 
   /// Compile `nl` and resolve the backend (throws std::runtime_error if
   /// an explicitly requested backend is unknown or unsupported on this
@@ -190,9 +195,12 @@ class BatchEvaluator {
   /// Sweeps that found the control state differing between lanes and so
   /// ran the whole tape.
   std::uint64_t lane_divergences() const noexcept { return lane_divergences_; }
+  /// Sweeps of a control state the full cache could not take, run whole.
+  std::uint64_t uncached_sweeps() const noexcept { return uncached_sweeps_; }
   /// Bytes held by the control-state cache: the live op and flip-flop
-  /// bitmaps, the slots each op set writes, and the keys.
-  std::size_t cache_bytes() const noexcept;
+  /// bitmaps, the slots each op set writes, and the keys (at most
+  /// kMaxCacheBytes).
+  std::size_t cache_bytes() const noexcept { return cache_bytes_; }
 
  private:
   using Op = batchdetail::Op;
@@ -225,10 +233,11 @@ class BatchEvaluator {
   /// Find the control flip-flops and the decision slots (fixed point).
   void find_control(std::span<const NetId> broadcast_pins);
   /// The cone of the control state the network holds now, or nullptr when
-  /// its lanes disagree.
+  /// its lanes disagree or the full cache does not hold it.
   const Cone* current_cone();
   const Cone* build_cone();
-  /// Sweep the current control state's cone (the whole tape on divergence).
+  /// Sweep the current control state's cone (the whole tape on divergence
+  /// or for a state the full cache does not hold).
   void sweep();
   /// Sweep the whole tape.
   void full_sweep() const;
@@ -265,6 +274,8 @@ class BatchEvaluator {
   std::map<std::vector<Word>, std::vector<Word>> op_sets_;  ///< live ops -> slots they write
   std::set<std::vector<Word>> dff_sets_;
   std::vector<Word> key_;  ///< current_cone() scratch
+  std::size_t cache_bytes_ = 0;
+  std::size_t max_state_bytes_ = 0;  ///< the most one new state adds to the cache
 
   mutable const Cone* cone_ = nullptr;  ///< last sweep's cone; nullptr = full
   mutable bool dirty_ = true;  ///< a mutator ran since the last sweep
@@ -273,6 +284,7 @@ class BatchEvaluator {
   mutable std::uint64_t ops_executed_ = 0;
   std::uint64_t dffs_clocked_ = 0;
   std::uint64_t lane_divergences_ = 0;
+  std::uint64_t uncached_sweeps_ = 0;
 };
 
 }  // namespace aesip::netlist

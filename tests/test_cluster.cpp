@@ -30,6 +30,7 @@
 #include "cluster/ring.hpp"
 #include "net/client.hpp"
 #include "net/netchan.hpp"
+#include "net/poller.hpp"
 #include "net/server.hpp"
 #include "net/transport.hpp"
 
@@ -686,6 +687,37 @@ TEST(EpollServer, PerThreadFanInAccountsForEverything) {
     EXPECT_EQ(t.connections_adopted, 2u) << "loop " << t.thread;
   EXPECT_EQ(st.responses_sent, st.data_frames);
   EXPECT_EQ(st.protocol_errors, 0u);
+}
+
+// A loop forgets a connection's fd before it closes it.  Once closed, the
+// number is free for the next socket any thread opens, and epoll has
+// already dropped the closed file from its interest list, so a set that
+// still listed the old number would take the new file for the entry it
+// had and never watch it.  In the server that reuse raced a loop's
+// rebuild against a client thread's socket() (a TSan report in the test
+// above); here one thread reuses the number deterministically.
+TEST(EpollServer, ReadinessSetWatchesAReusedDescriptor) {
+  auto set = net::make_readiness_set();
+  int old_pipe[2], new_pipe[2];
+  ASSERT_EQ(::pipe(old_pipe), 0);
+  set->rebuild({old_pipe[0]});
+  set->forget(old_pipe[0]);
+  ::close(old_pipe[0]);
+  ASSERT_EQ(::pipe(new_pipe), 0);  // the lowest free numbers: old_pipe[0]'s first
+  ::close(old_pipe[1]);
+  if (new_pipe[0] != old_pipe[0]) {
+    ::close(new_pipe[0]);
+    ::close(new_pipe[1]);
+    GTEST_SKIP() << "the new pipe did not reuse the old descriptor number";
+  }
+  set->rebuild({new_pipe[0]});
+  ASSERT_EQ(::write(new_pipe[1], "x", 1), 1);
+  const auto t0 = std::chrono::steady_clock::now();
+  set->wait(std::chrono::seconds(5));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2))
+      << set->name() << " slept through a readable descriptor";
+  ::close(new_pipe[0]);
+  ::close(new_pipe[1]);
 }
 
 // ---------------------------------------------------------------------------

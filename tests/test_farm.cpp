@@ -440,6 +440,8 @@ TEST(Farm, EmptyPayloadCompletes) {
   req.mode = farm::Mode::kEcb;
   const auto res = f.process(req);
   EXPECT_TRUE(res.data.empty());
+  EXPECT_EQ(res.cycles, 0u);  // answered at once: no engine work
+  EXPECT_EQ(res.setup_cycles, 0u);
   EXPECT_EQ(f.stats().requests, 1u);
 }
 
@@ -496,8 +498,15 @@ std::vector<std::uint8_t> random_key_bytes(std::mt19937& rng, int bits) {
 /// Test control over GatedEngine: the first keyed pass of every engine
 /// waits until `open` is set, so everything submitted meanwhile lands in
 /// one drain; keyed call number `corrupt_call` (farm-wide, 0-based) gets
-/// one bit of every output block flipped.
+/// one bit of every output block flipped.  `one_lane` makes the engines
+/// report batch_lanes() == 1; every keyed call is logged.
 struct PassControl {
+  struct Call {
+    std::vector<std::uint8_t> key;
+    bool encrypt;
+    std::size_t blocks;
+    bool operator==(const Call&) const = default;
+  };
   PassControl() {
     for (const int bits : {128, 192, 256})
       netlists[bits] = engine::make_ip_netlist(aesip::core::IpMode::kBoth, bits);
@@ -507,7 +516,9 @@ struct PassControl {
   std::shared_future<void> opened = open.get_future().share();
   std::atomic<int> calls{0};
   int corrupt_call = -1;
+  bool one_lane = false;
   std::mutex mu;
+  std::vector<Call> log;
   /// Every engine built, with its cycles() when it was built.
   std::vector<std::pair<const engine::CipherEngine*, std::uint64_t>> engines;
 };
@@ -538,6 +549,11 @@ class GatedEngine final : public engine::CipherEngine {
   void process_keyed(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
                      std::span<KeySpan> spans, bool encrypt) override {
     const int call = pc_.calls++;
+    {
+      std::lock_guard lk(pc_.mu);
+      for (const auto& s : spans)
+        pc_.log.push_back({{s.key.begin(), s.key.end()}, encrypt, s.blocks});
+    }
     if (first_) pc_.opened.wait();
     first_ = false;
     cur_ = &inner(static_cast<int>(spans[0].key.size()) * 8);  // one size per call
@@ -547,11 +563,14 @@ class GatedEngine final : public engine::CipherEngine {
     if (call == pc_.corrupt_call)
       for (std::size_t b = 0; b < out.size(); b += 16) out[b] ^= 1;
   }
-  std::size_t batch_lanes() const noexcept override { return cur_->batch_lanes(); }
+  std::size_t batch_lanes() const noexcept override {
+    return pc_.one_lane ? 1 : cur_->batch_lanes();
+  }
+  /// The inner engines' cycles since each was built.
   std::uint64_t cycles() const noexcept override {
     std::uint64_t c = 0;
     for (const auto& [bits, e] : inner_) c += e->cycles();
-    return c;
+    return c - built_cycles_;
   }
   std::uint64_t last_latency() const noexcept override { return cur_->last_latency(); }
   aesip::core::IpCounters counters() const override {
@@ -574,6 +593,7 @@ class GatedEngine final : public engine::CipherEngine {
       spec.key_bits = bits;
       slot = std::make_unique<engine::NetlistEngine>(pc_.netlists.at(bits), spec,
                                                      aesip::core::IpMode::kBoth);
+      built_cycles_ += slot->cycles();
     }
     return *slot;
   }
@@ -581,6 +601,7 @@ class GatedEngine final : public engine::CipherEngine {
   PassControl& pc_;
   std::map<int, std::unique_ptr<engine::NetlistEngine>> inner_;
   engine::NetlistEngine* cur_;
+  std::uint64_t built_cycles_ = 0;
   bool first_ = true;
 };
 
@@ -779,6 +800,105 @@ TEST(Farm, SpotCheckConvictsTheWholePass) {
   EXPECT_EQ(st.replayed_jobs, reqs.size());
   EXPECT_EQ(st.spot_mismatches, reqs.size());
   EXPECT_EQ(st.heals, 1u);
+}
+
+// CBC encryption is a chain, but the chains of different sessions are
+// independent: on a lane-packed engine each pass runs the next block of
+// every open chain.  Eight 4-block chains in one drain take 4 passes, not
+// 32, and still match the oracle.
+TEST(Farm, CbcChainsOfManySessionsSharePasses) {
+  PassControl pc;
+  farm::Farm f(gated_config(pc, 1));
+  std::mt19937 rng(88);
+  farm::Request gate;
+  auto gate_future = hold_gate(f, pc, random_key128(rng), 100, 1, rng, gate);
+  ASSERT_GE(f.stats().batch_lanes, 8u);
+  std::vector<farm::Request> reqs;
+  std::vector<std::future<farm::Result>> futures;
+  for (int s = 0; s < 8; ++s) {
+    farm::Request req;
+    req.session_id = static_cast<std::uint64_t>(s);
+    req.key = random_key128(rng);
+    req.iv = random_key128(rng);
+    req.mode = farm::Mode::kCbc;
+    req.encrypt = true;
+    req.payload = random_payload(rng, 4 * 16);
+    futures.push_back(f.submit(req));
+    reqs.push_back(std::move(req));
+  }
+  pc.open.set_value();
+  EXPECT_EQ(gate_future.get().data, reference(gate));
+  for (std::size_t i = 0; i < futures.size(); ++i)
+    EXPECT_EQ(futures[i].get().data, reference(reqs[i])) << "session " << i;
+  EXPECT_EQ(pc.calls.load(), 1 + 4);  // the gate pass, then one pass per chain block
+  EXPECT_EQ(f.stats().per_worker[0].passes, 1u + 4u);
+}
+
+// On an engine with one lane a pass is one leg, and the legs of a drain
+// run in the order they were submitted, whatever their mode, direction
+// and key size: ECB, CBC decryption and CTR whole, a CBC encryption one
+// block per pass.  Results are bit-exact and the per-job cycles add up to
+// what the engines ran.
+TEST(Farm, OneLaneDrainRunsLegsInSubmissionOrder) {
+  PassControl pc;
+  pc.one_lane = true;
+  farm::Farm f(gated_config(pc, 1));
+  std::mt19937 rng(99);
+  std::vector<farm::Request> reqs(1);
+  std::vector<std::future<farm::Result>> futures;
+  futures.push_back(hold_gate(f, pc, random_key128(rng), 100, 1, rng, reqs[0]));
+  EXPECT_EQ(f.stats().batch_lanes, 1u);
+
+  std::vector<farm::KeyBytes> keys;
+  for (const int bits : {128, 192, 256, 256, 128, 192})
+    keys.push_back(*farm::KeyBytes::from(random_key_bytes(rng, bits)));
+  for (int i = 0; i < 24; ++i) {
+    farm::Request req;
+    req.session_id = static_cast<std::uint64_t>(i % 6);
+    req.key = keys[static_cast<std::size_t>(i % 6)];
+    req.iv = random_key128(rng);
+    req.mode = static_cast<farm::Mode>(i % 3);
+    req.encrypt = (i / 3) % 2 == 0;
+    std::size_t bytes = 16 * (1 + rng() % 4);
+    if (req.mode == farm::Mode::kCtr) bytes += 9;
+    req.payload = random_payload(rng, bytes);
+    futures.push_back(f.submit(req));
+    reqs.push_back(std::move(req));
+  }
+  pc.open.set_value();
+  std::uint64_t cycles = 0, setup = 0;
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const auto r = futures[i].get();
+    EXPECT_EQ(r.data, reference(reqs[i])) << "request " << i;
+    cycles += r.cycles;
+    setup += r.setup_cycles;
+  }
+
+  std::vector<PassControl::Call> want;
+  for (const auto& r : reqs) {
+    const std::vector<std::uint8_t> key(r.key.view().begin(), r.key.view().end());
+    const std::size_t blocks = (r.payload.size() + 15) / 16;
+    if (r.mode == farm::Mode::kCbc && r.encrypt) {
+      for (std::size_t b = 0; b < blocks; ++b) want.push_back({key, true, 1});
+    } else {
+      want.push_back({key, r.mode == farm::Mode::kCtr || r.encrypt, blocks});
+    }
+  }
+  std::uint64_t engine_cycles = 0, engine_setup = 0;
+  {
+    std::lock_guard lk(pc.mu);
+    EXPECT_EQ(pc.log, want);
+    for (const auto& [e, c0] : pc.engines) {
+      engine_cycles += e->cycles() - c0;
+      engine_setup += e->counters().key_setup_cycles;
+    }
+  }
+  const auto st = f.stats();
+  EXPECT_EQ(cycles, st.per_worker[0].cycles);
+  EXPECT_EQ(cycles, engine_cycles);
+  EXPECT_EQ(setup, st.per_worker[0].setup_cycles);
+  EXPECT_EQ(setup, engine_setup);
+  EXPECT_GT(setup, 0u);
 }
 
 // --- FarmStats::merge_from: the cluster roll-up --------------------------------

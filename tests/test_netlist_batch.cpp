@@ -652,6 +652,52 @@ TEST_F(NetlistBatch, ControlFlipInOneLaneFallsBack) {
   }
 }
 
+// The control-state cache is bounded.  Sixteen control flip-flops count
+// through all 65 536 states, and each state enables a different set of
+// data flip-flops, so an unbounded cache would take every state's own op
+// and flip-flop sets.  Past kMaxCacheBytes a new state sweeps the whole
+// tape uncached, and every lane stays exact against the scalar oracle.
+TEST(NetlistBatchCache, CounterStatesStayWithinTheCap) {
+  Netlist nl;
+  Bus count;
+  for (int i = 0; i < 16; ++i) count.push_back(nl.new_net());
+  const Bus next = nl.increment(count);
+  for (int i = 0; i < 16; ++i) nl.add_dff_with_out(count[i], next[i]);
+  const Bus din = nl.add_input_bus("din", 16);
+  Bus data;
+  for (int i = 0; i < 16; ++i) {
+    data.push_back(nl.new_net());
+    nl.add_dff_with_out(data[i], nl.gate_xor(din[i], data[i]), count[i]);
+  }
+  nl.add_output_bus(data, "data");
+
+  BatchEvaluator ev(nl);
+  ASSERT_EQ(ev.control_dffs().size(), 16u);
+  const std::size_t L = ev.lanes();
+  Evaluator first(nl), last(nl);  // lanes 0 and L - 1
+  ev.reset();
+  first.reset();
+  last.reset();
+  std::mt19937_64 rng(16);
+  for (int edge = 0; edge < 70000; ++edge) {
+    for (const nlist::NetId n : din)
+      for (std::size_t g = 0; g < ev.stride(); ++g) ev.set_word(n, rng(), g);
+    first.set_bus(din, ev.get_bus(din, 0));
+    last.set_bus(din, ev.get_bus(din, L - 1));
+    for (auto* e : {&first, &last}) {
+      e->settle();
+      e->clock();
+    }
+    ev.settle();
+    ev.clock();
+    ASSERT_EQ(ev.get_bus(data, 0), first.get_bus(data)) << "edge " << edge;
+    ASSERT_EQ(ev.get_bus(data, L - 1), last.get_bus(data)) << "edge " << edge;
+  }
+  EXPECT_GT(ev.uncached_sweeps(), 0u) << "the cache never filled";
+  EXPECT_LE(ev.cache_bytes(), BatchEvaluator::kMaxCacheBytes);
+  EXPECT_EQ(ev.lane_divergences(), 0u);
+}
+
 // An AESIP_BATCH_BACKEND value that names no backend must throw, like one
 // the host cannot run: a silent fallback to auto-detection would let a
 // misspelled batch_backend_* row test the widest backend under another
