@@ -35,8 +35,6 @@
 #include <utility>
 #include <vector>
 
-#include "aes/cipher.hpp"
-#include "aes/modes.hpp"
 #include "farm/farm.hpp"
 #include "fleet/fleet.hpp"
 #include "report/json.hpp"
@@ -63,22 +61,6 @@ farm::Request random_request(std::mt19937& rng, const std::vector<farm::Key128>&
   req.payload.resize((1 + rng() % 8) * 16);
   for (auto& b : req.payload) b = static_cast<std::uint8_t>(rng());
   return req;
-}
-
-std::vector<std::uint8_t> oracle(const farm::Request& req) {
-  const aesip::aes::Rijndael ref = aesip::aes::Rijndael::for_key(req.key.view());
-  const std::span<const std::uint8_t, 16> iv(req.iv.data(), 16);
-  switch (req.mode) {
-    case farm::Mode::kEcb:
-      return req.encrypt ? aesip::aes::ecb_encrypt(ref, req.payload)
-                         : aesip::aes::ecb_decrypt(ref, req.payload);
-    case farm::Mode::kCbc:
-      return req.encrypt ? aesip::aes::cbc_encrypt(ref, iv, req.payload)
-                         : aesip::aes::cbc_decrypt(ref, iv, req.payload);
-    case farm::Mode::kCtr:
-      return aesip::aes::ctr_crypt(ref, iv, req.payload);
-  }
-  return {};
 }
 
 /// Fixed seeded workload through a behavioral farm at the given spot-check
@@ -139,7 +121,7 @@ SwapResults run_swap_point() {
   for (int round = 0; round < 6; ++round) {
     for (int i = 0; i < 64; ++i) {
       auto req = random_request(rng, keys);
-      expect.push_back(oracle(req));
+      expect.push_back(farm::reference(req));
       pending.push_back(f.submit(std::move(req)));
     }
     const auto kind = (round & 1) ? aesip::engine::EngineKind::kBehavioral
@@ -193,7 +175,7 @@ ChaosResults run_chaos_point() {
   for (int i = 0; i < 96; ++i) {
     auto req = random_request(rng, keys);
     Pending p;
-    p.expect = oracle(req);
+    p.expect = farm::reference(req);
     p.future = f.submit(std::move(req));
     pending.push_back(std::move(p));
     if (i % 8 == 3) {

@@ -21,11 +21,8 @@
 #include <random>
 #include <vector>
 
-#include "aes/cipher.hpp"
-#include "aes/modes.hpp"
 #include "farm/farm.hpp"
 
-namespace aes = aesip::aes;
 namespace farm = aesip::farm;
 
 namespace {
@@ -34,22 +31,6 @@ struct User {
   farm::Key128 key{};
   std::uint64_t requests = 0;
 };
-
-std::vector<std::uint8_t> reference(const farm::Request& req) {
-  const aes::Rijndael cipher = aes::Rijndael::for_key(req.key.view());
-  const std::span<const std::uint8_t, 16> iv(req.iv.data(), 16);
-  switch (req.mode) {
-    case farm::Mode::kEcb:
-      return req.encrypt ? aes::ecb_encrypt(cipher, req.payload)
-                         : aes::ecb_decrypt(cipher, req.payload);
-    case farm::Mode::kCbc:
-      return req.encrypt ? aes::cbc_encrypt(cipher, iv, req.payload)
-                         : aes::cbc_decrypt(cipher, iv, req.payload);
-    case farm::Mode::kCtr:
-      return aes::ctr_crypt(cipher, iv, req.payload);
-  }
-  return {};
-}
 
 }  // namespace
 
@@ -120,7 +101,7 @@ int main(int argc, char** argv) {
     for (auto& fut : inflight) results.push_back(fut.get());
     for (std::size_t a = 0; a < audited.size(); ++a) {
       ++verified;
-      if (results[audited_idx[a]].data != reference(audited[a])) ++mismatches;
+      if (results[audited_idx[a]].data != farm::reference(audited[a])) ++mismatches;
     }
 
     const auto st = f.stats();

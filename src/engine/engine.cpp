@@ -215,6 +215,8 @@ std::uint64_t NetlistEngine::load_key(std::span<const std::uint8_t> key) {
   const std::uint64_t setup =
       static_cast<std::uint64_t>(spec_.key_setup_cycles(mode_));
   drv_.load_key(key, static_cast<int>(setup));
+  std::ranges::copy(key, key_.begin());
+  has_key_ = true;
   ++tick_;
   for (std::size_t l = 0; l < lane_used_.size(); ++l) {
     std::ranges::copy(key, lane_keys_.begin() + static_cast<std::ptrdiff_t>(key_len_ * l));
@@ -232,10 +234,16 @@ bool NetlistEngine::lane_holds(std::size_t lane, std::span<const std::uint8_t> k
 }
 
 bool NetlistEngine::key_resident(std::span<const std::uint8_t> key) const {
-  // The unkeyed paths run in any lane, so the key must be in all of them.
   for (std::size_t l = 0; l < lane_used_.size(); ++l)
-    if (!lane_holds(l, key)) return false;
-  return true;
+    if (lane_holds(l, key)) return true;
+  return false;
+}
+
+std::uint64_t NetlistEngine::rekey(std::span<const std::uint8_t> key) {
+  if (!key_resident(key)) return load_key(key);
+  std::ranges::copy(key, key_.begin());
+  has_key_ = true;
+  return 0;
 }
 
 std::uint64_t NetlistEngine::run_pass(std::span<const std::uint8_t> in,
@@ -284,22 +292,15 @@ bool NetlistEngine::inject_fault(std::size_t site) {
 std::array<std::uint8_t, 16> NetlistEngine::do_process(std::span<const std::uint8_t> block,
                                                        bool encrypt) {
   std::array<std::uint8_t, 16> out{};
-  run_pass(block, out, 1, 1, encrypt);  // a scalar block is a 1-lane batch
+  process_batch(block, out, encrypt);
   return out;
 }
 
 void NetlistEngine::process_batch(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
                                   bool encrypt) {
-  const std::size_t n = check_batch_spans(in, out);
-  const std::size_t lanes = batch_lanes();
-  for (std::size_t off = 0; off < n; off += lanes) {
-    const std::size_t take = std::min(lanes, n - off);
-    run_pass(in.subspan(16 * off, 16 * take), out.subspan(16 * off, 16 * take), take, take,
-             encrypt);
-    ++batch_stats_.passes;
-  }
-  ++batch_stats_.calls;
-  batch_stats_.blocks += n;
+  if (!has_key_) throw std::logic_error("NetlistEngine: no key loaded");
+  KeySpan span{std::span(key_).first(key_len_), in.size() / 16};
+  process_keyed(in, out, std::span(&span, 1), encrypt);
 }
 
 void NetlistEngine::process_keyed(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
@@ -359,30 +360,33 @@ void NetlistEngine::process_keyed(std::span<const std::uint8_t> in, std::span<st
     // Keys still short of lanes take the least recently used free lanes,
     // all written in one per-lane install.  A key no lane held is charged
     // one scalar key load, on the first span that needed it.
-    victims_.clear();
-    for (std::size_t l = 0; l < lanes; ++l)
-      if (!lane_taken_[l]) victims_.push_back(l);
-    std::ranges::sort(victims_, [&](std::size_t a, std::size_t b) {
-      return std::pair(lane_used_[a], a) < std::pair(lane_used_[b], b);
-    });
     std::uint64_t charged = 0;
-    std::size_t v = 0;
+    std::size_t short_of = 0;
     for (std::size_t w = 0; w < nw; ++w) {
-      auto& want = wants_[w];
-      if (want.lanes.empty()) {
+      if (wants_[w].lanes.empty()) {
         ++charged;
-        spans[want.span].setup_cycles += setup;
-        spans[want.span].cycles += beats + setup;
+        spans[wants_[w].span].setup_cycles += setup;
+        spans[wants_[w].span].cycles += beats + setup;
       }
-      while (want.lanes.size() < want.blocks) {
-        const std::size_t l = victims_[v++];
-        std::ranges::copy(want.key,
-                          lane_keys_.begin() + static_cast<std::ptrdiff_t>(key_len_ * l));
-        lane_used_[l] = tick_;
-        want.lanes.push_back(l);
-      }
+      short_of += wants_[w].blocks - wants_[w].lanes.size();
     }
-    if (v > 0) {
+    if (short_of > 0) {
+      victims_.clear();
+      for (std::size_t l = 0; l < lanes; ++l)
+        if (!lane_taken_[l]) victims_.push_back(l);
+      std::ranges::partial_sort(victims_, victims_.begin() + static_cast<std::ptrdiff_t>(short_of),
+                                [&](std::size_t a, std::size_t b) {
+                                  return std::pair(lane_used_[a], a) < std::pair(lane_used_[b], b);
+                                });
+      std::size_t v = 0;
+      for (std::size_t w = 0; w < nw; ++w)
+        while (wants_[w].lanes.size() < wants_[w].blocks) {
+          const std::size_t l = victims_[v++];
+          std::ranges::copy(wants_[w].key,
+                            lane_keys_.begin() + static_cast<std::ptrdiff_t>(key_len_ * l));
+          lane_used_[l] = tick_;
+          wants_[w].lanes.push_back(l);
+        }
       // Lanes that never held a key take the first one; then they do.
       for (std::size_t l = 0; l < lanes; ++l)
         if (lane_used_[l] == 0) {
@@ -419,6 +423,11 @@ void NetlistEngine::process_keyed(std::span<const std::uint8_t> in, std::span<st
   }
   ++batch_stats_.calls;
   batch_stats_.blocks += n;
+  // Span si holds the last block: its key is the engine key now.
+  if (n > 0 && spans[si].key.data() != key_.data()) {
+    std::ranges::copy(spans[si].key, key_.begin());
+    has_key_ = true;
+  }
 }
 
 // --- factory -----------------------------------------------------------------

@@ -17,11 +17,12 @@
 //                         Table 1 handshake is clocked, so counters() are
 //                         the IP's own FSM-phase totals and last_latency()
 //                         is the paper's 50 cycles.
-//   * NetlistEngine     — GateIpDriver over the ip_synth netlist through
-//                         netlist::Evaluator, same Table 1 protocol with the
+//   * NetlistEngine     — GateIpBatchDriver over the ip_synth netlist through
+//                         netlist::BatchEvaluator, same Table 1 protocol with the
 //                         same cycle counts; behavioral and netlist engines
-//                         agree on total cycles for any operation sequence
-//                         (the conformance suite asserts it).
+//                         agree on total cycles for any run of key loads,
+//                         rekeys and unkeyed calls (the conformance suite
+//                         asserts it).
 //
 // Engines are single-threaded objects: one engine per worker, never shared.
 // NetlistEngine construction is dominated by synthesis; farms amortize it
@@ -311,13 +312,15 @@ std::shared_ptr<const netlist::Netlist> make_variant_netlist(const arch::Variant
 
 /// The synthesized gate netlist behind the engine contract, driven through
 /// netlist::BatchEvaluator with the same Table 1 handshake the behavioral
-/// bus driver performs — cycle counts match BehavioralEngine exactly.  A
-/// scalar process_block is a 1-lane batch; process_batch packs up to
-/// batch_lanes() blocks per evaluator pass (the bit-parallel fast path,
-/// ~proportional speedup with occupancy; 64 lanes on the portable uint64
-/// backend, up to 512 on AVX-512 — runtime-dispatched, see
-/// netlist/batch_backend.hpp).  The scalar netlist::Evaluator remains the
-/// oracle for SEU/power campaigns — this engine never uses it.
+/// bus driver performs — cycle counts match BehavioralEngine exactly.
+/// Every call runs as process_keyed passes of up to batch_lanes() blocks
+/// (the bit-parallel fast path, ~proportional speedup with occupancy; 64
+/// lanes on the portable uint64 backend, up to 512 on AVX-512 —
+/// runtime-dispatched, see netlist/batch_backend.hpp).  process_batch and
+/// process_block are one key span under the engine key: the last key given
+/// to load_key() or rekey(), or the key of the last block of a keyed call.
+/// The scalar netlist::Evaluator remains the oracle for SEU/power
+/// campaigns — this engine never uses it.
 class NetlistEngine final : public CipherEngine {
  public:
   NetlistEngine(std::shared_ptr<const netlist::Netlist> nl, core::IpMode mode,
@@ -337,10 +340,14 @@ class NetlistEngine final : public CipherEngine {
   core::IpMode mode() const noexcept override { return mode_; }
   const arch::VariantSpec& variant() const noexcept { return spec_; }
 
+  /// Installs `key` in every lane and makes it the engine key.
   std::uint64_t load_key(std::span<const std::uint8_t> key) override;
+  /// True when any lane holds `key`: a pass under it charges no key load.
   bool key_resident(std::span<const std::uint8_t> key) const override;
+  /// Makes `key` the engine key; loads it only when no lane holds it.
+  std::uint64_t rekey(std::span<const std::uint8_t> key) override;
 
-  /// Lane-packed batch: up to batch_lanes() blocks per gate-level pass.
+  /// One key span under the engine key (throws before the first key).
   void process_batch(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
                      bool encrypt = true) override;
   /// Cross-key lane packing: up to batch_lanes() blocks of any keys per
@@ -384,6 +391,9 @@ class NetlistEngine final : public CipherEngine {
   core::GateIpBatchDriver drv_;
   std::uint64_t last_latency_ = 0;
   std::size_t key_len_;  ///< the geometry's key bytes
+  /// The engine key (key_len_ bytes), which unkeyed calls run under.
+  std::array<std::uint8_t, 32> key_{};
+  bool has_key_ = false;
   /// Per-lane resident keys, key_len_ bytes per lane; lane_used_[L] is the
   /// pass tick lane L last served (0 = never held a key).
   std::vector<std::uint8_t> lane_keys_;

@@ -155,20 +155,24 @@ void Farm::validate(const Request& req) {
                                 " payload must be a whole number of 16-byte blocks");
 }
 
+bool Farm::fans_out(const Request& req) const {
+  return req.mode == Mode::kCtr && cfg_.workers > 1 &&
+         block_count(req.payload.size()) >= cfg_.ctr_fanout_min_blocks;
+}
+
+Farm::Job Farm::make_job(Request req) {
+  Job job;
+  static_cast<Request&>(job) = std::move(req);
+  job.t_submit = std::chrono::steady_clock::now();
+  return job;
+}
+
 std::future<Result> Farm::submit(Request req) {
   validate(req);
-  const std::size_t blocks = block_count(req.payload.size());
-  if (req.mode == Mode::kCtr && cfg_.workers > 1 && blocks >= cfg_.ctr_fanout_min_blocks)
-    return submit_fanout(std::move(req));
+  if (fans_out(req)) return submit_fanout(std::move(req));
 
   const auto route = sessions_.route(req.session_id, req.key);
-  Job job;
-  job.mode = req.mode;
-  job.encrypt = req.encrypt;
-  job.key = req.key;
-  job.iv = req.iv;
-  job.payload = std::move(req.payload);
-  job.t_submit = std::chrono::steady_clock::now();
+  Job job = make_job(std::move(req));
   auto future = job.promise.get_future();
   if (!queues_[static_cast<std::size_t>(route.worker)]->push(std::move(job)))
     throw std::runtime_error("farm: submit after shutdown");
@@ -179,13 +183,7 @@ std::future<Result> Farm::submit(Request req) {
 std::optional<std::future<Result>> Farm::try_submit(Request req) {
   validate(req);
   const auto route = sessions_.route(req.session_id, req.key);
-  Job job;
-  job.mode = req.mode;
-  job.encrypt = req.encrypt;
-  job.key = req.key;
-  job.iv = req.iv;
-  job.payload = std::move(req.payload);
-  job.t_submit = std::chrono::steady_clock::now();
+  Job job = make_job(std::move(req));
   auto future = job.promise.get_future();
   if (!queues_[static_cast<std::size_t>(route.worker)]->try_push(std::move(job))) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -232,24 +230,20 @@ std::future<Result> Farm::submit_fanout(Request req) {
   return future;
 }
 
-namespace {
-/// The software oracle's answer to one job.
-std::vector<std::uint8_t> oracle_output(Mode mode, bool encrypt, const KeyBytes& key,
-                                        const Key128& iv_bytes,
-                                        std::span<const std::uint8_t> payload) {
-  const aes::Rijndael ref = aes::Rijndael::for_key(key.view());
-  const std::span<const std::uint8_t, aes::kBlock> iv(iv_bytes.data(), aes::kBlock);
-  switch (mode) {
+std::vector<std::uint8_t> reference(const Request& req) {
+  const aes::Rijndael ref = aes::Rijndael::for_key(req.key.view());
+  const std::span<const std::uint8_t, aes::kBlock> iv(req.iv.data(), aes::kBlock);
+  switch (req.mode) {
     case Mode::kEcb:
-      return encrypt ? aes::ecb_encrypt(ref, payload) : aes::ecb_decrypt(ref, payload);
+      return req.encrypt ? aes::ecb_encrypt(ref, req.payload) : aes::ecb_decrypt(ref, req.payload);
     case Mode::kCbc:
-      return encrypt ? aes::cbc_encrypt(ref, iv, payload) : aes::cbc_decrypt(ref, iv, payload);
+      return req.encrypt ? aes::cbc_encrypt(ref, iv, req.payload)
+                         : aes::cbc_decrypt(ref, iv, req.payload);
     case Mode::kCtr:
-      return aes::ctr_crypt(ref, iv, payload);
+      return aes::ctr_crypt(ref, iv, req.payload);
   }
   return {};
 }
-}  // namespace
 
 struct Farm::Leg {
   Job* job = nullptr;
@@ -506,7 +500,7 @@ void Farm::finish_pass(Drain& d, WorkerContext& ctx, int index) {
 
 bool Farm::spot_check(const Job& job, std::vector<std::uint8_t>& out) {
   spot_checks_.fetch_add(1, std::memory_order_relaxed);
-  auto expected = oracle_output(job.mode, job.encrypt, job.key, job.iv, job.payload);
+  auto expected = reference(job);
   if (expected == out) return true;
   spot_mismatches_.fetch_add(1, std::memory_order_relaxed);
   replayed_jobs_.fetch_add(1, std::memory_order_relaxed);

@@ -119,6 +119,11 @@ struct Request {
   std::vector<std::uint8_t> payload;  ///< whole blocks for ECB/CBC; any length for CTR
 };
 
+/// The software answer to `req`: aes::Rijndael under the request's key,
+/// mode, direction and IV.  The reference every farm answer is checked
+/// against (the spot check, and the callers that verify sampled traffic).
+std::vector<std::uint8_t> reference(const Request& req);
+
 struct Result {
   std::vector<std::uint8_t> data;
   int worker = -1;               ///< executing worker; -1 when fanned out
@@ -158,6 +163,10 @@ class Farm {
 
   /// submit() + get(): the synchronous client call.
   Result process(Request req) { return submit(std::move(req)).get(); }
+
+  /// Whether submit() splits `req` over the workers: a CTR payload of at
+  /// least ctr_fanout_min_blocks blocks on a farm of more than one worker.
+  bool fans_out(const Request& req) const;
 
   /// Forget a session binding (its key may stay resident in a slot).
   void end_session(std::uint64_t session_id) { sessions_.end_session(session_id); }
@@ -220,16 +229,12 @@ class Farm {
     std::chrono::steady_clock::time_point t_submit;
   };
 
-  /// One unit of worker work: a whole request, one CTR chunk, or a fleet
-  /// control action (engine swap / fault injection) that must run on the
-  /// worker's own thread — engines are strictly thread-private, so every
-  /// mutation travels through the queue to its owner.
-  struct Job {
-    Mode mode = Mode::kEcb;
-    bool encrypt = true;
-    KeyBytes key{};
-    Key128 iv{};  ///< IV, or this chunk's starting counter
-    std::vector<std::uint8_t> payload;
+  /// One unit of worker work: a whole request, one CTR chunk (its iv is
+  /// the chunk's starting counter), or a fleet control action (engine swap
+  /// / fault injection) that must run on the worker's own thread — engines
+  /// are strictly thread-private, so every mutation travels through the
+  /// queue to its owner.
+  struct Job : Request {
     std::chrono::steady_clock::time_point t_submit;
     std::promise<Result> promise;        ///< whole-request jobs only
     std::shared_ptr<FanState> fan;       ///< chunk jobs only
@@ -256,6 +261,8 @@ class Farm {
   struct Drain;
 
   static void validate(const Request& req);
+  /// A whole-request job for `req`, stamped with its submit time.
+  static Job make_job(Request req);
   std::future<Result> submit_fanout(Request req);
   void worker_main(int index);
   /// Run the cipher jobs between two control jobs as legs of engine

@@ -70,7 +70,6 @@ SessionTable::Route SessionTable::route(std::uint64_t session_id, const KeyBytes
     it->second.last_used = ++tick_;
   } else {
     // New session (or an existing one that changed its key: treat as new).
-    r.session_new = true;
     const int w = touch_slot_with_key_locked(key);
     r.worker = w >= 0 ? w : evict_lru_slot_locked(key);
     r.key_hot = w >= 0;

@@ -70,7 +70,6 @@ class SessionTable {
   struct Route {
     int worker = 0;        ///< which worker's queue to push to
     bool key_hot = false;  ///< slot already predicted to hold the key (no setup)
-    bool session_new = false;
   };
 
   struct Counters {

@@ -756,7 +756,7 @@ bool Server::submit_request(Connection& c, Frame& f) {
   // Fan-out-sized CTR streams go through the blocking submit so they keep
   // the farm's chunk-scatter path; the wait is bounded by the farm's own
   // queue capacity and workers never block on this thread, so it's short.
-  if (is_ctr && cfg_.farm.workers > 1 && blocks >= cfg_.farm.ctr_fanout_min_blocks) {
+  if (farm_.fans_out(req)) {
     inf.future = farm_.submit(std::move(req));
   } else {
     auto maybe = farm_.try_submit(std::move(req));

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <map>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -194,6 +195,48 @@ TEST(EngineConformance, BatchMatchesScalarBytesAndCycles) {
       EXPECT_EQ(stats.passes, 2 * blocks);  // loop engines: one block per pass
     }
   }
+}
+
+// After a keyed call, process_batch and process_block run under the
+// engine key: the key of the keyed call's last block, or the last key
+// given to load_key or rekey.  Every block must match the aes:: result
+// under it, and the netlist and behavioral engines must charge the same
+// cycles for those calls.
+TEST(EngineConformance, UnkeyedCallsRunUnderTheEngineKey) {
+  std::array<std::uint8_t, 16> k2 = kKey;
+  k2[0] ^= 0xff;
+  const aes::Aes128 ref1(kKey), ref2(k2);
+  const auto plain = pattern_bytes(16 * 4);
+  const std::span<const std::uint8_t> first3 = std::span(plain).first(16 * 3);
+  std::map<EngineKind, std::uint64_t> growth;
+  for (const auto kind :
+       {EngineKind::kSoftware, EngineKind::kBehavioral, EngineKind::kNetlist}) {
+    const auto e = engine::make_engine(kind);
+    e->load_key(kKey);
+    std::vector<std::uint8_t> keyed(first3.size());
+    engine::CipherEngine::KeySpan span{k2, 3};
+    e->process_keyed(first3, keyed, std::span(&span, 1), /*encrypt=*/true);
+    EXPECT_EQ(keyed, aes::ecb_encrypt(ref2, first3)) << e->name();
+    EXPECT_TRUE(e->key_resident(k2)) << e->name();
+
+    const std::uint64_t c0 = e->cycles();
+    std::vector<std::uint8_t> out(plain.size());
+    e->process_batch(plain, out, /*encrypt=*/true);
+    EXPECT_EQ(out, aes::ecb_encrypt(ref2, plain)) << e->name() << " batch after a keyed call";
+    const auto back = e->process_block(std::span(out).first(16), /*encrypt=*/false);
+    EXPECT_TRUE(std::equal(back.begin(), back.end(), plain.begin()))
+        << e->name() << " block after a keyed call";
+    growth[kind] = e->cycles() - c0;
+
+    // The rekey itself may differ: a netlist lane may still hold the key.
+    e->rekey(kKey);
+    const std::uint64_t c1 = e->cycles();
+    e->process_batch(plain, out, /*encrypt=*/true);
+    EXPECT_EQ(out, aes::ecb_encrypt(ref1, plain)) << e->name() << " batch after rekey";
+    growth[kind] += e->cycles() - c1;
+  }
+  EXPECT_GT(growth[EngineKind::kBehavioral], 0u);
+  EXPECT_EQ(growth[EngineKind::kNetlist], growth[EngineKind::kBehavioral]);
 }
 
 // Malformed batch spans are rejected up front on every engine.

@@ -41,7 +41,7 @@ std::vector<std::uint8_t> random_payload(std::mt19937& rng, std::size_t bytes) {
 }
 
 /// What the farm must produce, computed the boring way.
-std::vector<std::uint8_t> reference(const farm::Request& req) {
+std::vector<std::uint8_t> oracle(const farm::Request& req) {
   const aes::Rijndael cipher = aes::Rijndael::for_key(req.key.view());
   const std::span<const std::uint8_t, 16> iv(req.iv.data(), 16);
   switch (req.mode) {
@@ -200,7 +200,7 @@ TEST(Farm, MatchesReferenceAcrossModesDirectionsAndSessions) {
   for (int i = 0; i < 60; ++i) {
     const std::uint64_t session = rng() % kSessions;
     reqs.push_back(random_request(rng, session, keys[session]));
-    expect.push_back(reference(reqs.back()));
+    expect.push_back(oracle(reqs.back()));
   }
   std::vector<std::future<farm::Result>> futures;
   for (auto& r : reqs) futures.push_back(f.submit(r));
@@ -246,7 +246,7 @@ TEST(Farm, MixedKeySizesMatchPerGeometryOracle) {
       req.encrypt = (i % 2) == 0;
       req.payload.resize(req.mode == farm::Mode::kCtr ? 37 : 48);
       for (auto& b : req.payload) b = static_cast<std::uint8_t>(rng());
-      expect.push_back(reference(req));
+      expect.push_back(oracle(req));
       reqs.push_back(std::move(req));
     }
     std::vector<std::future<farm::Result>> futures;
@@ -293,7 +293,7 @@ TEST(Farm, CtrFanoutIsBitExactIncludingRaggedTail) {
   req.key = random_key128(rng);
   req.iv = random_key128(rng);
   req.payload = random_payload(rng, 40 * 16 + 11);  // 41 blocks, ragged tail
-  const auto expect = reference(req);
+  const auto expect = oracle(req);
 
   const auto res = f.process(req);
   EXPECT_EQ(res.data, expect);
@@ -320,7 +320,7 @@ TEST(Farm, CtrFanoutCrossesCounterCarryBoundary) {
   req.iv.fill(0xff);
   req.iv[15] = 0xfe;
   req.payload = random_payload(rng, 12 * 16);
-  EXPECT_EQ(f.process(req).data, reference(req));
+  EXPECT_EQ(f.process(req).data, oracle(req));
 }
 
 TEST(Farm, OutOfOrderCompletionStaysConsistent) {
@@ -337,7 +337,7 @@ TEST(Farm, OutOfOrderCompletionStaysConsistent) {
   big.key = random_key128(rng);
   big.iv = random_key128(rng);
   big.payload = random_payload(rng, 200 * 16);
-  const auto big_expect = reference(big);
+  const auto big_expect = oracle(big);
   auto big_future = f.submit(big);
 
   std::vector<farm::Request> small;
@@ -347,7 +347,7 @@ TEST(Farm, OutOfOrderCompletionStaysConsistent) {
     // Distinct keys force the scheduler to spread over both workers.
     const auto key = random_key128(rng);
     small.push_back(random_request(rng, 200 + static_cast<std::uint64_t>(i), key));
-    small_expect.push_back(reference(small.back()));
+    small_expect.push_back(oracle(small.back()));
     small_futures.push_back(f.submit(small.back()));
   }
   for (std::size_t i = 0; i < small_futures.size(); ++i)
@@ -373,7 +373,7 @@ TEST(Farm, BackpressureShedsAndAcceptedWorkCompletes) {
     req.key = key;
     req.iv = random_key128(rng);
     req.payload = random_payload(rng, 64 * 16);  // slow enough to outpace submission
-    auto exp = reference(req);
+    auto exp = oracle(req);
     if (auto fut = f.try_submit(std::move(req))) {
       accepted.push_back(std::move(*fut));
       expect.push_back(std::move(exp));
@@ -464,7 +464,7 @@ TEST(Farm, EngineKindsProduceIdenticalResults) {
     req.encrypt = (i & 1) != 0 || req.mode == farm::Mode::kCtr;
     req.payload = random_payload(rng, 16);
     reqs.push_back(req);
-    expect.push_back(reference(req));
+    expect.push_back(oracle(req));
   }
 
   for (const auto kind :
@@ -672,7 +672,7 @@ TEST(Farm, PackedDrainMixesKeysSizesModesAndASwap) {
   }
   ASSERT_GT(burst_blocks, 2 * lanes);  // more than a pass per worker
   std::vector<std::vector<std::uint8_t>> expect;
-  for (const auto& r : reqs) expect.push_back(reference(r));
+  for (const auto& r : reqs) expect.push_back(oracle(r));
 
   std::future<farm::SwapReport> swap;
   for (std::size_t i = 2; i < reqs.size(); ++i) {
@@ -729,7 +729,7 @@ TEST(Farm, PackedAccountingAddsUp) {
   std::uint64_t cycles = 0, setup = 0;
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const auto r = futures[i].get();
-    EXPECT_EQ(r.data, reference(reqs[i])) << "request " << i;
+    EXPECT_EQ(r.data, oracle(reqs[i])) << "request " << i;
     cycles += r.cycles;
     setup += r.setup_cycles;
   }
@@ -789,10 +789,10 @@ TEST(Farm, SpotCheckConvictsTheWholePass) {
   std::vector<std::future<farm::Result>> futures;
   for (auto& r : reqs) futures.push_back(f.submit(r));
   pc.open.set_value();
-  EXPECT_EQ(gate_future.get().data, reference(gate));
+  EXPECT_EQ(gate_future.get().data, oracle(gate));
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const auto r = futures[i].get();
-    EXPECT_EQ(r.data, reference(reqs[i])) << "corrupted bytes reached the client, request " << i;
+    EXPECT_EQ(r.data, oracle(reqs[i])) << "corrupted bytes reached the client, request " << i;
     EXPECT_TRUE(r.replayed) << "request " << i;
   }
   const auto st = f.stats();
@@ -827,9 +827,9 @@ TEST(Farm, CbcChainsOfManySessionsSharePasses) {
     reqs.push_back(std::move(req));
   }
   pc.open.set_value();
-  EXPECT_EQ(gate_future.get().data, reference(gate));
+  EXPECT_EQ(gate_future.get().data, oracle(gate));
   for (std::size_t i = 0; i < futures.size(); ++i)
-    EXPECT_EQ(futures[i].get().data, reference(reqs[i])) << "session " << i;
+    EXPECT_EQ(futures[i].get().data, oracle(reqs[i])) << "session " << i;
   EXPECT_EQ(pc.calls.load(), 1 + 4);  // the gate pass, then one pass per chain block
   EXPECT_EQ(f.stats().per_worker[0].passes, 1u + 4u);
 }
@@ -869,7 +869,7 @@ TEST(Farm, OneLaneDrainRunsLegsInSubmissionOrder) {
   std::uint64_t cycles = 0, setup = 0;
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const auto r = futures[i].get();
-    EXPECT_EQ(r.data, reference(reqs[i])) << "request " << i;
+    EXPECT_EQ(r.data, oracle(reqs[i])) << "request " << i;
     cycles += r.cycles;
     setup += r.setup_cycles;
   }
@@ -941,7 +941,7 @@ TEST(FarmStats, MergeFromSumsCountersAndMergesHistogramsExactly) {
   for (int i = 0; i < 12; ++i) {
     const auto key = random_key128(rng);
     const auto req = random_request(rng, static_cast<std::uint64_t>(i % 3), key);
-    EXPECT_EQ(fa.process(req).data, reference(req));
+    EXPECT_EQ(fa.process(req).data, oracle(req));
     if (i % 3 == 0) fb.process(random_request(rng, 9, key));
   }
   fb.swap_engine(0, engine::EngineKind::kSoftware).get();

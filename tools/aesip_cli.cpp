@@ -1,12 +1,12 @@
 // aesip — command-line front end for the library.
 //
 // Subcommands:
-//   encrypt / decrypt   AES-128 file encryption (ECB/CBC/CTR + PKCS#7),
-//                       with a choice of engine: the T-table engine, or
-//                       any engine::CipherEngine kind — the software
-//                       reference (sw), the cycle-accurate behavioral IP
-//                       over its bus protocol, or the synthesized gate
-//                       netlist.
+//   encrypt / decrypt   AES-128/192/256 file encryption (ECB/CBC/CTR +
+//                       PKCS#7): the file is one farm::Request to a
+//                       one-worker farm of the chosen engine kind — the
+//                       software engine (sw, alias ttable), the
+//                       cycle-accurate behavioral IP over its bus
+//                       protocol, or the synthesized gate netlist.
 //   flow                run synthesize -> map -> fit -> timing for a
 //                       variant/device and print the implementation report.
 //   export              write the synthesized IP as structural Verilog or
@@ -65,9 +65,7 @@
 
 #include "aes/cipher.hpp"
 #include "aes/modes.hpp"
-#include "aes/ttable.hpp"
 #include "core/bfm.hpp"
-#include "engine/batch_modes.hpp"
 #include "engine/conformance.hpp"
 #include "engine/engine.hpp"
 #include "farm/farm.hpp"
@@ -206,11 +204,11 @@ farm::KeyBytes random_keybytes(std::mt19937& rng, int bits) {
 
 int cmd_crypt(bool encrypting, const Args& args) {
   const auto key = from_hex(arg_or(args, "key", ""));
-  if (key.size() != 16 && key.size() != 24 && key.size() != 32)
-    die("--key must be 32, 48 or 64 hex digits (AES-128/192/256)");
+  const auto key_bytes = farm::KeyBytes::from(key);
+  if (!key_bytes) die("--key must be 32, 48 or 64 hex digits (AES-128/192/256)");
   // --keybits is redundant with the key length but catches pasted-key bugs.
   if (args.count("keybits") &&
-      keybits_of(args, "") != static_cast<int>(key.size()) * 8)
+      keybits_of(args, "") != key_bytes->bits())
     die("--keybits disagrees with the --key length");
   const std::string mode = arg_or(args, "mode", "cbc");
   const std::string engine = arg_or(args, "engine", "ttable");
@@ -219,70 +217,46 @@ int cmd_crypt(bool encrypting, const Args& args) {
   if (in_path.empty() || out_path.empty()) die("--in and --out are required");
   std::vector<std::uint8_t> iv_vec = from_hex(arg_or(args, "iv", std::string(32, '0')));
   if (iv_vec.size() != 16) die("--iv must be 32 hex digits");
-  const std::span<const std::uint8_t, 16> iv(iv_vec.data(), 16);
-  // 0 = the engine's own lane width (64 on the portable netlist backend,
-  // up to 512 on AVX-512 — whatever the runtime dispatch resolved).
-  const unsigned long batch = std::stoul(arg_or(args, "batch", "0"));
+  // "ttable" names the software engine, whose batch path is the T-table AES.
+  const auto kind =
+      engine == "ttable" ? engine::EngineKind::kSoftware : engine::kind_from_name(engine);
+  if (!kind) die("unknown engine '" + engine + "' (ttable|sw|behavioral|netlist)");
 
   const auto input = read_file(in_path);
+  farm::Request req;
+  req.key = *key_bytes;
+  req.encrypt = encrypting;
+  std::copy(iv_vec.begin(), iv_vec.end(), req.iv.begin());
+  if (mode == "ecb") req.mode = farm::Mode::kEcb;
+  else if (mode == "cbc") req.mode = farm::Mode::kCbc;
+  else if (mode == "ctr") req.mode = farm::Mode::kCtr;
+  else die("unknown mode '" + mode + "' (ecb|cbc|ctr)");
+  const bool padded = req.mode != farm::Mode::kCtr;
+  req.payload = padded && encrypting ? aes::pkcs7_pad(input) : input;
 
-  auto run = [&](auto&& cipher) -> std::vector<std::uint8_t> {
-    if (mode == "ecb") {
-      return encrypting ? aes::ecb_encrypt(cipher, aes::pkcs7_pad(input))
-                        : aes::pkcs7_unpad(aes::ecb_decrypt(cipher, input));
-    }
-    if (mode == "cbc") {
-      return encrypting ? aes::cbc_encrypt(cipher, iv, aes::pkcs7_pad(input))
-                        : aes::pkcs7_unpad(aes::cbc_decrypt(cipher, iv, input));
-    }
-    if (mode == "ctr") return aes::ctr_crypt(cipher, iv, input);
-    die("unknown mode '" + mode + "' (ecb|cbc|ctr)");
-  };
+  // The file is one request to a one-worker farm running the engine kind
+  // at the key's size: the modes run as the farm's legs, so the block-
+  // parallel ones fill the netlist engine's lanes.
+  farm::FarmConfig cfg;
+  cfg.workers = 1;
+  cfg.engine = *kind;
+  arch::VariantSpec spec;  // the paper's iterative core
+  spec.key_bits = key_bytes->bits();
+  cfg.worker_variants = {spec};
+  farm::Farm f(cfg);
+  const farm::Result res = f.process(std::move(req));
+  const auto output = padded && !encrypting ? aes::pkcs7_unpad(res.data) : res.data;
 
-  // The block-parallel legs of each mode route through the engine's batch
-  // path in --batch-capped passes (full gate-level lane width on the
-  // netlist engine by default); CBC encryption is a chain and stays
-  // block-at-a-time.
-  auto run_batched = [&](engine::CipherEngine& e) -> std::vector<std::uint8_t> {
-    if (mode == "ecb") {
-      return encrypting
-                 ? engine::ecb_crypt_batched(e, aes::pkcs7_pad(input), true, batch)
-                 : aes::pkcs7_unpad(engine::ecb_crypt_batched(e, input, false, batch));
-    }
-    if (mode == "cbc") {
-      return encrypting
-                 ? aes::cbc_encrypt(engine::EngineBlockCipher(e), iv, aes::pkcs7_pad(input))
-                 : aes::pkcs7_unpad(engine::cbc_decrypt_batched(e, iv, input, batch));
-    }
-    if (mode == "ctr") return engine::ctr_crypt_batched(e, iv, input, batch);
-    die("unknown mode '" + mode + "' (ecb|cbc|ctr)");
-  };
-
-  // Engine setup: "ttable" is the optimized software special case; every
-  // other spelling resolves to an engine::CipherEngine kind.
-  std::vector<std::uint8_t> output;
   std::string detail;
-  if (engine == "ttable") {
-    aes::TTableAes128 fast(key);
-    output = run(fast);
-  } else if (const auto kind = engine::kind_from_name(engine)) {
-    arch::VariantSpec spec;  // the paper's iterative core at this key size
-    spec.key_bits = static_cast<int>(key.size()) * 8;
-    const auto e = engine::make_engine(*kind, spec);
-    e->load_key(key);
-    output = run_batched(*e);
-    if (e->cycles()) detail += ", " + std::to_string(e->cycles()) + " simulated cycles";
-    const auto& bs = e->batch_stats();
-    if (bs.passes) {
-      char occ[64];
-      std::snprintf(occ, sizeof occ, ", lane occupancy %.1f/%zu (%s backend)",
-                    bs.mean_lanes(), e->batch_lanes(), e->batch_backend());
-      detail += occ;
-    }
-  } else {
-    die("unknown engine '" + engine + "' (ttable|sw|behavioral|netlist)");
+  if (res.cycles) detail += ", " + std::to_string(res.cycles) + " simulated cycles";
+  const farm::FarmStats st = f.stats();
+  if (const auto& w = st.per_worker.front(); w.passes) {
+    char occ[64];
+    std::snprintf(occ, sizeof occ, ", lane occupancy %.1f/%zu (%s backend)",
+                  static_cast<double>(w.blocks) / static_cast<double>(w.passes), st.batch_lanes,
+                  st.batch_backend.c_str());
+    detail += occ;
   }
-
   write_file(out_path, output);
   std::printf("%s %zu bytes -> %zu bytes (%s, %s engine%s)\n",
               encrypting ? "encrypted" : "decrypted", input.size(), output.size(),
@@ -458,23 +432,7 @@ int cmd_farm(const Args& args) {
     for (auto& b : req.payload) b = static_cast<std::uint8_t>(rng());
 
     Pending p;
-    if (requests % 64 == 0) {  // sample for bit-exact verification
-      const aes::Rijndael ref = aes::Rijndael::for_key(req.key.view());
-      const std::span<const std::uint8_t, 16> iv(req.iv.data(), 16);
-      switch (req.mode) {
-        case farm::Mode::kEcb:
-          p.expect = req.encrypt ? aes::ecb_encrypt(ref, req.payload)
-                                 : aes::ecb_decrypt(ref, req.payload);
-          break;
-        case farm::Mode::kCbc:
-          p.expect = req.encrypt ? aes::cbc_encrypt(ref, iv, req.payload)
-                                 : aes::cbc_decrypt(ref, iv, req.payload);
-          break;
-        case farm::Mode::kCtr:
-          p.expect = aes::ctr_crypt(ref, iv, req.payload);
-          break;
-      }
-    }
+    if (requests % 64 == 0) p.expect = farm::reference(req);  // sampled: checked bit-exactly
     submitted_blocks += (bytes + 15) / 16;
     ++requests;
     p.future = f.submit(std::move(req));
@@ -1392,9 +1350,9 @@ void usage() {
       "usage: aesip <command> [options]\n"
       "  encrypt|decrypt --key HEX (32/48/64 digits) [--keybits 128|192|256]\n"
       "                  [--mode ecb|cbc|ctr] [--iv HEX32]\n"
-      "                  [--engine ttable|sw|behavioral|netlist] [--batch N]\n"
-      "                  --in FILE --out FILE   (batch: blocks per engine pass,\n"
-      "                  default 0 = the engine's full lane width)\n"
+      "                  [--engine ttable|sw|behavioral|netlist]\n"
+      "                  --in FILE --out FILE   (one request to a one-worker farm;\n"
+      "                  ttable = sw, whose batch path is the T-table AES)\n"
       "  flow     [--variant encrypt|decrypt|both] [--device NAME]\n"
       "  export   [--variant V] [--format verilog|blif] [--sbox rom|logic]\n"
       "           [--mapped yes|no] --out FILE\n"
