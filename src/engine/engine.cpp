@@ -86,9 +86,7 @@ void CipherEngine::process_keyed(std::span<const std::uint8_t> in, std::span<std
 std::uint64_t SoftwareEngine::load_key(std::span<const std::uint8_t> key) {
   if (key.size() != 16 && key.size() != 24 && key.size() != 32)
     throw std::invalid_argument("SoftwareEngine: key must be 16, 24 or 32 bytes");
-  aes_.emplace(aes::Rijndael::for_key(key));
-  rounds_ = aes_->geometry().nr;
-  ttable_.reset();  // rebuilt lazily on the next batch
+  ttable_.emplace(key);
   std::copy(key.begin(), key.end(), resident_key_.begin());
   resident_key_len_ = key.size();
   ++counters_.key_writes;
@@ -98,8 +96,7 @@ std::uint64_t SoftwareEngine::load_key(std::span<const std::uint8_t> key) {
 void SoftwareEngine::process_batch(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
                                    bool encrypt) {
   const std::size_t n = check_batch_spans(in, out);
-  if (!aes_) throw std::logic_error("SoftwareEngine: no key loaded");
-  if (!ttable_) ttable_.emplace(std::span(resident_key_).first(resident_key_len_));
+  if (!ttable_) throw std::logic_error("SoftwareEngine: no key loaded");
   const bool dec = mode_ == core::IpMode::kDecrypt || (mode_ == core::IpMode::kBoth && !encrypt);
   for (std::size_t i = 0; i < n; ++i) {
     const auto src = in.subspan(16 * i, 16);
@@ -110,7 +107,7 @@ void SoftwareEngine::process_batch(std::span<const std::uint8_t> in, std::span<s
       ttable_->decrypt_block(src, dst);
   }
   counters_.data_writes += n;
-  counters_.rounds_done += static_cast<std::uint64_t>(rounds_) * n;
+  counters_.rounds_done += static_cast<std::uint64_t>(ttable_->rounds()) * n;
   (dec ? counters_.blocks_dec : counters_.blocks_enc) += n;
   ++batch_stats_.calls;
   batch_stats_.blocks += n;
@@ -118,22 +115,14 @@ void SoftwareEngine::process_batch(std::span<const std::uint8_t> in, std::span<s
 }
 
 bool SoftwareEngine::key_resident(std::span<const std::uint8_t> key) const {
-  return aes_.has_value() && key.size() == resident_key_len_ &&
+  return ttable_.has_value() && key.size() == resident_key_len_ &&
          std::equal(key.begin(), key.end(), resident_key_.begin());
 }
 
 std::array<std::uint8_t, 16> SoftwareEngine::do_process(std::span<const std::uint8_t> block,
                                                         bool encrypt) {
-  if (!aes_) throw std::logic_error("SoftwareEngine: no key loaded");
   std::array<std::uint8_t, 16> out{};
-  if (encrypt)
-    aes_->encrypt_block(block, out);
-  else
-    aes_->decrypt_block(block, out);
-  const bool dec = mode_ == core::IpMode::kDecrypt || (mode_ == core::IpMode::kBoth && !encrypt);
-  ++counters_.data_writes;
-  counters_.rounds_done += static_cast<std::uint64_t>(rounds_);
-  ++(dec ? counters_.blocks_dec : counters_.blocks_enc);
+  process_batch(block, out, encrypt);
   return out;
 }
 

@@ -10,7 +10,7 @@
 //
 // Cycle-cost semantics (see docs/engine.md for the full contract):
 //
-//   * SoftwareEngine    — aes::Rijndael, zero-cycle functional model: cycles()
+//   * SoftwareEngine    — aes::TTableRijndael, zero-cycle functional model: cycles()
 //                         and last_latency() are always 0; the work counters
 //                         (blocks, rounds) still advance.
 //   * BehavioralEngine  — Simulator + RijndaelIp + GenericBusDriver; every
@@ -188,9 +188,11 @@ class CipherEngine {
   BatchStats batch_stats_;
 };
 
-/// Zero-cycle functional reference: aes::Rijndael behind the engine
-/// contract.  Geometry-agnostic: the key length of each load_key selects
-/// AES-128/192/256 (cycle engines fix their geometry at construction).
+/// Zero-cycle functional model: the T-table AES behind the engine
+/// contract (aes::Rijndael stays the independent oracle the farm's spot
+/// check and the tests compare against).  Geometry-agnostic: the key
+/// length of each load_key selects AES-128/192/256 (cycle engines fix
+/// their geometry at construction).
 class SoftwareEngine final : public CipherEngine {
  public:
   explicit SoftwareEngine(core::IpMode mode = core::IpMode::kBoth) : mode_(mode) {}
@@ -202,7 +204,7 @@ class SoftwareEngine final : public CipherEngine {
   bool key_resident(std::span<const std::uint8_t> key) const override;
 
   /// T-table loop over the batch — no transpose, no per-block virtual
-  /// dispatch; same ciphertexts and counter growth as the scalar loop.
+  /// dispatch; process_block is a one-block batch.
   void process_batch(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
                      bool encrypt = true) override;
 
@@ -216,11 +218,9 @@ class SoftwareEngine final : public CipherEngine {
 
  private:
   core::IpMode mode_;
-  std::optional<aes::Rijndael> aes_;
-  std::optional<aes::TTableRijndael> ttable_;  ///< batch path, built per key
+  std::optional<aes::TTableRijndael> ttable_;  ///< the cipher, built per key
   std::array<std::uint8_t, 32> resident_key_{};
   std::size_t resident_key_len_ = 0;
-  int rounds_ = 10;  ///< Nr of the resident key's geometry
   core::IpCounters counters_;
 };
 

@@ -806,56 +806,71 @@ bool Farm::write_chrome_trace(std::ostream& os) const {
 
 // --- FarmStats rendering ----------------------------------------------------------
 
+namespace {
+
+/// f(name, s.field...) for every counter merge_from() adds, each named
+/// once; write_json() writes them under these names, in this order. Gauges
+/// that count resources (workers, queue_capacity, workers_enabled) add like
+/// counters. (`sessions_live` adds too but is not in the JSON document.)
+template <class F, class... S>
+void for_each_summed(F&& f, S&... s) {
+  f("workers", s.workers...);
+  f("requests", s.requests...);
+  f("blocks", s.blocks...);
+  f("rejected", s.rejected...);
+  f("ctr_fanouts", s.ctr_fanouts...);
+  f("ctr_chunks", s.ctr_chunks...);
+  f("key_hits", s.key_hits...);
+  f("key_loads", s.key_loads...);
+  f("session_evictions", s.session_evictions...);
+  f("queue_capacity", s.queue_capacity...);
+  f("trace_events", s.trace_events...);
+  f("trace_dropped", s.trace_dropped...);
+  f("swaps", s.swaps...);
+  f("heals", s.heals...);
+  f("quarantines", s.quarantines...);
+  f("spot_checks", s.spot_checks...);
+  f("spot_mismatches", s.spot_mismatches...);
+  f("replayed_jobs", s.replayed_jobs...);
+  f("spot_boosts", s.spot_boosts...);
+  f("spot_boost_checks", s.spot_boost_checks...);
+  f("workers_boosted", s.workers_boosted...);
+  f("sessions_migrated", s.sessions_migrated...);
+  f("workers_enabled", s.workers_enabled...);
+  f("total_cycles", s.total_cycles...);
+  f("total_setup_cycles", s.total_setup_cycles...);
+}
+
+/// The histograms: merged exactly (log2 buckets align) and written alike.
+constexpr std::pair<const char*, obs::HistogramSnapshot FarmStats::*> kHistograms[] = {
+    {"queue_depth", &FarmStats::queue_depth},
+    {"queue_wait_us", &FarmStats::queue_wait_us},
+    {"swap_pause_us", &FarmStats::swap_pause_us},
+    {"latency_us", &FarmStats::latency_us},
+};
+
+}  // namespace
+
 void FarmStats::merge_from(const FarmStats& other) {
   if (other.batch_lanes > batch_lanes) {
     batch_lanes = other.batch_lanes;
     batch_backend = other.batch_backend;
   }
-  workers += other.workers;
   if (engine.empty())
     engine = other.engine;
   else if (!other.engine.empty() && other.engine != engine)
     engine = "mixed";
 
-  requests += other.requests;
-  blocks += other.blocks;
-  rejected += other.rejected;
-  ctr_fanouts += other.ctr_fanouts;
-  ctr_chunks += other.ctr_chunks;
-
-  key_hits += other.key_hits;
-  key_loads += other.key_loads;
-  session_evictions += other.session_evictions;
+  for_each_summed([](const char*, auto& mine, const auto& theirs) { mine += theirs; }, *this,
+                  other);
   sessions_live += other.sessions_live;
-
-  queue_capacity += other.queue_capacity;
-  queue_high_water = std::max(queue_high_water, other.queue_high_water);
-  queue_depth.merge(other.queue_depth);
-  queue_wait_us.merge(other.queue_wait_us);
-
-  swaps += other.swaps;
-  heals += other.heals;
-  quarantines += other.quarantines;
-  spot_checks += other.spot_checks;
-  spot_mismatches += other.spot_mismatches;
-  replayed_jobs += other.replayed_jobs;
-  spot_boosts += other.spot_boosts;
-  spot_boost_checks += other.spot_boost_checks;
-  workers_boosted += other.workers_boosted;
-  sessions_migrated += other.sessions_migrated;
-  workers_enabled += other.workers_enabled;
-  swap_pause_us.merge(other.swap_pause_us);
-
-  trace_events += other.trace_events;
-  trace_dropped += other.trace_dropped;
+  for (const auto& [name, h] : kHistograms) (this->*h).merge(other.*h);
 
   // Nodes run concurrently: the cluster's wall time is the longest node's,
   // and the simulated makespan is the slowest core anywhere.
+  queue_high_water = std::max(queue_high_water, other.queue_high_water);
   wall_seconds = std::max(wall_seconds, other.wall_seconds);
-  total_cycles += other.total_cycles;
   max_worker_cycles = std::max(max_worker_cycles, other.max_worker_cycles);
-  total_setup_cycles += other.total_setup_cycles;
-  latency_us.merge(other.latency_us);
 
   per_worker.insert(per_worker.end(), other.per_worker.begin(), other.per_worker.end());
 }
@@ -933,55 +948,26 @@ std::string FarmStats::report(double clock_ns) const {
   return out;
 }
 
-void FarmStats::write_json(std::ostream& os, double clock_ns) const {
-  report::JsonWriter j(os);
+void FarmStats::write_json(report::JsonWriter& j, double clock_ns) const {
   j.begin_object();
   if (!node.empty()) j.key("node").value(node);
-  j.key("workers").value(workers);
   j.key("engine").value(engine);
   j.key("batch_backend").value(batch_backend);
   j.key("batch_lanes").value(batch_lanes);
-  j.key("requests").value(requests);
-  j.key("blocks").value(blocks);
-  j.key("rejected").value(rejected);
-  j.key("ctr_fanouts").value(ctr_fanouts);
-  j.key("ctr_chunks").value(ctr_chunks);
-  j.key("key_hits").value(key_hits);
-  j.key("key_loads").value(key_loads);
+  for_each_summed([&](const char* name, const auto& v) { j.key(name).value(v); }, *this);
   j.key("key_hit_rate").value(key_hit_rate());
-  j.key("session_evictions").value(session_evictions);
-  j.key("queue_capacity").value(queue_capacity);
   j.key("queue_high_water").value(queue_high_water);
-  j.key("queue_depth");
-  obs::write_histogram_json(j, queue_depth);
-  j.key("queue_wait_us");
-  obs::write_histogram_json(j, queue_wait_us);
-  j.key("trace_events").value(trace_events);
-  j.key("trace_dropped").value(trace_dropped);
-  j.key("swaps").value(swaps);
-  j.key("heals").value(heals);
-  j.key("quarantines").value(quarantines);
-  j.key("spot_checks").value(spot_checks);
-  j.key("spot_mismatches").value(spot_mismatches);
-  j.key("replayed_jobs").value(replayed_jobs);
-  j.key("spot_boosts").value(spot_boosts);
-  j.key("spot_boost_checks").value(spot_boost_checks);
-  j.key("workers_boosted").value(workers_boosted);
-  j.key("sessions_migrated").value(sessions_migrated);
-  j.key("workers_enabled").value(workers_enabled);
-  j.key("swap_pause_us");
-  obs::write_histogram_json(j, swap_pause_us);
-  j.key("wall_seconds").value(wall_seconds);
-  j.key("blocks_per_wall_sec").value(blocks_per_wall_sec());
-  j.key("total_cycles").value(total_cycles);
-  j.key("total_setup_cycles").value(total_setup_cycles);
   j.key("max_worker_cycles").value(max_worker_cycles);
   j.key("cycles_per_block").value(cycles_per_block());
   j.key("clock_ns").value(clock_ns);
   j.key("sim_blocks_per_sec").value(sim_blocks_per_sec(clock_ns));
   j.key("sim_mbps").value(sim_mbps(clock_ns));
-  j.key("latency_us");
-  obs::write_histogram_json(j, latency_us);
+  j.key("wall_seconds").value(wall_seconds);
+  j.key("blocks_per_wall_sec").value(blocks_per_wall_sec());
+  for (const auto& [name, h] : kHistograms) {
+    j.key(name);
+    obs::write_histogram_json(j, this->*h);
+  }
   j.key("per_worker").begin_array();
   for (const auto& w : per_worker) {
     j.begin_object();

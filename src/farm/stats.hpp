@@ -14,15 +14,19 @@
 //
 // FarmStats is the one snapshot of a farm: a plain value, safe to copy out
 // of a running farm and serialize (report()/write_json()) without holding
-// farm locks. The fleet admin plane and the cluster roll-up use it as is.
+// farm locks. The fleet admin plane, the cluster roll-up and every CLI
+// surface use it as is; nothing else renders it.
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
 #include "obs/histogram.hpp"
+
+namespace aesip::report {
+class JsonWriter;
+}
 
 namespace aesip::farm {
 
@@ -127,9 +131,10 @@ struct FarmStats {
   /// figures; the paper's Acex1K column is 14 ns).
   std::string report(double clock_ns = 14.0) const;
 
-  /// The farm's JSON document: BENCH_*.json trend tracking, and the reply
-  /// to both kStats and kAdminFleetStatus. Carries "node" when labelled.
-  void write_json(std::ostream& os, double clock_ns = 14.0) const;
+  /// The farm's JSON document, one complete object (write it at the root
+  /// or after a key): the reply to both kStats and kAdminFleetStatus, and
+  /// the "farm" section of `aesip metrics`. Carries "node" when labelled.
+  void write_json(report::JsonWriter& j, double clock_ns = 14.0) const;
 };
 
 }  // namespace aesip::farm

@@ -1,6 +1,7 @@
 #include "net/server.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <deque>
 #include <future>
 #include <optional>
@@ -9,6 +10,7 @@
 
 #include "aes/modes.hpp"
 #include "net/client.hpp"
+#include "report/json.hpp"
 
 namespace aesip::net {
 
@@ -30,6 +32,33 @@ std::uint64_t us_since(std::chrono::steady_clock::time_point from) {
   return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
                                         std::chrono::steady_clock::now() - from)
                                         .count());
+}
+
+/// f(name, s.field...) for every ServerCounters field, in declaration order:
+/// the one list stats() copies and ServerStats::write_json() writes.
+template <class F, class... S>
+void for_each_counter(F&& f, S&... s) {
+  f("connections_accepted", s.connections_accepted...);
+  f("connections_closed", s.connections_closed...);
+  f("connections_active", s.connections_active...);
+  f("sessions_active", s.sessions_active...);
+  f("frames_received", s.frames_received...);
+  f("data_frames", s.data_frames...);
+  f("responses_sent", s.responses_sent...);
+  f("errors_sent", s.errors_sent...);
+  f("protocol_errors", s.protocol_errors...);
+  f("window_violations", s.window_violations...);
+  f("deferred_retries", s.deferred_retries...);
+  f("idle_closes", s.idle_closes...);
+  f("drains", s.drains...);
+  f("admin_frames", s.admin_frames...);
+  f("bytes_in", s.bytes_in...);
+  f("bytes_out", s.bytes_out...);
+  f("in_flight", s.in_flight...);
+  f("redirects_sent", s.redirects_sent...);
+  f("gossip_frames", s.gossip_frames...);
+  f("gossip_rounds", s.gossip_rounds...);
+  f("cluster_nodes_alive", s.cluster_nodes_alive...);
 }
 
 }  // namespace
@@ -274,6 +303,18 @@ void Server::idle_wait(Loop& lp) {
   lp.readiness->wait(cfg_.poll_interval);
 }
 
+/// Queue one accepted connection on `lp`'s inbox and count it; the loop
+/// takes it over on its next adopt_inbox().
+void Server::hand_off(Loop& lp, std::unique_ptr<Conn> c) {
+  {
+    std::lock_guard lk(lp.inbox_mu);
+    lp.inbox.push_back(std::move(c));
+  }
+  lp.live.fetch_add(1, std::memory_order_acq_rel);
+  counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
+  counters_.connections_active.fetch_add(1, std::memory_order_relaxed);
+}
+
 /// threads == 1: accept and serve on one thread (the original event loop).
 void Server::serve_single(Loop& lp) {
   for (;;) {
@@ -282,13 +323,7 @@ void Server::serve_single(Loop& lp) {
 
     if (!draining) {
       while (auto c = listener_->accept()) {
-        {
-          std::lock_guard lk(lp.inbox_mu);
-          lp.inbox.push_back(std::move(c));
-        }
-        lp.live.fetch_add(1, std::memory_order_acq_rel);
-        counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-        counters_.connections_active.fetch_add(1, std::memory_order_relaxed);
+        hand_off(lp, std::move(c));
         progress = true;
       }
     }
@@ -310,14 +345,7 @@ void Server::acceptor_loop() {
     bool progress = false;
     if (!draining) {
       while (auto c = listener_->accept()) {
-        Loop& lp = *loops_[rr++ % loops_.size()];
-        {
-          std::lock_guard lk(lp.inbox_mu);
-          lp.inbox.push_back(std::move(c));
-        }
-        lp.live.fetch_add(1, std::memory_order_acq_rel);
-        counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-        counters_.connections_active.fetch_add(1, std::memory_order_relaxed);
+        hand_off(*loops_[rr++ % loops_.size()], std::move(c));
         progress = true;
       }
     } else {
@@ -554,7 +582,10 @@ farm::FarmStats Server::farm_stats() const {
 
 std::vector<std::uint8_t> Server::stats_payload() const {
   std::ostringstream os;
-  farm_stats().write_json(os, cfg_.farm.clock_ns);
+  {
+    report::JsonWriter j(os);
+    farm_stats().write_json(j, cfg_.farm.clock_ns);
+  }
   const std::string s = os.str();
   return {s.begin(), s.end()};
 }
@@ -888,27 +919,10 @@ void Server::send_error(Connection& c, std::uint32_t seq, ErrorCode code,
 
 ServerStats Server::stats() const {
   ServerStats s;
-  s.connections_accepted = counters_.connections_accepted.load(std::memory_order_relaxed);
-  s.connections_closed = counters_.connections_closed.load(std::memory_order_relaxed);
-  s.connections_active = counters_.connections_active.load(std::memory_order_relaxed);
-  s.sessions_active = counters_.sessions_active.load(std::memory_order_relaxed);
-  s.frames_received = counters_.frames_received.load(std::memory_order_relaxed);
-  s.data_frames = counters_.data_frames.load(std::memory_order_relaxed);
-  s.responses_sent = counters_.responses_sent.load(std::memory_order_relaxed);
-  s.errors_sent = counters_.errors_sent.load(std::memory_order_relaxed);
-  s.protocol_errors = counters_.protocol_errors.load(std::memory_order_relaxed);
-  s.window_violations = counters_.window_violations.load(std::memory_order_relaxed);
-  s.deferred_retries = counters_.deferred_retries.load(std::memory_order_relaxed);
-  s.idle_closes = counters_.idle_closes.load(std::memory_order_relaxed);
-  s.drains = counters_.drains.load(std::memory_order_relaxed);
-  s.admin_frames = counters_.admin_frames.load(std::memory_order_relaxed);
-  s.bytes_in = counters_.bytes_in.load(std::memory_order_relaxed);
-  s.bytes_out = counters_.bytes_out.load(std::memory_order_relaxed);
-  s.in_flight = counters_.in_flight.load(std::memory_order_relaxed);
-  s.redirects_sent = counters_.redirects_sent.load(std::memory_order_relaxed);
-  s.gossip_frames = counters_.gossip_frames.load(std::memory_order_relaxed);
-  s.gossip_rounds = counters_.gossip_rounds.load(std::memory_order_relaxed);
-  s.cluster_nodes_alive = counters_.cluster_nodes_alive.load(std::memory_order_relaxed);
+  const auto load = [](const char*, std::uint64_t& v, const std::atomic<std::uint64_t>& c) {
+    v = c.load(std::memory_order_relaxed);
+  };
+  for_each_counter(load, s, counters_);
   if (director_) s.node_id = director_->self_id();
   s.poller = loops_.empty() ? "" : loops_[0]->readiness->name();
   s.request_latency_us = request_latency_us_.snapshot();
@@ -928,6 +942,70 @@ ServerStats Server::stats() const {
     s.per_thread.push_back(t);
   }
   return s;
+}
+
+std::string ServerStats::report() const {
+  char line[192];
+  std::string out;
+  const auto add = [&](const char* fmt, auto... args) {
+    std::snprintf(line, sizeof line, fmt, args...);
+    out += line;
+  };
+  add("server: %zu event-loop thread%s (%s readiness)\n", per_thread.size(),
+      per_thread.size() == 1 ? "" : "s", poller.c_str());
+  add("  traffic:   %llu connections, %llu frames in, %llu responses, %llu errors, "
+      "%.1f MiB in / %.1f MiB out\n",
+      static_cast<unsigned long long>(connections_accepted),
+      static_cast<unsigned long long>(frames_received),
+      static_cast<unsigned long long>(responses_sent),
+      static_cast<unsigned long long>(errors_sent),
+      static_cast<double>(bytes_in) / (1024.0 * 1024.0),
+      static_cast<double>(bytes_out) / (1024.0 * 1024.0));
+  add("  latency:   request p50 %llu us, p99 %llu us, max %llu us\n",
+      static_cast<unsigned long long>(request_latency_us.percentile(0.50)),
+      static_cast<unsigned long long>(request_latency_us.percentile(0.99)),
+      static_cast<unsigned long long>(request_latency_us.max));
+  if (!node_id.empty())
+    add("  cluster:   node %s (%llu alive), %llu redirects sent, %llu gossip frames, "
+        "%llu gossip rounds\n",
+        node_id.c_str(), static_cast<unsigned long long>(cluster_nodes_alive),
+        static_cast<unsigned long long>(redirects_sent),
+        static_cast<unsigned long long>(gossip_frames),
+        static_cast<unsigned long long>(gossip_rounds));
+  if (per_thread.size() > 1)
+    for (const auto& t : per_thread)
+      add("  thread %2d: %llu conns adopted, %llu frames, %llu responses\n", t.thread,
+          static_cast<unsigned long long>(t.connections_adopted),
+          static_cast<unsigned long long>(t.frames_received),
+          static_cast<unsigned long long>(t.responses_sent));
+  return out;
+}
+
+void ServerStats::write_json(report::JsonWriter& j) const {
+  j.begin_object();
+  j.key("node_id").value(node_id);
+  j.key("poller").value(poller);
+  j.key("threads").value(per_thread.size());
+  for_each_counter([&](const char* name, std::uint64_t v) { j.key(name).value(v); }, *this);
+  j.key("trace_events").value(trace_events);
+  j.key("trace_dropped").value(trace_dropped);
+  j.key("request_latency_us");
+  obs::write_histogram_json(j, request_latency_us);
+  j.key("session_in_flight");
+  obs::write_histogram_json(j, session_in_flight);
+  j.key("per_thread").begin_array();
+  for (const auto& t : per_thread) {
+    j.begin_object();
+    j.key("thread").value(t.thread);
+    j.key("connections_adopted").value(t.connections_adopted);
+    j.key("frames_received").value(t.frames_received);
+    j.key("responses_sent").value(t.responses_sent);
+    j.key("bytes_in").value(t.bytes_in);
+    j.key("bytes_out").value(t.bytes_out);
+    j.end_object();
+  }
+  j.end_array();
+  j.end_object();
 }
 
 bool Server::write_chrome_trace(std::ostream& os) const {

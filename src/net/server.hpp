@@ -74,6 +74,10 @@
 #include "obs/histogram.hpp"
 #include "obs/tracer.hpp"
 
+namespace aesip::report {
+class JsonWriter;
+}
+
 namespace aesip::net {
 
 /// Multi-node sharding: who this node is, who to gossip with.
@@ -115,29 +119,36 @@ struct ServerThreadStats {
   std::uint64_t bytes_out = 0;
 };
 
-/// Point-in-time server counters (monotonic unless marked as a gauge).
-struct ServerStats {
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_closed = 0;
-  std::uint64_t connections_active = 0;   ///< gauge
-  std::uint64_t sessions_active = 0;      ///< gauge: connections past kHello
-  std::uint64_t frames_received = 0;      ///< complete verified frames decoded
-  std::uint64_t data_frames = 0;          ///< of which enc/dec/ctr work
-  std::uint64_t responses_sent = 0;       ///< kResult frames queued for write
-  std::uint64_t errors_sent = 0;          ///< kError frames queued for write
-  std::uint64_t protocol_errors = 0;      ///< decoder poisonings (framing lost)
-  std::uint64_t window_violations = 0;
-  std::uint64_t deferred_retries = 0;     ///< try_submit load-sheds absorbed
-  std::uint64_t idle_closes = 0;
-  std::uint64_t drains = 0;               ///< kDrainOk barriers completed
-  std::uint64_t admin_frames = 0;         ///< fleet admin requests handled
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t in_flight = 0;            ///< gauge: frames submitted, not answered
-  std::uint64_t redirects_sent = 0;       ///< frames bounced to their owning node
-  std::uint64_t gossip_frames = 0;        ///< kGossip requests served
-  std::uint64_t gossip_rounds = 0;        ///< outbound gossip dials attempted
-  std::uint64_t cluster_nodes_alive = 0;  ///< gauge; 0 when not clustered
+/// The server's counters (monotonic unless marked as a gauge), declared
+/// once: ServerStats holds them as values, the live server as relaxed
+/// atomics written by the loop threads and read by anyone.
+template <class T>
+struct ServerCounters {
+  T connections_accepted{};
+  T connections_closed{};
+  T connections_active{};   ///< gauge
+  T sessions_active{};      ///< gauge: connections past kHello
+  T frames_received{};      ///< complete verified frames decoded
+  T data_frames{};          ///< of which enc/dec/ctr work
+  T responses_sent{};       ///< kResult frames queued for write
+  T errors_sent{};          ///< kError frames queued for write
+  T protocol_errors{};      ///< decoder poisonings (framing lost)
+  T window_violations{};
+  T deferred_retries{};     ///< try_submit load-sheds absorbed
+  T idle_closes{};
+  T drains{};               ///< kDrainOk barriers completed
+  T admin_frames{};         ///< fleet admin requests handled
+  T bytes_in{};
+  T bytes_out{};
+  T in_flight{};            ///< gauge: frames submitted, not answered
+  T redirects_sent{};       ///< frames bounced to their owning node
+  T gossip_frames{};        ///< kGossip requests served
+  T gossip_rounds{};        ///< outbound gossip dials attempted
+  T cluster_nodes_alive{};  ///< gauge; 0 when not clustered
+};
+
+/// Point-in-time server counters.
+struct ServerStats : ServerCounters<std::uint64_t> {
   std::string node_id;                    ///< empty when not clustered
   std::string poller;                     ///< ReadinessSet backend ("epoll"/"poll")
   obs::HistogramSnapshot request_latency_us;  ///< frame decoded -> response queued
@@ -145,6 +156,14 @@ struct ServerStats {
   std::uint64_t trace_events = 0;
   std::uint64_t trace_dropped = 0;
   std::vector<ServerThreadStats> per_thread;  ///< one entry per event-loop thread
+
+  /// Human-readable multi-line report: traffic, request latency, the
+  /// cluster counters when clustered, per-thread rows when threads > 1.
+  std::string report() const;
+  /// Every field above as one JSON object, at the writer's root or after a
+  /// key (the "net" section of `aesip metrics`); "threads" is the number
+  /// of per_thread rows.
+  void write_json(report::JsonWriter& j) const;
 };
 
 class Server {
@@ -189,6 +208,7 @@ class Server {
   void serve();
   void serve_single(Loop& lp);
   void acceptor_loop();
+  void hand_off(Loop& lp, std::unique_ptr<Conn> c);
   void worker_loop(Loop& lp);
   bool adopt_inbox(Loop& lp);
   bool service_conns(Loop& lp, bool draining);
@@ -229,31 +249,7 @@ class Server {
   std::thread gossip_thread_;
   std::atomic<bool> gossip_stop_{false};
 
-  // Counters are written by the loop threads, read by anyone (relaxed
-  // atomics, same pattern as the farm's WorkerCounters).
-  struct Counters {
-    std::atomic<std::uint64_t> connections_accepted{0};
-    std::atomic<std::uint64_t> connections_closed{0};
-    std::atomic<std::uint64_t> connections_active{0};
-    std::atomic<std::uint64_t> sessions_active{0};
-    std::atomic<std::uint64_t> frames_received{0};
-    std::atomic<std::uint64_t> data_frames{0};
-    std::atomic<std::uint64_t> responses_sent{0};
-    std::atomic<std::uint64_t> errors_sent{0};
-    std::atomic<std::uint64_t> protocol_errors{0};
-    std::atomic<std::uint64_t> window_violations{0};
-    std::atomic<std::uint64_t> deferred_retries{0};
-    std::atomic<std::uint64_t> idle_closes{0};
-    std::atomic<std::uint64_t> drains{0};
-    std::atomic<std::uint64_t> admin_frames{0};
-    std::atomic<std::uint64_t> bytes_in{0};
-    std::atomic<std::uint64_t> bytes_out{0};
-    std::atomic<std::uint64_t> in_flight{0};
-    std::atomic<std::uint64_t> redirects_sent{0};
-    std::atomic<std::uint64_t> gossip_frames{0};
-    std::atomic<std::uint64_t> gossip_rounds{0};
-    std::atomic<std::uint64_t> cluster_nodes_alive{0};
-  } counters_;
+  ServerCounters<std::atomic<std::uint64_t>> counters_;
   obs::Histogram request_latency_us_;
   obs::Histogram session_in_flight_;
   std::unique_ptr<obs::Tracer> tracer_;

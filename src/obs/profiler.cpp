@@ -49,8 +49,9 @@ std::string ScopedProfiler::report(std::size_t top_signals) const {
   return out;
 }
 
-void ScopedProfiler::write_json_fields(report::JsonWriter& j) const {
+void ScopedProfiler::write_json(report::JsonWriter& j) const {
   const hdl::SimProfile& p = profile();
+  j.begin_object();
   j.key("cycles").value(p.steps);
   j.key("settles").value(p.settles);
   j.key("deltas").value(p.deltas);
@@ -78,12 +79,6 @@ void ScopedProfiler::write_json_fields(report::JsonWriter& j) const {
     j.end_object();
   }
   j.end_array();
-}
-
-void ScopedProfiler::write_json(std::ostream& os) const {
-  report::JsonWriter j(os);
-  j.begin_object();
-  write_json_fields(j);
   j.end_object();
 }
 

@@ -13,7 +13,8 @@
 //     obs::ScopedProfiler prof(sim);
 //     run_workload();
 //     std::cout << prof.report();          // text table
-//     prof.write_json(file);               // machine-readable
+//     report::JsonWriter j(file);
+//     prof.write_json(j);                  // machine-readable
 //   }                                      // detached again here
 //
 // The profile outlives nothing: it is owned by the ScopedProfiler, and
@@ -21,7 +22,6 @@
 // attach/detach windows, construct with an external SimProfile.
 #pragma once
 
-#include <ostream>
 #include <string>
 
 #include "hdl/profile.hpp"
@@ -60,11 +60,9 @@ class ScopedProfiler {
   /// and the `top_signals` most active signals.
   std::string report(std::size_t top_signals = 8) const;
 
-  /// JSON object with the same content (stable keys; see docs/benchmarks.md).
-  void write_json(std::ostream& os) const;
-
-  /// Emit into an already-open writer (for embedding in a larger document).
-  void write_json_fields(report::JsonWriter& j) const;
+  /// The same content as one JSON object (stable keys; see
+  /// docs/benchmarks.md), at the writer's root or after a key.
+  void write_json(report::JsonWriter& j) const;
 
  private:
   hdl::Simulator* sim_;

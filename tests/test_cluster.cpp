@@ -19,7 +19,9 @@
 #include <map>
 #include <optional>
 #include <random>
+#include <regex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +35,7 @@
 #include "net/poller.hpp"
 #include "net/server.hpp"
 #include "net/transport.hpp"
+#include "report/json.hpp"
 
 namespace net = aesip::net;
 namespace netchan = aesip::net::netchan;
@@ -687,6 +690,69 @@ TEST(EpollServer, PerThreadFanInAccountsForEverything) {
     EXPECT_EQ(t.connections_adopted, 2u) << "loop " << t.thread;
   EXPECT_EQ(st.responses_sent, st.data_frames);
   EXPECT_EQ(st.protocol_errors, 0u);
+}
+
+// The server's one JSON rendering: every counter under its own key, the
+// loop count as "threads", and per_thread rows that partition the totals —
+// read back from the document, not from the struct.
+TEST(EpollServer, StatsJsonCarriesEveryCounterAndItsPerThreadSplit) {
+  auto transport = net::make_tcp_transport();
+  net::ServerConfig cfg;
+  cfg.farm.workers = 2;
+  cfg.farm.engine = aesip::engine::EngineKind::kSoftware;
+  cfg.threads = 2;
+  net::Server server(*transport, "127.0.0.1:0", cfg);
+  server.start();
+  for (int s = 0; s < 4; ++s)
+    EXPECT_EQ(run_verified_session(*transport, server.address(),
+                                   static_cast<std::uint64_t>(s) + 1, 8,
+                                   700 + static_cast<std::uint32_t>(s)),
+              0);
+  server.stop();
+  const auto st = server.stats();
+  std::ostringstream os;
+  {
+    aesip::report::JsonWriter j(os);
+    st.write_json(j);
+  }
+
+  // Members of the root sit at two spaces, members of a per_thread row at
+  // six (histogram members at four are skipped).
+  std::map<std::string, std::uint64_t> top, row_sums;
+  std::size_t rows = 0;
+  static const std::regex kMember(R"re(^( *)"(\w+)": (\d+),?$)re");
+  std::istringstream in(os.str());
+  for (std::string line; std::getline(in, line);) {
+    std::smatch m;
+    if (!std::regex_match(line, m, kMember)) continue;
+    const std::uint64_t v = std::stoull(m[3].str());
+    if (m[1].length() == 2) top[m[2].str()] = v;
+    if (m[1].length() == 6) {
+      row_sums[m[2].str()] += v;
+      rows += m[2].str() == "thread";
+    }
+  }
+  for (const char* key :
+       {"connections_accepted", "connections_closed", "connections_active", "sessions_active",
+        "frames_received", "data_frames", "responses_sent", "errors_sent", "protocol_errors",
+        "window_violations", "deferred_retries", "idle_closes", "drains", "admin_frames",
+        "bytes_in", "bytes_out", "in_flight", "redirects_sent", "gossip_frames",
+        "gossip_rounds", "cluster_nodes_alive", "trace_events", "trace_dropped"})
+    EXPECT_EQ(top.count(key), 1u) << key << " missing:\n" << os.str();
+  EXPECT_NE(os.str().find("\"request_latency_us\": {"), std::string::npos);
+  EXPECT_NE(os.str().find("\"session_in_flight\": {"), std::string::npos);
+  EXPECT_NE(os.str().find("\"poller\": \"" + st.poller + "\""), std::string::npos);
+
+  EXPECT_EQ(top["threads"], 2u);
+  EXPECT_EQ(rows, 2u);
+  EXPECT_EQ(top["connections_accepted"], 4u);
+  EXPECT_EQ(top["frames_received"], st.frames_received);
+  EXPECT_EQ(row_sums["connections_adopted"], top["connections_accepted"]);
+  EXPECT_EQ(row_sums["frames_received"], top["frames_received"]);
+  EXPECT_EQ(row_sums["responses_sent"], top["responses_sent"] + top["errors_sent"]);
+  EXPECT_EQ(row_sums["bytes_in"], top["bytes_in"]);
+  EXPECT_EQ(row_sums["bytes_out"], top["bytes_out"]);
+  EXPECT_GT(top["bytes_out"], 0u);
 }
 
 // A loop forgets a connection's fd before it closes it.  Once closed, the

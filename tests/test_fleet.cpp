@@ -22,12 +22,14 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/transport.hpp"
+#include "report/json.hpp"
 
 namespace farm = aesip::farm;
 namespace fleet = aesip::fleet;
 namespace engine = aesip::engine;
 namespace net = aesip::net;
 namespace aes = aesip::aes;
+namespace report = aesip::report;
 
 namespace {
 
@@ -293,7 +295,10 @@ TEST(FleetSpotCheck, AdaptiveBoostRaisesThenDecays) {
   EXPECT_EQ(status.spot_boost_checks, 3u);
   EXPECT_EQ(status.workers_boosted, 1);
   std::ostringstream os;
-  status.write_json(os);
+  {
+    report::JsonWriter j(os);
+    status.write_json(j);
+  }
   EXPECT_NE(os.str().find("\"spot_boosts\": 2"), std::string::npos) << os.str();
   EXPECT_NE(os.str().find("\"workers_boosted\": 1"), std::string::npos) << os.str();
 }

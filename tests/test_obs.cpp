@@ -20,11 +20,13 @@
 #include "obs/histogram.hpp"
 #include "obs/profiler.hpp"
 #include "obs/tracer.hpp"
+#include "report/json.hpp"
 
 namespace core = aesip::core;
 namespace hdl = aesip::hdl;
 namespace obs = aesip::obs;
 namespace farm = aesip::farm;
+namespace report = aesip::report;
 
 namespace {
 
@@ -219,7 +221,10 @@ TEST(Profiler, ReportAndJsonMentionEveryModule) {
   (void)r.bus.process_block(test_key(), true);
   const std::string text = prof.report();
   std::ostringstream js;
-  prof.write_json(js);
+  {
+    report::JsonWriter j(js);
+    prof.write_json(j);
+  }
   const std::string json = js.str();
   EXPECT_NE(text.find("rijndael_ip"), std::string::npos);
   EXPECT_NE(json.find("\"rijndael_ip\""), std::string::npos);
@@ -447,7 +452,10 @@ TEST(FarmMetrics, StatsJsonCarriesObservabilityFields) {
     futs.push_back(f.submit(small_request(static_cast<std::uint64_t>(i % 2), rng)));
   for (auto& fu : futs) fu.get();
   std::ostringstream os;
-  f.stats().write_json(os, 14.0);
+  {
+    report::JsonWriter j(os);
+    f.stats().write_json(j, 14.0);
+  }
   const std::string s = os.str();
   EXPECT_NE(s.find("\"queue_wait_us\""), std::string::npos);
   EXPECT_NE(s.find("\"queue_depth\""), std::string::npos);

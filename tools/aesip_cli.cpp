@@ -58,8 +58,8 @@
 #include <map>
 #include <optional>
 #include <random>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -72,7 +72,6 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/transport.hpp"
-#include "obs/histogram.hpp"
 #include "obs/profiler.hpp"
 #include "report/json.hpp"
 #include "core/ip_synth.hpp"
@@ -108,25 +107,29 @@ std::vector<std::uint8_t> from_hex(const std::string& hex) {
 }
 
 using Args = std::map<std::string, std::string>;
+using Options = std::vector<std::string_view>;
 
-Args parse_args(int argc, char** argv, int first) {
+/// Parse argv[first..] for subcommand `cmd`, which reads exactly the
+/// `known` options: any other one exits 1 before any work is done, so a
+/// typo cannot silently change a run.
+Args parse_args(int argc, char** argv, int first, const std::string& cmd, const Options& known) {
   Args args;
   for (int i = first; i < argc; ++i) {
     std::string key = argv[i];
     if (key.rfind("--", 0) != 0) die("expected --option, got '" + key + "'");
     key = key.substr(2);
-    // Both `--option value` and `--option=value` spellings are accepted.
+    // Both `--option value` and `--option=value` spellings are accepted;
+    // bare flags (`--chaos`, trailing `--farm`) read as "yes".
+    std::string value = "yes";
     if (const auto eq = key.find('='); eq != std::string::npos) {
-      args[key.substr(0, eq)] = key.substr(eq + 1);
-      continue;
+      value = key.substr(eq + 1);
+      key.resize(eq);
+    } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+      value = argv[++i];
     }
-    // Bare flags (`--chaos`, trailing `--farm`) read as "yes"; anything
-    // else is `--option value`.
-    if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
-      args[key] = "yes";
-      continue;
-    }
-    args[key] = argv[++i];
+    if (std::find(known.begin(), known.end(), key) == known.end())
+      die("unknown option --" + key + " for " + cmd);
+    args[key] = value;
   }
   return args;
 }
@@ -156,6 +159,15 @@ std::unique_ptr<net::Transport> transport_of(const Args& args) {
   net::UdpConfig ucfg;
   ucfg.mtu = std::stoul(arg_or(args, "mtu", "1200"));
   return net::make_udp_transport(ucfg);
+}
+
+/// The --engine option (`fallback` when absent) as an engine kind; "ttable"
+/// names the software engine, whose batch path is the T-table AES.
+engine::EngineKind engine_of(const Args& args, const std::string& fallback) {
+  const std::string name = arg_or(args, "engine", fallback);
+  if (name == "ttable") return engine::EngineKind::kSoftware;
+  if (const auto kind = engine::kind_from_name(name)) return *kind;
+  die("unknown engine '" + name + "' (ttable|sw|behavioral|netlist)");
 }
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
@@ -211,16 +223,13 @@ int cmd_crypt(bool encrypting, const Args& args) {
       keybits_of(args, "") != key_bytes->bits())
     die("--keybits disagrees with the --key length");
   const std::string mode = arg_or(args, "mode", "cbc");
-  const std::string engine = arg_or(args, "engine", "ttable");
+  const std::string engine_name = arg_or(args, "engine", "ttable");
+  const engine::EngineKind kind = engine_of(args, "ttable");
   const std::string in_path = arg_or(args, "in", "");
   const std::string out_path = arg_or(args, "out", "");
   if (in_path.empty() || out_path.empty()) die("--in and --out are required");
   std::vector<std::uint8_t> iv_vec = from_hex(arg_or(args, "iv", std::string(32, '0')));
   if (iv_vec.size() != 16) die("--iv must be 32 hex digits");
-  // "ttable" names the software engine, whose batch path is the T-table AES.
-  const auto kind =
-      engine == "ttable" ? engine::EngineKind::kSoftware : engine::kind_from_name(engine);
-  if (!kind) die("unknown engine '" + engine + "' (ttable|sw|behavioral|netlist)");
 
   const auto input = read_file(in_path);
   farm::Request req;
@@ -239,7 +248,7 @@ int cmd_crypt(bool encrypting, const Args& args) {
   // parallel ones fill the netlist engine's lanes.
   farm::FarmConfig cfg;
   cfg.workers = 1;
-  cfg.engine = *kind;
+  cfg.engine = kind;
   arch::VariantSpec spec;  // the paper's iterative core
   spec.key_bits = key_bytes->bits();
   cfg.worker_variants = {spec};
@@ -260,7 +269,7 @@ int cmd_crypt(bool encrypting, const Args& args) {
   write_file(out_path, output);
   std::printf("%s %zu bytes -> %zu bytes (%s, %s engine%s)\n",
               encrypting ? "encrypted" : "decrypted", input.size(), output.size(),
-              mode.c_str(), engine.c_str(), detail.c_str());
+              mode.c_str(), engine_name.c_str(), detail.c_str());
   return 0;
 }
 
@@ -369,9 +378,7 @@ int cmd_farm(const Args& args) {
   const std::string trace_path = arg_or(args, "trace", "");
   const int n_keys = std::stoi(arg_or(args, "keys", "32"));  // distinct user keys
   if (!trace_path.empty()) cfg.tracing = true;
-  const std::string engine_name = arg_or(args, "engine", "behavioral");
-  if (const auto kind = engine::kind_from_name(engine_name)) cfg.engine = *kind;
-  else die("unknown engine '" + engine_name + "' (sw|behavioral|netlist)");
+  cfg.engine = engine_of(args, "behavioral");
   cfg.spot_check_fraction = std::stod(arg_or(args, "spot-check", "0"));
   if (cfg.spot_check_fraction < 0 || cfg.spot_check_fraction > 1)
     die("--spot-check must be in [0,1]");
@@ -449,7 +456,8 @@ int cmd_farm(const Args& args) {
   if (!json_path.empty()) {
     std::ofstream jf(json_path);
     if (!jf) die("cannot write " + json_path);
-    st.write_json(jf, cfg.clock_ns);
+    report::JsonWriter j(jf);
+    st.write_json(j, cfg.clock_ns);
     std::printf("stats written to %s\n", json_path.c_str());
   }
   if (!trace_path.empty()) {
@@ -477,11 +485,9 @@ int cmd_metrics(const Args& args) {
   // n_blocks decrypted back, through a kBoth device of the chosen engine
   // kind, with the simulator profiler attached (when the engine carries a
   // simulator) and the IP counters running.
-  const std::string engine_name = arg_or(args, "engine", "behavioral");
-  const auto kind = engine::kind_from_name(engine_name);
-  if (!kind) die("unknown engine '" + engine_name + "' (sw|behavioral|netlist)");
-  const auto eng = engine::make_engine(*kind);
-  const bool timed = *kind != engine::EngineKind::kSoftware;
+  const auto kind = engine_of(args, "behavioral");
+  const auto eng = engine::make_engine(kind);
+  const bool timed = kind != engine::EngineKind::kSoftware;
   std::optional<obs::ScopedProfiler> prof;
   if (auto* sim = eng->simulator()) prof.emplace(*sim);
 
@@ -600,24 +606,7 @@ int cmd_metrics(const Args& args) {
     }
     for (auto& fu : futs) fu.get();
     fst = f.stats();
-    if (text) {
-      std::printf("\nfarm (%d workers, tracing on, 256 requests):\n", fcfg.workers);
-      std::printf("  batch: %s backend, %zu lanes per engine pass\n",
-                  fst->batch_backend.c_str(), fst->batch_lanes);
-      std::printf("  queue wait us: p50 %llu  p99 %llu  max %llu\n",
-                  static_cast<unsigned long long>(fst->queue_wait_us.percentile(0.50)),
-                  static_cast<unsigned long long>(fst->queue_wait_us.percentile(0.99)),
-                  static_cast<unsigned long long>(fst->queue_wait_us.max));
-      std::printf("  key hit rate: %.1f%%   trace events: %llu (%llu dropped)\n",
-                  100.0 * fst->key_hit_rate(),
-                  static_cast<unsigned long long>(fst->trace_events),
-                  static_cast<unsigned long long>(fst->trace_dropped));
-      for (std::size_t w = 0; w < fst->per_worker.size(); ++w)
-        std::printf("  worker %zu: %llu requests, %llu passes, %.1f%% utilized\n", w,
-                    static_cast<unsigned long long>(fst->per_worker[w].requests),
-                    static_cast<unsigned long long>(fst->per_worker[w].passes),
-                    100.0 * fst->per_worker[w].utilization);
-    }
+    if (text) std::printf("\n%s", fst->report(fcfg.clock_ns).c_str());
     if (!trace_path.empty()) {
       std::ofstream tf(trace_path);
       if (!tf) die("cannot write " + trace_path);
@@ -656,15 +645,7 @@ int cmd_metrics(const Args& args) {
     }
     srv.stop();
     nst = srv.stats();
-    if (text) {
-      std::printf("\nnet (%d event-loop threads, %s readiness, node %s):\n", net_threads,
-                  nst->poller.c_str(), nst->node_id.c_str());
-      for (const auto& t : nst->per_thread)
-        std::printf("  thread %d: %llu conns adopted, %llu frames, %llu responses\n", t.thread,
-                    static_cast<unsigned long long>(t.connections_adopted),
-                    static_cast<unsigned long long>(t.frames_received),
-                    static_cast<unsigned long long>(t.responses_sent));
-    }
+    if (text) std::printf("\n%s", nst->report().c_str());
   }
 
   // --- JSON (schema: docs/benchmarks.md) -------------------------------------
@@ -677,7 +658,7 @@ int cmd_metrics(const Args& args) {
     std::ostream& os = json_to_stdout ? std::cout : jfile;
     report::JsonWriter j(os);
     j.begin_object();
-    j.key("schema").value("aesip-metrics-v1");
+    j.key("schema").value("aesip-metrics-v2");
     j.key("engine").value(eng->name());
     j.key("batch_backend").value(batch_backend);
     j.key("batch_lanes").value(batch_lanes);
@@ -717,75 +698,16 @@ int cmd_metrics(const Args& args) {
     }
 
     if (prof) {
-      j.key("simulator").begin_object();
-      prof->write_json_fields(j);
-      j.end_object();
+      j.key("simulator");
+      prof->write_json(j);
     }
-
     if (fst) {
-      j.key("farm").begin_object();
-      j.key("workers").value(fst->workers);
-      j.key("batch_backend").value(fst->batch_backend);
-      j.key("batch_lanes").value(fst->batch_lanes);
-      j.key("requests").value(fst->requests);
-      j.key("blocks").value(fst->blocks);
-      j.key("key_hit_rate").value(fst->key_hit_rate());
-      j.key("queue_depth");
-      obs::write_histogram_json(j, fst->queue_depth);
-      j.key("queue_wait_us");
-      obs::write_histogram_json(j, fst->queue_wait_us);
-      j.key("trace_events").value(fst->trace_events);
-      j.key("trace_dropped").value(fst->trace_dropped);
-      j.key("fleet").begin_object();
-      j.key("swaps").value(fst->swaps);
-      j.key("heals").value(fst->heals);
-      j.key("quarantines").value(fst->quarantines);
-      j.key("spot_checks").value(fst->spot_checks);
-      j.key("spot_mismatches").value(fst->spot_mismatches);
-      j.key("spot_boosts").value(fst->spot_boosts);
-      j.key("spot_boost_checks").value(fst->spot_boost_checks);
-      j.key("workers_boosted").value(fst->workers_boosted);
-      j.key("replayed_jobs").value(fst->replayed_jobs);
-      j.key("sessions_migrated").value(fst->sessions_migrated);
-      j.key("workers_enabled").value(fst->workers_enabled);
-      j.end_object();
-      j.key("utilization").begin_array();
-      for (const auto& w : fst->per_worker) j.value(w.utilization);
-      j.end_array();
-      j.key("passes").begin_array();
-      for (const auto& w : fst->per_worker) j.value(w.passes);
-      j.end_array();
-      j.key("lane_divergences").begin_array();
-      for (const auto& w : fst->per_worker) j.value(w.lane_divergences);
-      j.end_array();
-      j.end_object();
+      j.key("farm");
+      fst->write_json(j, fcfg.clock_ns);
     }
-
     if (nst) {
-      j.key("net").begin_object();
-      j.key("threads").value(static_cast<std::uint64_t>(nst->per_thread.size()));
-      j.key("poller").value(nst->poller);
-      j.key("node_id").value(nst->node_id);
-      j.key("cluster_nodes_alive").value(nst->cluster_nodes_alive);
-      j.key("connections_accepted").value(nst->connections_accepted);
-      j.key("frames_received").value(nst->frames_received);
-      j.key("responses_sent").value(nst->responses_sent);
-      j.key("redirects_sent").value(nst->redirects_sent);
-      j.key("gossip_frames").value(nst->gossip_frames);
-      j.key("gossip_rounds").value(nst->gossip_rounds);
-      j.key("per_thread").begin_array();
-      for (const auto& t : nst->per_thread) {
-        j.begin_object();
-        j.key("thread").value(t.thread);
-        j.key("connections_adopted").value(t.connections_adopted);
-        j.key("frames_received").value(t.frames_received);
-        j.key("responses_sent").value(t.responses_sent);
-        j.key("bytes_in").value(t.bytes_in);
-        j.key("bytes_out").value(t.bytes_out);
-        j.end_object();
-      }
-      j.end_array();
-      j.end_object();
+      j.key("net");
+      nst->write_json(j);
     }
     j.end_object();
     if (text && !json_to_stdout)
@@ -808,9 +730,7 @@ int cmd_serve(const Args& args) {
   net::ServerConfig cfg;
   cfg.farm.workers = std::stoi(arg_or(args, "workers", "4"));
   cfg.farm.queue_capacity = std::stoul(arg_or(args, "queue", "64"));
-  const std::string engine_name = arg_or(args, "engine", "behavioral");
-  if (const auto kind = engine::kind_from_name(engine_name)) cfg.farm.engine = *kind;
-  else die("unknown engine '" + engine_name + "' (sw|behavioral|netlist)");
+  cfg.farm.engine = engine_of(args, "behavioral");
   cfg.window = std::stoul(arg_or(args, "window", "32"));
   cfg.idle_timeout = std::chrono::milliseconds(std::stol(arg_or(args, "idle-ms", "30000")));
   cfg.farm.spot_check_fraction = std::stod(arg_or(args, "spot-check", "0"));
@@ -871,40 +791,8 @@ int cmd_serve(const Args& args) {
   server.run();
   g_serve_instance.store(nullptr, std::memory_order_release);
 
-  const auto st = server.stats();
-  std::printf("aesip serve: drained. %llu connections, %llu frames in, %llu responses, "
-              "%llu errors, %.1f MiB in / %.1f MiB out\n",
-              static_cast<unsigned long long>(st.connections_accepted),
-              static_cast<unsigned long long>(st.frames_received),
-              static_cast<unsigned long long>(st.responses_sent),
-              static_cast<unsigned long long>(st.errors_sent),
-              static_cast<double>(st.bytes_in) / (1024.0 * 1024.0),
-              static_cast<double>(st.bytes_out) / (1024.0 * 1024.0));
-  std::printf("  request latency us: p50 %llu  p99 %llu  max %llu\n",
-              static_cast<unsigned long long>(st.request_latency_us.percentile(0.50)),
-              static_cast<unsigned long long>(st.request_latency_us.percentile(0.99)),
-              static_cast<unsigned long long>(st.request_latency_us.max));
-  for (const auto& t : st.per_thread)
-    if (st.per_thread.size() > 1)
-      std::printf("  thread %d: %llu conns adopted, %llu frames, %llu responses\n", t.thread,
-                  static_cast<unsigned long long>(t.connections_adopted),
-                  static_cast<unsigned long long>(t.frames_received),
-                  static_cast<unsigned long long>(t.responses_sent));
-  if (cfg.cluster)
-    std::printf("  cluster: %llu redirects sent, %llu gossip frames, %llu gossip rounds\n",
-                static_cast<unsigned long long>(st.redirects_sent),
-                static_cast<unsigned long long>(st.gossip_frames),
-                static_cast<unsigned long long>(st.gossip_rounds));
-  const auto fst = server.farm_stats();
-  if (fst.swaps || fst.heals || fst.quarantines || fst.spot_checks)
-    std::printf("  fleet: %llu swaps, %llu heals, %llu quarantines, %llu spot-checks "
-                "(%llu mismatches, %llu replayed)\n",
-                static_cast<unsigned long long>(fst.swaps),
-                static_cast<unsigned long long>(fst.heals),
-                static_cast<unsigned long long>(fst.quarantines),
-                static_cast<unsigned long long>(fst.spot_checks),
-                static_cast<unsigned long long>(fst.spot_mismatches),
-                static_cast<unsigned long long>(fst.replayed_jobs));
+  std::printf("aesip serve: drained.\n%s%s", server.stats().report().c_str(),
+              server.farm_stats().report(cfg.farm.clock_ns).c_str());
   if (!trace_path.empty()) {
     std::ofstream tf(trace_path);
     if (!tf) die("cannot write " + trace_path);
@@ -952,12 +840,11 @@ int cmd_loadgen(const Args& args) {
       const int n_nodes = std::stoi(nodes_arg);
       if (n_nodes < 1) die("--nodes must be >= 1");
       if (!address.empty()) die("--nodes N self-hosts; drop --connect or pass addresses");
+      const auto kind = engine_of(args, chaos ? "netlist" : "sw");
       for (int n = 0; n < n_nodes; ++n) {
         net::ServerConfig scfg;
         scfg.farm.workers = std::stoi(arg_or(args, "workers", "2"));
-        const std::string engine_name = arg_or(args, "engine", chaos ? "netlist" : "sw");
-        if (const auto kind = engine::kind_from_name(engine_name)) scfg.farm.engine = *kind;
-        else die("unknown engine '" + engine_name + "' (sw|behavioral|netlist)");
+        scfg.farm.engine = kind;
         scfg.farm.spot_check_fraction = chaos ? 1.0 : 0.0;
         scfg.threads = std::stoi(arg_or(args, "threads", "1"));
         scfg.admin = true;
@@ -998,9 +885,7 @@ int cmd_loadgen(const Args& args) {
   if (address.empty()) {
     net::ServerConfig scfg;
     scfg.farm.workers = std::stoi(arg_or(args, "workers", "2"));
-    const std::string engine_name = arg_or(args, "engine", "netlist");
-    if (const auto kind = engine::kind_from_name(engine_name)) scfg.farm.engine = *kind;
-    else die("unknown engine '" + engine_name + "' (sw|behavioral|netlist)");
+    scfg.farm.engine = engine_of(args, "netlist");
     scfg.farm.spot_check_fraction = 1.0;
     scfg.admin = true;
     scfg.chaos_seed = seed;
@@ -1194,14 +1079,7 @@ int cmd_loadgen(const Args& args) {
   }
   if (self_hosted) {
     self_hosted->stop();
-    const auto fst = self_hosted->farm_stats();
-    std::printf("loadgen: fleet: %llu swaps, %llu heals, %llu spot-checks "
-                "(%llu mismatches caught, %llu jobs replayed from the oracle)\n",
-                static_cast<unsigned long long>(fst.swaps),
-                static_cast<unsigned long long>(fst.heals),
-                static_cast<unsigned long long>(fst.spot_checks),
-                static_cast<unsigned long long>(fst.spot_mismatches),
-                static_cast<unsigned long long>(fst.replayed_jobs));
+    std::fputs(self_hosted->farm_stats().report().c_str(), stdout);
   }
   // Corrupted frames = verification mismatches; lost frames = sessions that
   // failed to collect every response (collect_one would have thrown).
@@ -1238,12 +1116,21 @@ void fleet_usage() {
 }
 
 int cmd_fleet(int argc, char** argv) {
-  if (argc < 3) {
+  // Each fleet subcommand and the options it reads (--udp/--mtu: transport_of).
+  static const std::map<std::string, Options> kSubcommands = {
+      {"status", {"connect", "nodes", "udp", "mtu"}},
+      {"swap", {"connect", "worker", "engine", "variant", "udp", "mtu"}},
+      {"quarantine", {"connect", "worker", "udp", "mtu"}},
+      {"resume", {"connect", "worker", "udp", "mtu"}},
+      {"inject", {"connect", "worker", "site", "udp", "mtu"}},
+  };
+  const auto it = argc < 3 ? kSubcommands.end() : kSubcommands.find(argv[2]);
+  if (it == kSubcommands.end()) {
     fleet_usage();
     return 1;
   }
-  const std::string sub = argv[2];
-  const Args args = parse_args(argc, argv, 3);
+  const std::string& sub = it->first;
+  const Args args = parse_args(argc, argv, 3, "fleet " + sub, it->second);
   auto transport = transport_of(args);
 
   // Fleet clients are pinned (kFlagPinned): they target the node they
@@ -1274,36 +1161,31 @@ int cmd_fleet(int argc, char** argv) {
 
   net::Client client(*transport, address, 0xf1ee7, fcfg);
 
-  int rc = 0;
   if (sub == "status") {
     std::puts(client.fleet_status_json().c_str());
   } else if (sub == "swap") {
     const std::string worker = arg_or(args, "worker", "all");
-    const std::string engine_name = arg_or(args, "engine", "");
-    const auto kind = engine::kind_from_name(engine_name);
-    if (!kind) die("swap needs --engine sw|behavioral|netlist");
+    if (!args.count("engine")) die("swap needs --engine sw|behavioral|netlist");
+    const engine::EngineKind kind = engine_of(args, "");
     const std::string variant = arg_or(args, "variant", "");
     if (!variant.empty() && !arch::VariantSpec::parse(variant))
       die("unknown variant '" + variant + "' (see docs/variants.md)");
     const int w = worker == "all" ? -1 : std::stoi(worker);
-    std::puts(client.fleet_swap(w, static_cast<std::uint8_t>(*kind), variant).c_str());
+    std::puts(client.fleet_swap(w, static_cast<std::uint8_t>(kind), variant).c_str());
   } else if (sub == "quarantine" || sub == "resume") {
     const std::string worker = arg_or(args, "worker", "");
     if (worker.empty()) die(sub + " needs --worker N");
     std::puts(client.fleet_quarantine(std::stoi(worker), sub == "resume").c_str());
-  } else if (sub == "inject") {
+  } else {  // inject
     const std::string worker = arg_or(args, "worker", "random");
     const std::string site = arg_or(args, "site", "auto");
     const int w = worker == "random" ? -1 : std::stoi(worker);
     const std::uint32_t s =
         site == "auto" ? 0xffffffffu : static_cast<std::uint32_t>(std::stoul(site));
     std::puts(client.fleet_inject(w, s).c_str());
-  } else {
-    fleet_usage();
-    rc = 1;
   }
   client.bye();
-  return rc;
+  return 0;
 }
 
 // --- selftest ----------------------------------------------------------------------
@@ -1388,12 +1270,15 @@ void usage() {
       "           [--seed S] [--chaos]   (verified client traffic against aesip\n"
       "           serve; --chaos fires seeded fleet mutations mid-traffic and\n"
       "           self-hosts a spot-checked server when --connect is omitted)\n"
+      "           [--workers N] [--engine sw|behavioral|netlist] (self-hosted\n"
+      "           servers' farms)\n"
       "  fleet    status|swap|quarantine|resume|inject --connect HOST:PORT\n"
       "           (live fleet admin: hot-swap engines, quarantine workers,\n"
       "           inject SEUs; `aesip fleet --help` for options; docs/fleet.md)\n"
       "           status --nodes A,B,C polls a whole cluster into one envelope\n"
       "  selftest    (engine conformance: FIPS-197 vectors + cycle parity)\n"
-      "  help | --help | -h");
+      "  help | --help | -h\n"
+      "Each subcommand refuses an option it does not read.");
 }
 
 /// `aesip <cmd> --help` prints usage and exits 0 for every subcommand —
@@ -1420,19 +1305,42 @@ int main(int argc, char** argv) {
     usage();
     return 0;
   }
+  // Every subcommand and the options it reads (--udp/--mtu: transport_of).
+  struct Subcommand {
+    const char* name;
+    Options options;
+    int (*run)(const Args&);
+  };
+  const Options crypt = {"key", "keybits", "mode", "iv", "engine", "in", "out"};
+  const Subcommand commands[] = {
+      {"encrypt", crypt, [](const Args& a) { return cmd_crypt(true, a); }},
+      {"decrypt", crypt, [](const Args& a) { return cmd_crypt(false, a); }},
+      {"flow", {"variant", "device"}, cmd_flow},
+      {"export", {"variant", "format", "sbox", "mapped", "out"}, cmd_export},
+      {"seu", {"runs", "seed", "tmr"}, cmd_seu},
+      {"power", {"variant", "device"}, cmd_power},
+      {"farm",
+       {"workers", "engine", "sessions", "blocks", "queue", "keys", "keybits", "seed",
+        "spot-check", "json", "trace"},
+       cmd_farm},
+      {"metrics",
+       {"blocks", "engine", "farm", "workers", "net", "net-threads", "json", "trace"},
+       cmd_metrics},
+      {"serve",
+       {"listen", "workers", "engine", "threads", "udp", "mtu", "cluster", "node-id", "seeds",
+        "advertise", "gossip-ms", "suspect-ms", "vnodes", "window", "queue", "idle-ms",
+        "trace", "spot-check", "admin", "chaos-seed", "keybits"},
+       cmd_serve},
+      {"loadgen",
+       {"connect", "sessions", "requests", "blocks", "nodes", "udp", "mtu", "threads",
+        "concurrency", "keybits", "seed", "chaos", "workers", "engine"},
+       cmd_loadgen},
+      {"selftest", {}, [](const Args&) { return cmd_selftest(); }},
+  };
   try {
-    if (cmd == "encrypt") return cmd_crypt(true, parse_args(argc, argv, 2));
-    if (cmd == "decrypt") return cmd_crypt(false, parse_args(argc, argv, 2));
-    if (cmd == "flow") return cmd_flow(parse_args(argc, argv, 2));
-    if (cmd == "export") return cmd_export(parse_args(argc, argv, 2));
-    if (cmd == "seu") return cmd_seu(parse_args(argc, argv, 2));
-    if (cmd == "power") return cmd_power(parse_args(argc, argv, 2));
-    if (cmd == "farm") return cmd_farm(parse_args(argc, argv, 2));
-    if (cmd == "metrics") return cmd_metrics(parse_args(argc, argv, 2));
-    if (cmd == "serve") return cmd_serve(parse_args(argc, argv, 2));
-    if (cmd == "loadgen") return cmd_loadgen(parse_args(argc, argv, 2));
     if (cmd == "fleet") return cmd_fleet(argc, argv);
-    if (cmd == "selftest") return cmd_selftest();
+    for (const auto& c : commands)
+      if (cmd == c.name) return c.run(parse_args(argc, argv, 2, cmd, c.options));
   } catch (const std::exception& e) {
     die(e.what());
   }

@@ -3,8 +3,10 @@
 # through every engine and mode must give the ttable engine's bytes and
 # decrypt back to the input (AES-256 on the sw and behavioral engines,
 # against sw), the ttable engine must give the FIPS-197 Appendix B
-# ciphertext, and a ciphertext that is not whole blocks must be refused
-# with exit 1 and a message.
+# ciphertext, a ciphertext that is not whole blocks must be refused
+# with exit 1 and a message, and so must an option encrypt does not read
+# (a typo such as --mdoe, or the removed --batch), before any file is
+# written.
 #
 # Usage: check_crypt.sh /path/to/aesip
 set -u
@@ -78,6 +80,21 @@ for mode in ecb cbc; do
       fail=1
     fi
   done
+done
+
+# An unknown option would otherwise be ignored: --mdoe ecb would encrypt CBC.
+for bad in "--mdoe ecb" "--batch 4"; do
+  # shellcheck disable=SC2086  # $bad is an option and its value
+  "$aesip" encrypt $bad --key "$k128" --in "$dir/in" --out "$dir/typo.out" \
+    > /dev/null 2> "$dir/err"
+  status=$?
+  if [ "$status" -ne 1 ] || [ -e "$dir/typo.out" ] ||
+     ! grep -qF "unknown option ${bad% *} for encrypt" "$dir/err"; then
+    echo "check_crypt: encrypt $bad exited $status, stderr:" >&2
+    cat "$dir/err" >&2
+    fail=1
+  fi
+  rm -f "$dir/typo.out"
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -1,56 +1,81 @@
 #!/bin/sh
 # Live paper-invariant check, run as a ctest: `aesip metrics` must exit 0
 # (it self-checks every invariant against its live counters) and its JSON
-# must carry the paper's numbers as exact integers.
+# must carry the paper's numbers as exact integers. Each needle is looked
+# for only inside the section that owns it, so a key of another section
+# (the engine's top-level "lane_divergences", say) cannot stand in for it.
 #
 # Usage: check_metrics.sh /path/to/aesip
 set -u
 
 aesip=${1:?usage: check_metrics.sh /path/to/aesip}
-
-out=$("$aesip" metrics --blocks 8 --farm no --json - 2>&1)
-status=$?
-if [ "$status" -ne 0 ]; then
-  echo "check_metrics: aesip metrics exited $status" >&2
-  echo "$out" >&2
-  exit 1
-fi
-
 fail=0
-for needle in \
-  '"schema": "aesip-metrics-v1"' \
+
+# run LABEL ARGS...: `aesip metrics ARGS --json -` into $out; exit 1 on failure.
+run() {
+  label=$1
+  shift
+  out=$("$aesip" metrics "$@" --json - 2>&1)
+  status=$?
+  if [ "$status" -ne 0 ]; then
+    echo "check_metrics: aesip metrics ($label) exited $status" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+}
+
+# section JSON KEY INDENT: the member KEY that opens at INDENT spaces, from
+# its key line through its closing bracket at the same indent.
+section() {
+  pad=$(printf "%${3}s" "")
+  printf '%s\n' "$1" | awk -v key="$pad\"$2\": " -v pad="$pad" '
+    !on && index($0, key) == 1 { on = 1; print; next }
+    on { print; if (index($0, pad) == 1 && substr($0, length(pad) + 1, 1) ~ /[]}]/) exit }'
+}
+
+# expect WHERE TEXT NEEDLE...: every NEEDLE occurs in TEXT.
+expect() {
+  where=$1
+  text=$2
+  shift 2
+  for needle in "$@"; do
+    if ! printf '%s\n' "$text" | grep -qF "$needle"; then
+      echo "check_metrics: missing $needle in $where" >&2
+      fail=1
+    fi
+  done
+}
+
+# verdict: print the run's document and fail if any needle was missing.
+verdict() {
+  if [ "$fail" -ne 0 ]; then
+    echo "$out" >&2
+    echo "check_metrics: FAILED" >&2
+    exit 1
+  fi
+}
+
+# The paper's cycle contract on the behavioral engine, no farm.
+run "--farm no" --blocks 8 --farm no
+expect "the document" "$out" \
+  '"schema": "aesip-metrics-v2"' \
   '"invariants_ok": true' \
-  '"cycles_per_round": 5' \
-  '"cycles_per_block": 50' \
-  '"key_setup_cycles_per_load": 40' \
   '"batch_backend": "none"' \
   '"batch_lanes": 1'
-do
-  if ! echo "$out" | grep -qF "$needle"; then
-    echo "check_metrics: missing $needle" >&2
-    fail=1
-  fi
-done
+expect "the ip section" "$(section "$out" ip 2)" \
+  '"cycles_per_round": 5' \
+  '"cycles_per_block": 50' \
+  '"key_setup_cycles_per_load": 40'
+verdict
 
-if [ "$fail" -ne 0 ]; then
-  echo "$out" >&2
-  echo "check_metrics: FAILED" >&2
-  exit 1
-fi
-
-# The farm section must carry the fleet counters (hot-swap / spot-check /
-# quarantine-heal; docs/fleet.md) — all zero on this unreconfigured run,
-# but the keys must exist so dashboards can rely on them.
-fout=$("$aesip" metrics --blocks 4 --farm yes --workers 2 --json - 2>&1)
-if [ $? -ne 0 ]; then
-  echo "check_metrics: aesip metrics --farm yes failed" >&2
-  echo "$fout" >&2
-  exit 1
-fi
-for needle in \
-  '"fleet": {' \
-  '"passes": [' \
-  '"lane_divergences": [' \
+# The farm section is the FarmStats document: its fleet counters
+# (hot-swap / spot-check / quarantine-heal; docs/fleet.md) are all zero on
+# this unreconfigured run, but the keys must exist so dashboards can rely
+# on them, and every worker row carries its passes and lane divergences.
+run "--farm yes" --blocks 4 --farm yes --workers 2
+farm=$(section "$out" farm 2)
+expect "the farm section" "$farm" \
+  '"workers": 2' \
   '"batch_backend": "' \
   '"batch_lanes": ' \
   '"swaps": 0' \
@@ -58,73 +83,47 @@ for needle in \
   '"spot_checks": 0' \
   '"spot_boosts": 0' \
   '"workers_boosted": 0' \
-  '"workers_enabled": 2'
-do
-  if ! echo "$fout" | grep -qF "$needle"; then
-    echo "check_metrics: missing $needle in the farm fleet section" >&2
-    fail=1
-  fi
-done
-if [ "$fail" -ne 0 ]; then
-  echo "$fout" >&2
-  echo "check_metrics: FAILED" >&2
-  exit 1
-fi
+  '"workers_enabled": 2' \
+  '"queue_wait_us": {' \
+  '"per_worker": ['
+expect "the farm's per_worker rows" "$(section "$farm" per_worker 4)" \
+  '"passes": ' \
+  '"lane_divergences": ' \
+  '"utilization": '
+verdict
 
 # A netlist engine forced onto the portable backend must report exactly
 # that backend and its 64-lane geometry — the deterministic pin for the
 # batch_backend / batch_lanes keys (the unforced value is host-dependent) —
 # and clean traffic must never split its lanes' control state.
-uout=$(AESIP_BATCH_BACKEND=u64 "$aesip" metrics --blocks 4 --farm no --engine netlist --json - 2>&1)
+out=$(AESIP_BATCH_BACKEND=u64 "$aesip" metrics --blocks 4 --farm no --engine netlist --json - 2>&1)
 if [ $? -ne 0 ]; then
   echo "check_metrics: aesip metrics --engine netlist (u64 backend) failed" >&2
-  echo "$uout" >&2
+  echo "$out" >&2
   exit 1
 fi
-for needle in \
+expect "the forced-u64 netlist run" "$out" \
   '"batch_backend": "u64"' \
   '"batch_lanes": 64' \
   '"lane_divergences": 0'
-do
-  if ! echo "$uout" | grep -qF "$needle"; then
-    echo "check_metrics: missing $needle in the forced-u64 netlist run" >&2
-    fail=1
-  fi
-done
-if [ "$fail" -ne 0 ]; then
-  echo "$uout" >&2
-  echo "check_metrics: FAILED" >&2
-  exit 1
-fi
+verdict
 
-# The net section (docs/cluster.md): a live multi-threaded server behind
-# `--net yes` must report its poller backend, per-event-loop-thread
-# counters, and the cluster identity/gossip counters dashboards shard by.
-nout=$("$aesip" metrics --blocks 4 --farm no --net yes --net-threads 2 --json - 2>&1)
-if [ $? -ne 0 ]; then
-  echo "check_metrics: aesip metrics --net yes failed" >&2
-  echo "$nout" >&2
-  exit 1
-fi
-for needle in \
-  '"net": {' \
+# The net section is the ServerStats document (docs/cluster.md): a live
+# multi-threaded server behind `--net yes` must report its poller backend,
+# per-event-loop-thread counters, and the cluster identity/gossip
+# counters dashboards shard by.
+run "--net yes" --blocks 4 --farm no --net yes --net-threads 2
+net=$(section "$out" net 2)
+expect "the net section" "$net" \
   '"threads": 2' \
   '"poller": "' \
   '"node_id": "metrics-n0"' \
   '"cluster_nodes_alive": 1' \
   '"redirects_sent": 0' \
-  '"per_thread": [' \
+  '"per_thread": ['
+expect "the net's per_thread rows" "$(section "$net" per_thread 4)" \
   '"connections_adopted": '
-do
-  if ! echo "$nout" | grep -qF "$needle"; then
-    echo "check_metrics: missing $needle in the net section" >&2
-    fail=1
-  fi
-done
-if [ "$fail" -ne 0 ]; then
-  echo "$nout" >&2
-  echo "check_metrics: FAILED" >&2
-  exit 1
-fi
+verdict
+
 echo "check_metrics: OK (5 cycles/round, 50 cycles/block, 40-cycle key setup, batch backend keys, fleet + net counters, lane divergences)"
 exit 0
