@@ -143,7 +143,7 @@ double run_loopback(aesip::engine::EngineKind engine, int workers, int sessions,
   return secs;
 }
 
-// --- v2 sections: epoll scaling, the cluster sweep, UDP vs TCP ---------------
+// --- v2 sections: epoll scaling and the cluster sweep ------------------------
 
 /// The verified workload through real sockets: `sessions` clients against
 /// an in-process server (or sharded cluster), every response compared to
@@ -370,20 +370,9 @@ void print_and_dump() {
   }
   std::printf("\n");
 
-  // --- v2: UDP netchan vs TCP, same verified workload ------------------------
-  auto udp = net::make_udp_transport();
-  const auto tcp_run = run_sockets(*tcp, 1, 1, 8, 32, 4, 8);
-  const auto udp_run = run_sockets(*udp, 1, 1, 8, 32, 4, 8);
-  const double tcp_bps = static_cast<double>(tcp_run.total_blocks) / tcp_run.secs;
-  const double udp_bps = static_cast<double>(udp_run.total_blocks) / udp_run.secs;
-  std::printf("udp vs tcp (8 sessions x 32 req x 4 blk): tcp %10.0f blk/s (lost %llu), "
-              "udp %10.0f blk/s (lost %llu)\n\n",
-              tcp_bps, static_cast<unsigned long long>(tcp_run.lost_frames), udp_bps,
-              static_cast<unsigned long long>(udp_run.lost_frames));
-
   std::ofstream jf("BENCH_net.json");
   aesip::report::JsonWriter j(jf);
-  aesip::report::begin_bench_envelope(j, "net", 2);
+  aesip::report::begin_bench_envelope(j, "net", 3);
   j.begin_object();  // config
   j.key("clock_ns").value(kClockNs);
   j.key("workers").value(workers);
@@ -449,18 +438,6 @@ void print_and_dump() {
     j.end_object();
   }
   j.end_array();
-
-  j.key("udp_vs_tcp").begin_object();
-  j.key("sessions").value(8);
-  j.key("requests_per_session").value(32);
-  j.key("blocks_per_request").value(4);
-  j.key("tcp_blocks_per_sec").value(tcp_bps);
-  j.key("udp_blocks_per_sec").value(udp_bps);
-  j.key("tcp_lost_frames").value(tcp_run.lost_frames);
-  j.key("udp_lost_frames").value(udp_run.lost_frames);
-  j.key("lost_frames").value(tcp_run.lost_frames + udp_run.lost_frames);
-  j.key("drained").value(tcp_run.drained && udp_run.drained);
-  j.end_object();
 
   j.end_object();
   std::printf("wrote BENCH_net.json\n\n");

@@ -810,8 +810,8 @@ namespace {
 
 /// f(name, s.field...) for every counter merge_from() adds, each named
 /// once; write_json() writes them under these names, in this order. Gauges
-/// that count resources (workers, queue_capacity, workers_enabled) add like
-/// counters. (`sessions_live` adds too but is not in the JSON document.)
+/// that count resources (workers, sessions_live, queue_capacity,
+/// workers_enabled) add like counters.
 template <class F, class... S>
 void for_each_summed(F&& f, S&... s) {
   f("workers", s.workers...);
@@ -823,6 +823,7 @@ void for_each_summed(F&& f, S&... s) {
   f("key_hits", s.key_hits...);
   f("key_loads", s.key_loads...);
   f("session_evictions", s.session_evictions...);
+  f("sessions_live", s.sessions_live...);
   f("queue_capacity", s.queue_capacity...);
   f("trace_events", s.trace_events...);
   f("trace_dropped", s.trace_dropped...);
@@ -863,7 +864,6 @@ void FarmStats::merge_from(const FarmStats& other) {
 
   for_each_summed([](const char*, auto& mine, const auto& theirs) { mine += theirs; }, *this,
                   other);
-  sessions_live += other.sessions_live;
   for (const auto& [name, h] : kHistograms) (this->*h).merge(other.*h);
 
   // Nodes run concurrently: the cluster's wall time is the longest node's,

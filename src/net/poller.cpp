@@ -14,11 +14,11 @@ namespace aesip::net {
 
 namespace {
 
-/// Normalize a watch list: drop the -1 placeholders, dedupe shared fds.
+/// Normalize a watch list: drop the -1 placeholders and sort, which the
+/// epoll diff walk needs.
 std::vector<int> normalize(std::vector<int> fds) {
   fds.erase(std::remove_if(fds.begin(), fds.end(), [](int fd) { return fd < 0; }), fds.end());
   std::sort(fds.begin(), fds.end());
-  fds.erase(std::unique(fds.begin(), fds.end()), fds.end());
   return fds;
 }
 
@@ -26,14 +26,14 @@ std::vector<int> normalize(std::vector<int> fds) {
 
 class EpollReadinessSet final : public ReadinessSet {
  public:
-  EpollReadinessSet() : epfd_(::epoll_create1(0)) {}
+  /// Takes ownership of `epfd`, a valid epoll instance.
+  explicit EpollReadinessSet(int epfd) : epfd_(epfd) {}
+  EpollReadinessSet(const EpollReadinessSet&) = delete;
+  EpollReadinessSet& operator=(const EpollReadinessSet&) = delete;
 
-  ~EpollReadinessSet() override {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
+  ~EpollReadinessSet() override { ::close(epfd_); }
 
   void rebuild(const std::vector<int>& fds) override {
-    if (epfd_ < 0) return;
     std::vector<int> want = normalize(fds);
     if (want == watched_) return;
     // Diff against the previous set: the kernel keeps the interest list,
@@ -65,7 +65,7 @@ class EpollReadinessSet final : public ReadinessSet {
   }
 
   void wait(std::chrono::milliseconds timeout) override {
-    if (epfd_ < 0 || watched_.empty()) {
+    if (watched_.empty()) {
       std::this_thread::sleep_for(timeout);
       return;
     }
@@ -77,7 +77,7 @@ class EpollReadinessSet final : public ReadinessSet {
 
  private:
   int epfd_;
-  std::vector<int> watched_;  ///< sorted, deduped, no negatives
+  std::vector<int> watched_;  ///< sorted, no negatives
 };
 
 #endif  // __linux__
@@ -109,8 +109,8 @@ class PollReadinessSet final : public ReadinessSet {
 
 std::unique_ptr<ReadinessSet> make_readiness_set() {
 #ifdef __linux__
-  auto set = std::make_unique<EpollReadinessSet>();
-  if (set) return set;
+  const int epfd = ::epoll_create1(0);
+  if (epfd >= 0) return std::make_unique<EpollReadinessSet>(epfd);
 #endif
   return std::make_unique<PollReadinessSet>();
 }

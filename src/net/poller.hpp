@@ -12,14 +12,14 @@
 //   set.forget(fd);     // before closing a watched fd
 //
 // Wakeups are advisory, exactly like Listener::wait — callers re-scan their
-// connections, they never trust the wakeup. Duplicate and negative handles
-// are tolerated: duplicates are deduped (UDP conns share one socket) and
-// negatives are skipped (loopback conns have no fd — a loop holding only
+// connections, they never trust the wakeup. Each live conn owns its handle
+// (Conn::native_handle), so a watch list holds no duplicates. Negative
+// handles are skipped (loopback conns have no fd — a loop holding only
 // those degrades to plain sleeping, which the 1 ms poll interval bounds).
 //
 // make_readiness_set() returns the epoll implementation on Linux and the
-// portable poll(2) one elsewhere; name() says which, and BENCH_net's epoll
-// section records it.
+// portable poll(2) one elsewhere, or when epoll_create1 fails (EMFILE,
+// ENOMEM); name() says which, and BENCH_net's epoll section records it.
 #pragma once
 
 #include <chrono>
@@ -32,8 +32,8 @@ class ReadinessSet {
  public:
   virtual ~ReadinessSet() = default;
 
-  /// Replace the watched set. Order is irrelevant; duplicates and -1 are
-  /// tolerated and ignored.
+  /// Replace the watched set. Order is irrelevant; -1 entries are
+  /// ignored. The fds are distinct (one per live conn).
   virtual void rebuild(const std::vector<int>& fds) = 0;
 
   /// Stop watching `fd`; call it before closing a watched fd.  Once the

@@ -5,11 +5,6 @@
 //
 //  * TcpTransport       — real non-blocking POSIX sockets over localhost or
 //                         the network; waiting is poll(2) on the fds.
-//  * UdpTransport       — aesip-netchan-v1 (src/net/netchan.hpp): a reliable
-//                         ordered byte stream over UDP datagrams, so the
-//                         FrameCodec above it works verbatim. Fragmentation/
-//                         reassembly, seq/ack retransmit, and a stateless
-//                         challenge handshake live below this interface.
 //  * LoopbackTransport  — a deterministic in-process byte pipe for CI and
 //                         benches: no kernel, no ports, no flakes, and a
 //                         configurable per-call chunk cap that *forces* the
@@ -62,10 +57,9 @@ class Conn {
   virtual std::string peer() const = 0;
 
   /// The OS readiness handle (socket fd) behind this connection, or -1
-  /// when there is none (loopback pipes). A ReadinessSet (poller.hpp) can
-  /// watch handles in bulk — the epoll server's worker loops do; several
-  /// conns may share one handle (UDP conns demuxed off one socket), so
-  /// watchers must dedupe.
+  /// when there is none (loopback pipes). Each live conn owns its handle,
+  /// so no two live conns share one. A ReadinessSet (poller.hpp) can
+  /// watch handles in bulk — the epoll server's worker loops do.
   virtual int native_handle() const noexcept { return -1; }
 };
 
@@ -127,35 +121,5 @@ class LoopbackTransport final : public Transport {
 /// Non-blocking TCP sockets; addresses are "host:port". Stateless factory
 /// (every listener/conn owns its fd), safe to share across threads.
 std::unique_ptr<Transport> make_tcp_transport();
-
-/// Seeded packet mangler applied to every datagram a UdpTransport sends —
-/// the chaos harness netchan reliability tests drive. seed == 0 disables
-/// mangling entirely (the production configuration). Probabilities are in
-/// [0,1) and independent per datagram.
-struct UdpChaos {
-  std::uint32_t seed = 0;
-  double drop = 0;     ///< datagram silently discarded
-  double dup = 0;      ///< datagram sent twice
-  double reorder = 0;  ///< datagram held back and swapped with the next one
-};
-
-/// aesip-netchan-v1 tuning. Defaults serve production traffic; tests
-/// shrink the timers to exercise retransmission quickly.
-struct UdpConfig {
-  std::size_t mtu = 1200;       ///< max datagram size incl. netchan header
-  std::size_t window = 64;      ///< max unacked outgoing segments per conn
-  std::chrono::milliseconds rto{25};          ///< retransmit timeout
-  std::size_t max_resend = 400;               ///< per-segment resend cap -> conn dead
-  std::uint64_t secret = 0;     ///< cookie HMAC secret; 0 = randomized
-  std::chrono::milliseconds cookie_epoch{8000};    ///< cookie rotation period
-  std::chrono::milliseconds handshake_timeout{2000};
-  std::chrono::milliseconds linger{250};      ///< retransmit window after close()
-  UdpChaos chaos;
-};
-
-/// UDP datagrams under the same byte-stream contract, via aesip-netchan-v1
-/// (fragmentation/reassembly, stateless challenge handshake, seq/ack
-/// reliability — docs/cluster.md). Addresses are "host:port" like TCP.
-std::unique_ptr<Transport> make_udp_transport(UdpConfig cfg = {});
 
 }  // namespace aesip::net

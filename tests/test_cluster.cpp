@@ -1,26 +1,22 @@
 // The cluster stack, bottom to top: consistent-hash Ring invariants,
-// gossip Director convergence, the aesip-netchan-v1 codec/cookie/Channel
-// reliability engine under a seeded packet mangler and a fake clock, the
-// UDP transport end to end (handshake, chaos, stale-cookie rejection),
-// the multi-threaded epoll server's per-thread fan-in, and multi-node
-// sharding: redirect following, pinning, and cross-node session
-// migration with zero lost frames.
+// gossip Director convergence, the multi-threaded epoll server's
+// per-thread fan-in and its readiness sets, and multi-node sharding:
+// redirect following, pinning, and cross-node session migration with
+// zero lost frames.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <deque>
 #include <map>
-#include <optional>
 #include <random>
 #include <regex>
-#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -31,14 +27,12 @@
 #include "cluster/director.hpp"
 #include "cluster/ring.hpp"
 #include "net/client.hpp"
-#include "net/netchan.hpp"
 #include "net/poller.hpp"
 #include "net/server.hpp"
 #include "net/transport.hpp"
 #include "report/json.hpp"
 
 namespace net = aesip::net;
-namespace netchan = aesip::net::netchan;
 namespace cluster = aesip::cluster;
 namespace farm = aesip::farm;
 namespace aes = aesip::aes;
@@ -250,397 +244,6 @@ TEST(ClusterDirector, GossipConvergesSuspectsAndDrains) {
 }
 
 // ---------------------------------------------------------------------------
-// netchan packet codec + cookies
-// ---------------------------------------------------------------------------
-
-TEST(Netchan, PacketCodecRoundtrip) {
-  netchan::Packet p;
-  p.type = netchan::PacketType::kData;
-  p.conv = 0xdeadbeefu;
-  p.seq = 41;
-  p.ack = 39;
-  p.ack_bits = 0b1011;
-  p.cookie = 0x0123456789abcdefull;
-  p.payload = {1, 2, 3, 4, 5, 250, 251, 252};
-
-  const auto bytes = netchan::encode_packet(p);
-  EXPECT_EQ(bytes.size(), netchan::kPacketOverhead + p.payload.size());
-
-  netchan::Packet q;
-  ASSERT_TRUE(netchan::decode_packet(bytes, q));
-  EXPECT_EQ(q.type, p.type);
-  EXPECT_EQ(q.conv, p.conv);
-  EXPECT_EQ(q.seq, p.seq);
-  EXPECT_EQ(q.ack, p.ack);
-  EXPECT_EQ(q.ack_bits, p.ack_bits);
-  EXPECT_EQ(q.cookie, p.cookie);
-  EXPECT_EQ(q.payload, p.payload);
-}
-
-TEST(Netchan, PacketCodecRejectsEveryCorruption) {
-  netchan::Packet p;
-  p.type = netchan::PacketType::kData;
-  p.conv = 7;
-  p.seq = 1;
-  p.payload.assign(16, 0xa5);
-  const auto good = netchan::encode_packet(p);
-
-  netchan::Packet out;
-  // Any single flipped byte — header, payload, or the CRC itself — must
-  // fail the CRC (or the magic/length checks before it).
-  for (std::size_t i = 0; i < good.size(); ++i) {
-    auto bad = good;
-    bad[i] ^= 0x40;
-    EXPECT_FALSE(netchan::decode_packet(bad, out)) << "flip at byte " << i;
-  }
-  // Truncation at every length short of the full datagram.
-  for (std::size_t len = 0; len < good.size(); ++len) {
-    EXPECT_FALSE(
-        netchan::decode_packet(std::span<const std::uint8_t>(good.data(), len), out))
-        << "truncated to " << len;
-  }
-  // Trailing garbage means payload_len disagrees with the datagram size.
-  auto padded = good;
-  padded.push_back(0);
-  EXPECT_FALSE(netchan::decode_packet(padded, out));
-  EXPECT_TRUE(netchan::decode_packet(good, out));  // the original still decodes
-}
-
-TEST(Netchan, CookieEpochWindow) {
-  const std::string addr = "10.1.2.3:5555";
-  const std::uint64_t secret = 0x5eedf00dULL;
-  const std::uint64_t epoch = 1000;
-  const std::uint64_t c = netchan::make_cookie(addr, secret, epoch);
-
-  EXPECT_EQ(c, netchan::make_cookie(addr, secret, epoch));  // deterministic
-  EXPECT_TRUE(netchan::cookie_valid(c, addr, secret, epoch));      // current
-  EXPECT_TRUE(netchan::cookie_valid(c, addr, secret, epoch + 1));  // previous
-  EXPECT_FALSE(netchan::cookie_valid(c, addr, secret, epoch + 2)) << "stale must fail";
-  EXPECT_FALSE(netchan::cookie_valid(c, addr, secret, epoch - 1)) << "future must fail";
-  EXPECT_FALSE(netchan::cookie_valid(c, "10.1.2.3:5556", secret, epoch));  // wrong addr
-  EXPECT_FALSE(netchan::cookie_valid(c, addr, secret + 1, epoch));         // wrong secret
-  EXPECT_FALSE(netchan::cookie_valid(c ^ 1, addr, secret, epoch));         // bit-flipped
-}
-
-// ---------------------------------------------------------------------------
-// netchan::Channel — the reliability engine, driven by a fake clock
-// ---------------------------------------------------------------------------
-
-/// Shuttle every due packet from one channel into the other, optionally
-/// through a seeded mangler (drop / duplicate / hold-one-back reorder —
-/// the same misbehaviors udp.cpp's chaos Mangler injects at the socket).
-struct LossyWire {
-  std::mt19937 rng;
-  double drop = 0, dup = 0, reorder = 0;
-  std::optional<netchan::Packet> held;
-
-  explicit LossyWire(std::uint32_t seed, double dr = 0, double du = 0, double re = 0)
-      : rng(seed), drop(dr), dup(du), reorder(re) {}
-
-  double roll() { return std::uniform_real_distribution<double>(0.0, 1.0)(rng); }
-
-  void transfer(netchan::Channel& from, netchan::Channel& to,
-                netchan::Channel::clock::time_point now) {
-    netchan::Packet p;
-    while (from.poll_outgoing(p, now)) {
-      if (roll() < drop) continue;
-      if (!held && roll() < reorder) {
-        held = p;  // swapped with whatever goes out next
-        continue;
-      }
-      const bool twice = roll() < dup;
-      to.on_packet(p, now);
-      if (twice) to.on_packet(p, now);
-      if (held) {
-        to.on_packet(*held, now);
-        held.reset();
-      }
-    }
-  }
-};
-
-TEST(NetchanChannel, LosslessInOrderDelivery) {
-  netchan::ChannelConfig cc;
-  cc.mtu_payload = 100;
-  cc.window = 8;
-  netchan::Channel a(cc), b(cc);
-  auto now = netchan::Channel::clock::now();
-  LossyWire wire(1);  // no loss
-
-  std::mt19937 rng(11);
-  std::vector<std::uint8_t> sent(4096);
-  for (auto& v : sent) v = static_cast<std::uint8_t>(rng());
-
-  std::vector<std::uint8_t> got;
-  std::size_t off = 0;
-  std::uint8_t buf[512];
-  for (int iter = 0; iter < 1000 && (got.size() < sent.size() || !a.idle()); ++iter) {
-    if (off < sent.size())
-      off += a.send(std::span<const std::uint8_t>(sent.data() + off, sent.size() - off));
-    wire.transfer(a, b, now);
-    wire.transfer(b, a, now);
-    for (std::size_t n; (n = b.receive(buf)) > 0;) got.insert(got.end(), buf, buf + n);
-    now += 1ms;
-  }
-  EXPECT_EQ(got, sent);
-  EXPECT_TRUE(a.idle());
-  EXPECT_TRUE(b.recv_drained());
-  EXPECT_EQ(a.stats().segs_resent, 0u) << "a lossless wire must never retransmit";
-  EXPECT_EQ(b.stats().dups, 0u);
-  EXPECT_EQ(b.stats().out_of_order, 0u);
-  EXPECT_EQ(a.stats().segs_sent, (sent.size() + cc.mtu_payload - 1) / cc.mtu_payload);
-}
-
-TEST(NetchanChannel, MtuBoundarySegmentation) {
-  // mtu_payload-1 / exact / +1 bytes must become 1 / 1 / 2 segments: the
-  // fragmentation boundary is where an off-by-one would corrupt streams.
-  for (const auto& [bytes, segs] :
-       std::vector<std::pair<std::size_t, std::uint64_t>>{{63, 1}, {64, 1}, {65, 2}, {128, 2}, {129, 3}}) {
-    netchan::ChannelConfig cc;
-    cc.mtu_payload = 64;
-    netchan::Channel ch(cc);
-    const auto now = netchan::Channel::clock::now();
-    std::vector<std::uint8_t> data(bytes, 0x3c);
-    ASSERT_EQ(ch.send(data), bytes);
-
-    std::uint64_t emitted = 0;
-    std::size_t payload_total = 0;
-    netchan::Packet p;
-    while (ch.poll_outgoing(p, now)) {
-      ASSERT_EQ(p.type, netchan::PacketType::kData);
-      EXPECT_LE(p.payload.size(), cc.mtu_payload);
-      ++emitted;
-      payload_total += p.payload.size();
-    }
-    EXPECT_EQ(emitted, segs) << bytes << " bytes";
-    EXPECT_EQ(payload_total, bytes) << "no byte lost or invented at the boundary";
-    EXPECT_EQ(ch.stats().segs_sent, segs);
-  }
-}
-
-TEST(NetchanChannel, DuplicateSegmentDeliveredExactlyOnce) {
-  netchan::Channel a, b;
-  const auto now = netchan::Channel::clock::now();
-  const std::vector<std::uint8_t> msg{'o', 'n', 'c', 'e'};
-  a.send(msg);
-  netchan::Packet p;
-  ASSERT_TRUE(a.poll_outgoing(p, now));
-  b.on_packet(p, now);
-  b.on_packet(p, now);  // the duplicate
-  EXPECT_EQ(b.stats().segs_received, 1u);
-  EXPECT_EQ(b.stats().dups, 1u);
-  std::uint8_t buf[64];
-  EXPECT_EQ(b.receive(buf), msg.size());
-  EXPECT_TRUE(std::equal(msg.begin(), msg.end(), buf));
-  EXPECT_EQ(b.receive(buf), 0u) << "the duplicate must not deliver again";
-}
-
-TEST(NetchanChannel, SurvivesSeededLossDupAndReorder) {
-  netchan::ChannelConfig cc;
-  cc.mtu_payload = 128;
-  cc.window = 8;
-  cc.rto = 5ms;
-  netchan::Channel a(cc), b(cc);
-  auto now = netchan::Channel::clock::now();
-  LossyWire ab(0xc0ffee, 0.10, 0.10, 0.10);  // a -> b mangled
-  LossyWire ba(0xf00d, 0.10, 0.10, 0.10);    // acks mangled too
-
-  std::mt19937 rng(99);
-  std::vector<std::uint8_t> sent(16384);
-  for (auto& v : sent) v = static_cast<std::uint8_t>(rng());
-
-  std::vector<std::uint8_t> got;
-  std::size_t off = 0;
-  std::uint8_t buf[1024];
-  for (int iter = 0; iter < 50000 && (got.size() < sent.size() || !a.idle()); ++iter) {
-    if (off < sent.size())
-      off += a.send(std::span<const std::uint8_t>(sent.data() + off, sent.size() - off));
-    ab.transfer(a, b, now);
-    ba.transfer(b, a, now);
-    for (std::size_t n; (n = b.receive(buf)) > 0;) got.insert(got.end(), buf, buf + n);
-    now += 1ms;  // fake time: every RTO expiry is exercised, no wall clock
-  }
-  ASSERT_EQ(got.size(), sent.size()) << "stream stalled under chaos";
-  EXPECT_EQ(got, sent) << "bytes must arrive intact and in order";
-  EXPECT_TRUE(a.idle());
-  EXPECT_FALSE(a.dead());
-  // The chaos must actually have exercised the machinery it claims to.
-  EXPECT_GT(a.stats().segs_resent, 0u) << "drops should have forced retransmits";
-  EXPECT_GT(b.stats().dups, 0u) << "dup injection + retransmit overlap";
-  EXPECT_GT(b.stats().out_of_order, 0u) << "reorder should have stashed segments";
-}
-
-TEST(NetchanChannel, ResendCapDeclaresPeerDead) {
-  netchan::ChannelConfig cc;
-  cc.rto = 1ms;
-  cc.max_resend = 3;
-  netchan::Channel a(cc);
-  auto now = netchan::Channel::clock::now();
-  const std::vector<std::uint8_t> msg{1, 2, 3};
-  a.send(msg);
-  netchan::Packet p;
-  for (int i = 0; i < 20 && !a.dead(); ++i) {
-    while (a.poll_outgoing(p, now)) {
-    }  // black hole: nothing ever acked
-    now += 2ms;
-  }
-  EXPECT_TRUE(a.dead()) << "a silent peer must be declared dead at the resend cap";
-  EXPECT_GE(a.stats().segs_resent, 3u);
-}
-
-// ---------------------------------------------------------------------------
-// UDP transport end to end
-// ---------------------------------------------------------------------------
-
-TEST(UdpTransport, VerifiedSessionsEndToEnd) {
-  net::UdpConfig ucfg;
-  ucfg.rto = 10ms;
-  auto transport = net::make_udp_transport(ucfg);
-  net::ServerConfig scfg;
-  scfg.farm.workers = 2;
-  scfg.farm.engine = aesip::engine::EngineKind::kSoftware;
-  net::Server server(*transport, "127.0.0.1:0", scfg);
-  server.start();
-
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  for (int s = 0; s < 2; ++s)
-    threads.emplace_back([&, s] {
-      mismatches += run_verified_session(*transport, server.address(),
-                                         static_cast<std::uint64_t>(s) + 1, 32,
-                                         500 + static_cast<std::uint32_t>(s));
-    });
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(mismatches.load(), 0);
-
-  server.stop();
-  const auto st = server.stats();
-  EXPECT_EQ(st.connections_accepted, 2u);
-  EXPECT_EQ(st.protocol_errors, 0u) << "netchan must hand the codec a clean byte stream";
-  EXPECT_EQ(st.responses_sent, st.data_frames);
-}
-
-TEST(UdpTransport, ChaosDropDupReorderZeroLoss) {
-  // The socket-level mangler (seeded, deterministic) drops/dups/reorders
-  // real datagrams — handshake included — and the stream above must still
-  // be bit-exact. This is the UDP answer to the loadgen's zero-loss gate.
-  net::UdpConfig ucfg;
-  ucfg.rto = 5ms;
-  ucfg.chaos = net::UdpChaos{.seed = 0xbadca5e, .drop = 0.05, .dup = 0.05, .reorder = 0.05};
-  auto transport = net::make_udp_transport(ucfg);
-  net::ServerConfig scfg;
-  scfg.farm.workers = 2;
-  scfg.farm.engine = aesip::engine::EngineKind::kSoftware;
-  net::Server server(*transport, "127.0.0.1:0", scfg);
-  server.start();
-
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  for (int s = 0; s < 2; ++s)
-    threads.emplace_back([&, s] {
-      mismatches += run_verified_session(*transport, server.address(),
-                                         static_cast<std::uint64_t>(s) + 1, 24,
-                                         700 + static_cast<std::uint32_t>(s));
-    });
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(mismatches.load(), 0) << "chaos may slow the stream, never corrupt it";
-
-  server.stop();
-  EXPECT_EQ(server.stats().protocol_errors, 0u);
-}
-
-TEST(UdpTransport, StaleCookieRejectedStateless) {
-  // Drive the handshake with a raw socket so we can forge cookies. The
-  // server must hand out state for a valid cookie and silently drop a
-  // stale one (minted two epochs ago) — without ever allocating.
-  net::UdpConfig ucfg;
-  ucfg.secret = 0x5eedf00dULL;  // known secret so the test can mint cookies
-  auto transport = net::make_udp_transport(ucfg);
-  auto listener = transport->listen("127.0.0.1:0");
-  const std::string addr = listener->address();
-  const int port = std::stoi(addr.substr(addr.rfind(':') + 1));
-
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  sa.sin_port = htons(static_cast<std::uint16_t>(port));
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof sa), 0);
-  sockaddr_in self{};
-  socklen_t slen = sizeof self;
-  ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&self), &slen), 0);
-  const std::string self_addr =
-      "127.0.0.1:" + std::to_string(ntohs(self.sin_port));  // how the server keys us
-
-  const auto send_packet = [&](const netchan::Packet& p) {
-    const auto bytes = netchan::encode_packet(p);
-    ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), 0),
-              static_cast<ssize_t>(bytes.size()));
-  };
-  // The listener only pumps inside wait()/accept(); interleave that with
-  // polling our socket.
-  const auto recv_packet = [&](netchan::Packet& out) {
-    for (int i = 0; i < 500; ++i) {
-      listener->wait(1ms);
-      pollfd pf{fd, POLLIN, 0};
-      if (::poll(&pf, 1, 0) == 1) {
-        std::uint8_t buf[2048];
-        const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-        if (n > 0 &&
-            netchan::decode_packet(std::span<const std::uint8_t>(buf, static_cast<std::size_t>(n)), out))
-          return true;
-      }
-    }
-    return false;
-  };
-
-  // Stale cookie: minted with the same formula udp.cpp uses, two epochs
-  // back — outside the current-or-previous acceptance window.
-  const auto ms_now = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          std::chrono::steady_clock::now().time_since_epoch())
-                          .count();
-  const std::uint64_t epoch =
-      static_cast<std::uint64_t>(ms_now / ucfg.cookie_epoch.count());
-  netchan::Packet stale;
-  stale.type = netchan::PacketType::kConnect;
-  stale.cookie = netchan::make_cookie(self_addr, ucfg.secret, epoch >= 2 ? epoch - 2 : epoch + 7);
-  send_packet(stale);
-  netchan::Packet reply;
-  EXPECT_FALSE(recv_packet(reply)) << "a stale cookie must be dropped silently";
-  EXPECT_EQ(listener->accept(), nullptr) << "no state may be allocated for a stale cookie";
-
-  // Forged cookie (right shape, wrong secret): same silent drop.
-  netchan::Packet forged;
-  forged.type = netchan::PacketType::kConnect;
-  forged.cookie = netchan::make_cookie(self_addr, ucfg.secret ^ 0xff, epoch);
-  send_packet(forged);
-  EXPECT_FALSE(recv_packet(reply));
-  EXPECT_EQ(listener->accept(), nullptr);
-
-  // The honest handshake on the very same socket still completes.
-  netchan::Packet req;
-  req.type = netchan::PacketType::kChallengeReq;
-  send_packet(req);
-  ASSERT_TRUE(recv_packet(reply));
-  ASSERT_EQ(reply.type, netchan::PacketType::kChallenge);
-  netchan::Packet conn;
-  conn.type = netchan::PacketType::kConnect;
-  conn.cookie = reply.cookie;
-  send_packet(conn);
-  ASSERT_TRUE(recv_packet(reply));
-  EXPECT_EQ(reply.type, netchan::PacketType::kAccept);
-  std::unique_ptr<net::Conn> accepted;
-  for (int i = 0; i < 500 && !accepted; ++i) {
-    listener->wait(1ms);
-    accepted = listener->accept();
-  }
-  ASSERT_NE(accepted, nullptr) << "a valid cookie must produce the connection";
-  EXPECT_EQ(accepted->peer(), self_addr);
-  ::close(fd);
-}
-
-// ---------------------------------------------------------------------------
 // Multi-threaded epoll server
 // ---------------------------------------------------------------------------
 
@@ -784,6 +387,37 @@ TEST(EpollServer, ReadinessSetWatchesAReusedDescriptor) {
       << set->name() << " slept through a readable descriptor";
   ::close(new_pipe[0]);
   ::close(new_pipe[1]);
+}
+
+// With no descriptor left for an epoll instance (EMFILE), the factory
+// falls back to poll(2), which needs none, and that set still wakes on a
+// socket made before the limit was lowered.  The limit is lowered in a
+// forked child so the test binary keeps its own, and only around the
+// factory call: the sanitizers' runtime checks need descriptors too.
+TEST(EpollServer, ReadinessSetFallsBackToPollWithoutDescriptors) {
+  EXPECT_EXIT(
+      {
+        int sp[2];
+        if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sp) != 0) std::_Exit(2);
+        const int lowest_free = ::dup(sp[0]);  // every number below it is taken
+        ::close(lowest_free);
+        rlimit lim{};
+        ::getrlimit(RLIMIT_NOFILE, &lim);
+        const rlim_t saved = lim.rlim_cur;
+        lim.rlim_cur = static_cast<rlim_t>(lowest_free);
+        if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) std::_Exit(3);
+        auto set = net::make_readiness_set();
+        lim.rlim_cur = saved;
+        if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) std::_Exit(3);
+        set->rebuild({sp[0]});
+        if (::write(sp[1], "x", 1) != 1) std::_Exit(4);
+        const auto t0 = std::chrono::steady_clock::now();
+        set->wait(std::chrono::seconds(5));
+        const bool woke = std::chrono::steady_clock::now() - t0 < std::chrono::seconds(2);
+        std::fprintf(stderr, "set=%s woke=%d\n", set->name(), woke ? 1 : 0);
+        std::_Exit(0);
+      },
+      ::testing::ExitedWithCode(0), "set=poll woke=1");
 }
 
 // ---------------------------------------------------------------------------

@@ -152,15 +152,6 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-/// The transport every networked subcommand shares: TCP by default,
-/// aesip-netchan-v1 over UDP with --udp (--mtu caps the datagram size).
-std::unique_ptr<net::Transport> transport_of(const Args& args) {
-  if (arg_or(args, "udp", "no") == "no") return net::make_tcp_transport();
-  net::UdpConfig ucfg;
-  ucfg.mtu = std::stoul(arg_or(args, "mtu", "1200"));
-  return net::make_udp_transport(ucfg);
-}
-
 /// The --engine option (`fallback` when absent) as an engine kind; "ttable"
 /// names the software engine, whose batch path is the T-table AES.
 engine::EngineKind engine_of(const Args& args, const std::string& fallback) {
@@ -768,7 +759,7 @@ int cmd_serve(const Args& args) {
     cfg.cluster = cc;
   }
 
-  auto transport = transport_of(args);
+  auto transport = net::make_tcp_transport();
   net::Server server(*transport, address, cfg);
   g_serve_instance.store(&server, std::memory_order_release);
   std::signal(SIGINT, serve_signal_handler);
@@ -811,7 +802,8 @@ int cmd_loadgen(const Args& args) {
   // built for the scenario: netlist engines (so injection lands in real
   // DFF state), spot-check fraction 1.0 (every job oracle-checked, so a
   // corrupted engine is caught and healed before its bytes escape), and
-  // the admin plane on. Exit 0 means zero corrupted and zero lost frames.
+  // the admin plane on. Exit 0 means zero corrupted and zero lost frames,
+  // and, when loadgen self-hosts, at least one mutation landed.
   const bool chaos = arg_or(args, "chaos", "no") != "no";
   std::string address = arg_or(args, "connect", "");
   const int n_sessions = std::stoi(arg_or(args, "sessions", chaos ? "2" : "4"));
@@ -825,7 +817,7 @@ int cmd_loadgen(const Args& args) {
   // the farm picks the engine geometry from the key length per job).
   const int keybits = keybits_of(args, "mix", /*allow_mix=*/true);
 
-  auto transport = transport_of(args);
+  auto transport = net::make_tcp_transport();
 
   // --nodes N self-hosts an N-node cluster in-process (gossip-linked,
   // consistent-hash sharded); --nodes A,B,C targets servers already
@@ -1059,6 +1051,12 @@ int cmd_loadgen(const Args& args) {
   if (!node_addrs.empty())
     std::printf("loadgen: cluster: %llu redirects followed across %zu nodes\n",
                 static_cast<unsigned long long>(total_redirects.load()), node_addrs.size());
+  // Fleet mutations that landed on self-hosted farms: a chaos run that
+  // landed none tested no fleet path, so it must not pass.
+  std::uint64_t landed = 0;
+  const auto count_landed = [&](const farm::FarmStats& fs) {
+    landed += fs.swaps + fs.heals + fs.quarantines;
+  };
   if (!cluster_nodes.empty()) {
     for (auto& n : cluster_nodes) n->stop();
     farm::FarmStats merged;
@@ -1076,11 +1074,18 @@ int cmd_loadgen(const Args& args) {
                 static_cast<unsigned long long>(merged.blocks),
                 static_cast<unsigned long long>(redirects_sent),
                 static_cast<unsigned long long>(gossip_rounds));
+    count_landed(merged);
   }
   if (self_hosted) {
     self_hosted->stop();
-    std::fputs(self_hosted->farm_stats().report().c_str(), stdout);
+    const farm::FarmStats fs = self_hosted->farm_stats();
+    std::fputs(fs.report().c_str(), stdout);
+    count_landed(fs);
   }
+  const bool vacuous_chaos = chaos && (self_hosted || !cluster_nodes.empty()) && landed == 0;
+  if (vacuous_chaos)
+    std::fprintf(stderr, "loadgen: chaos: no swap, heal or quarantine landed before traffic "
+                         "ended; raise --requests\n");
   // Corrupted frames = verification mismatches; lost frames = sessions that
   // failed to collect every response (collect_one would have thrown).
   const bool ok =
@@ -1089,7 +1094,7 @@ int cmd_loadgen(const Args& args) {
               "%d lost/failed sessions)\n",
               ok ? "all bit-exact" : "FAILED",
               static_cast<unsigned long long>(mismatches.load()), failures.load());
-  return ok ? 0 : 1;
+  return ok && !vacuous_chaos ? 0 : 1;
 }
 
 // --- fleet -------------------------------------------------------------------------
@@ -1116,13 +1121,13 @@ void fleet_usage() {
 }
 
 int cmd_fleet(int argc, char** argv) {
-  // Each fleet subcommand and the options it reads (--udp/--mtu: transport_of).
+  // Each fleet subcommand and the options it reads.
   static const std::map<std::string, Options> kSubcommands = {
-      {"status", {"connect", "nodes", "udp", "mtu"}},
-      {"swap", {"connect", "worker", "engine", "variant", "udp", "mtu"}},
-      {"quarantine", {"connect", "worker", "udp", "mtu"}},
-      {"resume", {"connect", "worker", "udp", "mtu"}},
-      {"inject", {"connect", "worker", "site", "udp", "mtu"}},
+      {"status", {"connect", "nodes"}},
+      {"swap", {"connect", "worker", "engine", "variant"}},
+      {"quarantine", {"connect", "worker"}},
+      {"resume", {"connect", "worker"}},
+      {"inject", {"connect", "worker", "site"}},
   };
   const auto it = argc < 3 ? kSubcommands.end() : kSubcommands.find(argv[2]);
   if (it == kSubcommands.end()) {
@@ -1131,7 +1136,7 @@ int cmd_fleet(int argc, char** argv) {
   }
   const std::string& sub = it->first;
   const Args args = parse_args(argc, argv, 3, "fleet " + sub, it->second);
-  auto transport = transport_of(args);
+  auto transport = net::make_tcp_transport();
 
   // Fleet clients are pinned (kFlagPinned): they target the node they
   // dialed, never the session's ring owner.
@@ -1250,7 +1255,6 @@ void usage() {
       "           multi-threaded server for the per-thread/cluster counters)\n"
       "  serve    [--listen HOST:PORT] [--workers N] [--engine sw|behavioral|netlist]\n"
       "           [--threads N] (event-loop threads: epoll/poll readiness)\n"
-      "           [--udp] [--mtu N] (aesip-netchan-v1 over UDP instead of TCP)\n"
       "           [--cluster --node-id ID --seeds A,B --advertise ADDR]\n"
       "           [--gossip-ms MS] [--suspect-ms MS] [--vnodes N]\n"
       "           (join a sharded multi-node cluster; docs/cluster.md)\n"
@@ -1263,7 +1267,7 @@ void usage() {
       "           [--nodes N|A,B,C] (N self-hosts an N-node sharded cluster;\n"
       "           a list round-robins sessions over running nodes — either\n"
       "           way clients follow kRedirect to each session's owner)\n"
-      "           [--udp] [--threads N] [--concurrency N] (session thread pool\n"
+      "           [--threads N] [--concurrency N] (session thread pool\n"
       "           cap, default 256 — 10k sessions != 10k threads)\n"
       "           [--keybits 128|192|256|mix] (default mix: sessions rotate key\n"
       "           sizes round-robin, each verified against its matching oracle)\n"
@@ -1305,7 +1309,7 @@ int main(int argc, char** argv) {
     usage();
     return 0;
   }
-  // Every subcommand and the options it reads (--udp/--mtu: transport_of).
+  // Every subcommand and the options it reads.
   struct Subcommand {
     const char* name;
     Options options;
@@ -1327,13 +1331,13 @@ int main(int argc, char** argv) {
        {"blocks", "engine", "farm", "workers", "net", "net-threads", "json", "trace"},
        cmd_metrics},
       {"serve",
-       {"listen", "workers", "engine", "threads", "udp", "mtu", "cluster", "node-id", "seeds",
-        "advertise", "gossip-ms", "suspect-ms", "vnodes", "window", "queue", "idle-ms",
-        "trace", "spot-check", "admin", "chaos-seed", "keybits"},
+       {"listen", "workers", "engine", "threads", "cluster", "node-id", "seeds", "advertise",
+        "gossip-ms", "suspect-ms", "vnodes", "window", "queue", "idle-ms", "trace",
+        "spot-check", "admin", "chaos-seed", "keybits"},
        cmd_serve},
       {"loadgen",
-       {"connect", "sessions", "requests", "blocks", "nodes", "udp", "mtu", "threads",
-        "concurrency", "keybits", "seed", "chaos", "workers", "engine"},
+       {"connect", "sessions", "requests", "blocks", "nodes", "threads", "concurrency",
+        "keybits", "seed", "chaos", "workers", "engine"},
        cmd_loadgen},
       {"selftest", {}, [](const Args&) { return cmd_selftest(); }},
   };

@@ -75,12 +75,11 @@ for f in "$repo"/BENCH_*.json; do
       fail=1
     fi
 
-    # v2 payload (docs/cluster.md): epoll scaling, the nodes x sessions
-    # cluster sweep, and the UDP-vs-TCP row.
+    # v2 sections (docs/cluster.md): epoll scaling and the nodes x
+    # sessions cluster sweep.
     for needle in \
       '"epoll": {' \
-      '"cluster": [' \
-      '"udp_vs_tcp": {'
+      '"cluster": ['
     do
       if ! grep -qF "$needle" "$f"; then
         echo "check_bench: $name: missing $needle" >&2
@@ -90,7 +89,7 @@ for f in "$repo"/BENCH_*.json; do
     # Zero-frame-loss and graceful drain at every scale that ran: any
     # non-zero lost_frames or a failed drain anywhere in the file fails.
     if grep -q '"lost_frames": [^0]' "$f"; then
-      echo "check_bench: $name: lost frames in a cluster/udp row:" >&2
+      echo "check_bench: $name: lost frames in a cluster row:" >&2
       grep '"lost_frames": [^0]' "$f" >&2
       fail=1
     fi
@@ -118,13 +117,6 @@ for f in "$repo"/BENCH_*.json; do
       echo "check_bench: $name: $n_skip skipped rows but only $n_reason reasons" >&2
       fail=1
     fi
-    # The UDP-vs-TCP row must report both transports.
-    for needle in '"tcp_blocks_per_sec": ' '"udp_blocks_per_sec": '; do
-      if ! grep -qF "$needle" "$f"; then
-        echo "check_bench: $name: missing $needle" >&2
-        fail=1
-      fi
-    done
   fi
 
   if [ "$stem" = "simspeed" ]; then

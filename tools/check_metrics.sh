@@ -71,7 +71,8 @@ verdict
 # The farm section is the FarmStats document: its fleet counters
 # (hot-swap / spot-check / quarantine-heal; docs/fleet.md) are all zero on
 # this unreconfigured run, but the keys must exist so dashboards can rely
-# on them, and every worker row carries its passes and lane divergences.
+# on them, it says how many sessions the node holds, and every worker row
+# carries its passes and lane divergences.
 run "--farm yes" --blocks 4 --farm yes --workers 2
 farm=$(section "$out" farm 2)
 expect "the farm section" "$farm" \
@@ -84,6 +85,7 @@ expect "the farm section" "$farm" \
   '"spot_boosts": 0' \
   '"workers_boosted": 0' \
   '"workers_enabled": 2' \
+  '"sessions_live": ' \
   '"queue_wait_us": {' \
   '"per_worker": ['
 expect "the farm's per_worker rows" "$(section "$farm" per_worker 4)" \
