@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "aes/cipher.hpp"
+#include "aes/sbox.hpp"
 #include "core/bfm.hpp"
 #include "core/gate_driver.hpp"
 #include "core/ip_synth.hpp"
@@ -117,6 +118,8 @@ EnginePoint measure_engine(engine::EngineKind kind, int blocks) {
 
 constexpr int kBatchScalarBlocks = 8;  // scalar gate-level blocks are ~ms each
 constexpr int kBatchPasses = 4;        // passes per occupancy point in the sweep
+constexpr int kRomChain = 64;          // S-box ROMs in the ROM-gather probe's chain
+constexpr int kRomSettles = 200;       // settles per ROM-gather trial
 
 struct LanePoint {
   std::size_t lanes;
@@ -142,7 +145,44 @@ struct ConeFigures {
   double dffs_per_edge = 0;       // flip-flops clocked per clock edge
   std::size_t dffs = 0;           // every flip-flop: a full clock
   std::size_t cache_bytes = 0;    // the control-state cache after the run
+  double rom_ns_per_op = 0;       // one 256x8 ROM gather (measure_rom_gather_ns)
 };
+
+/// ns per ROM op on backend `b`, the cost of the one op kind that is a
+/// table lookup rather than a word op: a chain of kRomChain S-box ROMs,
+/// each addressed by the one before, so a settle runs only ROM ops.  Every
+/// settle follows fresh addresses in every lane.  Min over kTrials trials.
+double measure_rom_gather_ns(aesip::netlist::BatchBackend b) {
+  namespace netlist = aesip::netlist;
+  netlist::Netlist nl;
+  const netlist::Bus in = nl.add_input_bus("a", 8);
+  netlist::Bus bus = in;
+  for (int i = 0; i < kRomChain; ++i)
+    bus = nl.add_rom(aesip::aes::kSBox, bus, "sbox" + std::to_string(i));
+  nl.add_output_bus(bus, "d");
+  netlist::BatchConfig cfg;
+  cfg.backend = b;
+  netlist::BatchEvaluator ev(nl, cfg);
+  std::uint64_t x = 0x9e3779b97f4a7c15u;
+  double best = 1e300;
+  for (int t = 0; t < kTrials; ++t) {
+    const std::uint64_t ops0 = ev.ops_executed();
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int s = 0; s < kRomSettles; ++s) {
+      for (const netlist::NetId n : in)
+        for (std::size_t g = 0; g < ev.stride(); ++g) {
+          x = x * 6364136223846793005u + 1442695040888963407u;
+          ev.set_word(n, x, g);
+        }
+      ev.settle();
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    const double ns =
+        static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+    best = std::min(best, ns / static_cast<double>(ev.ops_executed() - ops0));
+  }
+  return best;
+}
 
 struct NetlistBatchResult {
   double ns_per_block_scalar = 0;  // scalar Evaluator via GateIpDriver
@@ -244,6 +284,7 @@ NetlistBatchResult measure_netlist_batch() {
     }
     if (b == netlist::BatchBackend::kU64) r.ns_per_block_u64 = pt.ns_per_block;
     if (b == active) {
+      r.cone.rom_ns_per_op = measure_rom_gather_ns(b);
       r.active_index = r.backends.size();
       r.backend = pt.name;
       r.lanes = pt.lanes;
@@ -322,16 +363,16 @@ void measure_and_dump() {
   std::printf("  active          %s (%zu lanes), %zu tape ops\n", nb.backend, nb.lanes,
               nb.tape_ops);
   std::printf("  live cone       %8.1f ops/block (full sweeps: %.1f), %.1f of %zu flip-flops "
-              "clocked per edge, %zu B cached\n",
+              "clocked per edge, %zu B cached, ROM gather %.1f ns/op\n",
               nb.cone.ops_per_block, nb.cone.ops_per_block_full, nb.cone.dffs_per_edge,
-              nb.cone.dffs, nb.cone.cache_bytes);
+              nb.cone.dffs, nb.cone.cache_bytes, nb.cone.rom_ns_per_op);
   std::printf("  vs scalar       %12.2f x           (target: >= 20x)\n", nb.speedup_per_block);
   std::printf("  vs u64 lanes    %12.2f x           (the SIMD widening gate; target: >= 4x)\n\n",
               nb.speedup_vs_u64);
 
   std::ofstream jf("BENCH_simspeed.json");
   aesip::report::JsonWriter j(jf);
-  aesip::report::begin_bench_envelope(j, "simspeed", 6);
+  aesip::report::begin_bench_envelope(j, "simspeed", 7);
   j.begin_object();  // config
   j.key("blocks").value(kBlocks);
   j.key("trials").value(kTrials);
@@ -339,6 +380,8 @@ void measure_and_dump() {
   j.key("netlist_blocks").value(16);
   j.key("netlist_batch_scalar_blocks").value(kBatchScalarBlocks);
   j.key("netlist_batch_passes").value(kBatchPasses);
+  j.key("rom_chain").value(kRomChain);
+  j.key("rom_settles").value(kRomSettles);
   j.end_object();
   j.key("scheduler").begin_object();
   j.key("ns_per_cycle_delta").value(delta_only);
@@ -362,12 +405,13 @@ void measure_and_dump() {
     j.end_object();
   }
   j.end_array();
-  // Payload v6 (docs/benchmarks.md): the active backend's figures, the
+  // Payload v7 (docs/benchmarks.md): the active backend's figures, the
   // historical >= 20x scalar gate, the resolved backend/lane geometry, the
   // per-backend rows (skip-with-reason where the host cannot run one), the
   // `simd` sub-gate — widest backend >= 4x over the unchanged u64
   // baseline, skipped with a reason when u64 is all the host has — and the
-  // `live_cone` figures (ops and flip-flop clocks the pruned sweeps ran).
+  // `live_cone` figures (ops and flip-flop clocks the pruned sweeps ran,
+  // and since v7 the ROM gather's ns per op on the active backend).
   j.key("netlist_batch").begin_object();
   j.key("backend").value(nb.backend);
   j.key("lanes").value(nb.lanes);
@@ -395,6 +439,7 @@ void measure_and_dump() {
   j.key("dffs_per_edge").value(nb.cone.dffs_per_edge);
   j.key("dffs").value(nb.cone.dffs);
   j.key("cache_bytes").value(nb.cone.cache_bytes);
+  j.key("rom_gather_ns_per_op").value(nb.cone.rom_ns_per_op);
   j.end_object();
   j.key("backends").begin_array();
   for (const auto& bp : nb.backends) {

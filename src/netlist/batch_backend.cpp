@@ -43,8 +43,10 @@ namespace {
 #if (defined(__x86_64__) || defined(_M_X64)) && (defined(__GNUC__) || defined(__clang__))
 bool cpu_has_avx2() { return __builtin_cpu_supports("avx2"); }
 bool cpu_has_avx512() {
-  // F for the 512-bit word ops, BW for the byte-granular ROM gather.
-  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw");
+  // F for the 512-bit word ops, BW for the byte-granular ROM gather, VBMI
+  // for its vpermi2b table lookup.  A host without VBMI runs avx2.
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+         __builtin_cpu_supports("avx512vbmi");
 }
 #else
 bool cpu_has_avx2() { return false; }

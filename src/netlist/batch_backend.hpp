@@ -42,7 +42,7 @@ std::optional<BatchBackend> backend_from_name(std::string_view name) noexcept;
 std::size_t backend_lanes(BatchBackend b) noexcept;
 
 /// True when this host can run `b`: compiled in AND the CPU advertises the
-/// feature (AVX2 / AVX-512F+BW).  kU64 is always supported.
+/// feature (AVX2 / AVX-512 F+BW+VBMI).  kU64 is always supported.
 bool backend_supported(BatchBackend b);
 
 /// Widest supported backend, ignoring overrides.

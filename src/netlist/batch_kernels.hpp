@@ -2,11 +2,11 @@
 //
 // Each native backend lives in its own translation unit compiled with the
 // matching ISA flags (batch_kernels_u64.cpp always; _avx2/_avx512 on
-// x86-64 with -mavx2 / -mavx512f -mavx512bw; _neon on aarch64).  A TU
-// whose ISA is not compiled in returns nullptr from its kernels_*()
-// accessor, so dispatch stays a plain runtime table with no weak-symbol
-// tricks.  The kernel's vector covers exactly `stride` 64-bit words, so
-// every tape op is one vector instruction.
+// x86-64 with -mavx2 / -mavx512f -mavx512bw -mavx512vbmi; _neon on
+// aarch64).  A TU whose ISA is not compiled in returns nullptr from its
+// kernels_*() accessor, so dispatch stays a plain runtime table with no
+// weak-symbol tricks.  The kernel's vector covers exactly `stride` 64-bit
+// words, so every tape op is one vector instruction.
 #pragma once
 
 #include <cstddef>

@@ -1,12 +1,14 @@
 // AVX-512 backend: 512 lanes per pass (stride 8).
 //
-// Compiled with -mavx512f -mavx512bw; runtime availability is CPUID-gated
-// by backend_supported() (F for the 512-bit word ops, BW for the byte-mask
-// ROM gather).  kMux folds into a single vpternlogq.  The ROM gather is
-// where AVX-512 really pays: a lane word IS a __mmask64, so the 8 address
-// lane words become 64 packed address bytes in 8 masked byte-adds, and the
-// 8 data lane words come back as 8 vptestmb masks — the per-lane loop that
-// dominated the 64-lane profile collapses to one table lookup per lane.
+// Compiled with -mavx512f -mavx512bw -mavx512vbmi; runtime availability is
+// CPUID-gated by backend_supported() (F for the 512-bit word ops, BW for
+// the byte-mask address/data steps, VBMI for the table lookup).  kMux
+// folds into a single vpternlogq.  The ROM gather keeps the whole 256-byte
+// table in four zmm registers: a lane word IS a __mmask64, so the address
+// lane words become 64 packed address bytes in masked byte-adds, two
+// vpermi2b look up both 128-byte halves of the table, address bit 7's lane
+// word picks between them as a blend mask, and the 8 data lane words come
+// back as 8 vptestmb masks — no per-lane work at all.
 
 #include "netlist/batch_kernels.hpp"
 
@@ -35,18 +37,23 @@ struct OpsAvx512 {
 
   static void rom(const RomSpec& r, Word* w) {
     constexpr std::size_t S = kStride;
+    const __m512i t0 = _mm512_loadu_si512(r.table);
+    const __m512i t1 = _mm512_loadu_si512(r.table + 64);
+    const __m512i t2 = _mm512_loadu_si512(r.table + 128);
+    const __m512i t3 = _mm512_loadu_si512(r.table + 192);
     for (std::size_t g = 0; g < S; ++g) {
-      // Build the 64 address bytes of lane group g: address bit i's lane
-      // word is exactly the byte-lane mask for adding 1 << i.
-      __m512i acc = _mm512_setzero_si512();
-      for (int i = 0; i < 8; ++i) {
+      // Address bits 0-6 of lane group g as 64 packed bytes: address bit
+      // i's lane word is exactly the byte-lane mask for adding 1 << i.
+      // vpermi2b reads only those 7 bits of each index byte.
+      __m512i idx = _mm512_setzero_si512();
+      for (int i = 0; i < 7; ++i) {
         const __mmask64 m = static_cast<__mmask64>(w[std::size_t{r.addr[i]} * S + g]);
-        acc = _mm512_mask_add_epi8(acc, m, acc, _mm512_set1_epi8(static_cast<char>(1 << i)));
+        idx = _mm512_mask_add_epi8(idx, m, idx, _mm512_set1_epi8(static_cast<char>(1 << i)));
       }
-      alignas(64) std::uint8_t buf[64];
-      _mm512_store_si512(buf, acc);
-      for (int j = 0; j < 64; ++j) buf[j] = r.table[buf[j]];
-      const __m512i data = _mm512_load_si512(buf);
+      const __m512i lo = _mm512_permutex2var_epi8(t0, idx, t1);
+      const __m512i hi = _mm512_permutex2var_epi8(t2, idx, t3);
+      const __m512i data = _mm512_mask_blend_epi8(
+          static_cast<__mmask64>(w[std::size_t{r.addr[7]} * S + g]), lo, hi);
       for (int i = 0; i < 8; ++i)
         w[std::size_t{r.out[i]} * S + g] = static_cast<Word>(
             _mm512_test_epi8_mask(data, _mm512_set1_epi8(static_cast<char>(1 << i))));

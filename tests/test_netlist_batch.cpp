@@ -66,6 +66,9 @@ class NetlistBatch : public ::testing::Test {
   }
 };
 
+/// The cache tests keep their own suite name on the same skip guard.
+using NetlistBatchCache = NetlistBatch;
+
 /// Drive every primary input with independent random data in EVERY lane
 /// word (so a wide backend's upper words are exercised, not just word 0),
 /// then check every primary output in every lane against the scalar
@@ -261,6 +264,56 @@ TEST_F(NetlistBatch, RandomLutNetworksMatchScalar) {
     }
     nl.add_output_bus(outs, "y");
     check_comb_parity(nl, 2000 + seed, /*rounds=*/2);
+  }
+}
+
+// Every ROM gather, exhaustively: one-ROM netlists over the AES S-box, its
+// inverse and a seeded random table.  Settle s drives lane L with address
+// (s + L) mod 256, so over 256 settles every lane of every lane group reads
+// every address byte — both halves of a split-table lookup, in every byte
+// position of every vector.  Every output byte is checked against the
+// table, and lanes 0, 63, 64 and lanes()-1 against the scalar Evaluator.
+TEST_F(NetlistBatch, RomGatherIsExhaustivelyExact) {
+  std::array<std::uint8_t, 256> random_table{};
+  const auto bytes = random_bytes(256, 22);
+  std::copy(bytes.begin(), bytes.end(), random_table.begin());
+  const std::pair<const char*, const std::array<std::uint8_t, 256>*> tables[] = {
+      {"sbox", &aes::kSBox}, {"inv_sbox", &aes::kInvSBox}, {"random", &random_table}};
+  for (const auto& [name, table] : tables) {
+    SCOPED_TRACE(name);
+    Netlist nl;
+    const Bus addr = nl.add_input_bus("a", 8);
+    const Bus data = nl.add_rom(*table, addr, name);
+    nl.add_output_bus(data, "d");
+    BatchEvaluator batch(nl);
+    Evaluator scalar(nl);
+    const std::size_t L = batch.lanes();
+    std::vector<std::size_t> probes;
+    for (const std::size_t lane : {std::size_t{0}, std::size_t{63}, std::size_t{64}, L - 1})
+      if (lane < L) probes.push_back(lane);
+    for (unsigned s = 0; s < 256; ++s) {
+      const auto address = [&](std::size_t lane) { return (s + lane) % 256; };
+      for (std::size_t i = 0; i < 8; ++i)
+        for (std::size_t g = 0; g < batch.stride(); ++g) {
+          std::uint64_t word = 0;
+          for (std::size_t b = 0; b < 64; ++b)
+            word |= std::uint64_t{(address(64 * g + b) >> i) & 1U} << b;
+          batch.set_word(addr[i], word, g);
+        }
+      batch.settle();
+      for (std::size_t lane = 0; lane < L; ++lane) {
+        unsigned got = 0;
+        for (std::size_t i = 0; i < 8; ++i)
+          got |= static_cast<unsigned>((batch.word(data[i], lane / 64) >> (lane % 64)) & 1U) << i;
+        ASSERT_EQ(got, (*table)[address(lane)]) << "lane " << lane << " settle " << s;
+      }
+      for (const std::size_t lane : probes) {
+        scalar.set_bus(addr, address(lane));
+        scalar.settle();
+        ASSERT_EQ(scalar.get_bus(data), batch.get_bus(data, lane))
+            << "lane " << lane << " settle " << s;
+      }
+    }
   }
 }
 
@@ -657,7 +710,7 @@ TEST_F(NetlistBatch, ControlFlipInOneLaneFallsBack) {
 // data flip-flops, so an unbounded cache would take every state's own op
 // and flip-flop sets.  Past kMaxCacheBytes a new state sweeps the whole
 // tape uncached, and every lane stays exact against the scalar oracle.
-TEST(NetlistBatchCache, CounterStatesStayWithinTheCap) {
+TEST_F(NetlistBatchCache, CounterStatesStayWithinTheCap) {
   Netlist nl;
   Bus count;
   for (int i = 0; i < 16; ++i) count.push_back(nl.new_net());
@@ -713,6 +766,22 @@ TEST(NetlistBatchBackend, UnknownEnvBackendNameThrows) {
     ::setenv("AESIP_BATCH_BACKEND", saved->c_str(), 1);
   else
     ::unsetenv("AESIP_BATCH_BACKEND");
+}
+
+// The avx512 backend's ROM gather is a vpermi2b lookup, so the backend
+// needs VBMI as well as F and BW; a host without it runs avx2.  A wrong
+// predicate would not fail any parity test — the dispatch would quietly
+// resolve to avx2 — so the rule is pinned here against CPUID directly.
+TEST(NetlistBatchBackend, Avx512RequiresVbmi) {
+#if (defined(__x86_64__) || defined(_M_X64)) && (defined(__GNUC__) || defined(__clang__))
+  const bool has = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+                   __builtin_cpu_supports("avx512vbmi");
+  EXPECT_EQ(nlist::backend_supported(nlist::BatchBackend::kAvx512), has);
+  EXPECT_EQ(nlist::detect_backend() == nlist::BatchBackend::kAvx512, has)
+      << "detected " << nlist::backend_name(nlist::detect_backend());
+#else
+  GTEST_SKIP() << "the avx512 backend exists only on x86-64";
+#endif
 }
 
 // The full IP through the Table 1 protocol at every partial batch width
@@ -1275,4 +1344,16 @@ TEST_F(NetlistBatch, ChaosInjectionHealsOnWideEngines) {
     }
   }
   EXPECT_TRUE(detected) << "no injection was ever caught by the spot-check";
+}
+
+// The batch_backend_* rows force a backend through AESIP_BATCH_BACKEND.
+// When the host cannot run it, every fixture test skips, and a clean run
+// exits kSkipExit, the rows' SKIP_RETURN_CODE.  A failing test exits 1
+// before that, so a row never reports Skipped over a failure.
+int main(int argc, char** argv) {
+  constexpr int kSkipExit = 77;
+  ::testing::InitGoogleTest(&argc, argv);
+  if (RUN_ALL_TESTS() != 0) return 1;
+  const auto forced = nlist::env_forced_backend();
+  return forced && !nlist::backend_supported(*forced) ? kSkipExit : 0;
 }

@@ -120,8 +120,9 @@ for f in "$repo"/BENCH_*.json; do
   fi
 
   if [ "$stem" = "simspeed" ]; then
-    # The batch-evaluation gates (docs/netlist.md), payload v6: the
+    # The batch-evaluation gates (docs/netlist.md), payload v7: the
     # netlist_batch section must name the resolved backend and lane width,
+    # give the ROM gather's ns per op among its live-cone figures,
     # carry per-backend rows (skipped rows need a reason), pass the
     # historical >= 20x speedup over the scalar evaluator, and pass the
     # SIMD widening gate — widest native backend >= 4x over the u64
@@ -133,6 +134,7 @@ for f in "$repo"/BENCH_*.json; do
       '"lanes": ' \
       '"speedup_per_block": ' \
       '"simd": {' \
+      '"rom_gather_ns_per_op": ' \
       '"backends": [' \
       '"occupancy_sweep": ['
     do
