@@ -23,6 +23,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -1346,14 +1347,18 @@ TEST_F(NetlistBatch, ChaosInjectionHealsOnWideEngines) {
   EXPECT_TRUE(detected) << "no injection was ever caught by the spot-check";
 }
 
-// The batch_backend_* rows force a backend through AESIP_BATCH_BACKEND.
-// When the host cannot run it, every fixture test skips, and a clean run
-// exits kSkipExit, the rows' SKIP_RETURN_CODE.  A failing test exits 1
-// before that, so a row never reports Skipped over a failure.
+// The batch_backend_* rows force a backend through AESIP_BATCH_BACKEND and
+// pass --skip-exit.  When the host cannot run that backend, every fixture
+// test skips, and a clean run then exits kSkipExit, the rows'
+// SKIP_RETURN_CODE.  A failing test exits 1 before that, so a row never
+// reports Skipped over a failure.  Without the flag a clean run exits 0.
+// (This main() wins over gtest_main's: the static archive member that
+// defines the other one is never pulled in.)
 int main(int argc, char** argv) {
   constexpr int kSkipExit = 77;
   ::testing::InitGoogleTest(&argc, argv);
+  const bool skip_exit = argc > 1 && std::string_view(argv[1]) == "--skip-exit";
   if (RUN_ALL_TESTS() != 0) return 1;
   const auto forced = nlist::env_forced_backend();
-  return forced && !nlist::backend_supported(*forced) ? kSkipExit : 0;
+  return skip_exit && forced && !nlist::backend_supported(*forced) ? kSkipExit : 0;
 }
