@@ -240,6 +240,7 @@ std::uint64_t NetlistEngine::run_pass(std::span<const std::uint8_t> in,
                                       std::size_t active, bool encrypt) {
   const auto r = drv_.process_lanes(in, out, n, active, encrypt);
   batch_stats_.lane_divergences = drv_.evaluator().lane_divergences();
+  batch_stats_.uncached_sweeps = drv_.evaluator().uncached_sweeps();
   if (!r) throw std::runtime_error("NetlistEngine: data_ok never rose (gate-level hang)");
   last_latency_ = static_cast<std::uint64_t>(r->cycles);
   // The gate FSM walks the same phases the behavioral model counts; derive

@@ -145,6 +145,10 @@ class CipherEngine {
     /// ran the whole netlist (NetlistEngine only; 0 on clean traffic — see
     /// netlist::BatchEvaluator::lane_divergences()).
     std::uint64_t lane_divergences = 0;
+    /// Evaluator sweeps of a control state its full cache could not take,
+    /// run whole (NetlistEngine only; 0 while the cache holds every state
+    /// — see netlist::BatchEvaluator::uncached_sweeps()).
+    std::uint64_t uncached_sweeps = 0;
     double mean_lanes() const noexcept {
       return passes ? static_cast<double>(blocks) / static_cast<double>(passes) : 0.0;
     }

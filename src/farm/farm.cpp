@@ -398,10 +398,13 @@ void Farm::run_packed(Drain& d, std::size_t first, std::size_t last, WorkerConte
     try {
       const std::uint64_t p0 = eng.batch_stats().passes;
       const std::uint64_t v0 = eng.batch_stats().lane_divergences;
+      const std::uint64_t u0 = eng.batch_stats().uncached_sweeps;
       eng.process_keyed(d.in, d.out, d.spans, encrypt);
       ctr.passes.fetch_add(eng.batch_stats().passes - p0, std::memory_order_relaxed);
       ctr.lane_divergences.fetch_add(eng.batch_stats().lane_divergences - v0,
                                      std::memory_order_relaxed);
+      ctr.uncached_sweeps.fetch_add(eng.batch_stats().uncached_sweeps - u0,
+                                    std::memory_order_relaxed);
       finish_pass(d, ctx, index);
     } catch (...) {
       for (const std::size_t li : d.pass_legs)
@@ -783,6 +786,7 @@ FarmStats Farm::stats() const {
     w.busy_ns = counters_[i].busy_ns.load(std::memory_order_relaxed);
     w.passes = counters_[i].passes.load(std::memory_order_relaxed);
     w.lane_divergences = counters_[i].lane_divergences.load(std::memory_order_relaxed);
+    w.uncached_sweeps = counters_[i].uncached_sweeps.load(std::memory_order_relaxed);
     w.utilization = wall_ns > 0 ? static_cast<double>(w.busy_ns) / wall_ns : 0.0;
     w.engine = worker_engine_[i].load(std::memory_order_relaxed);
     w.enabled = sessions_.worker_enabled(static_cast<int>(i));
@@ -978,6 +982,7 @@ void FarmStats::write_json(report::JsonWriter& j, double clock_ns) const {
     j.key("busy_ns").value(w.busy_ns);
     j.key("passes").value(w.passes);
     j.key("lane_divergences").value(w.lane_divergences);
+    j.key("uncached_sweeps").value(w.uncached_sweeps);
     j.key("utilization").value(w.utilization);
     j.key("engine").value(w.engine);
     j.key("enabled").value(w.enabled);

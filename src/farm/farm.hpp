@@ -254,6 +254,7 @@ class Farm {
     std::atomic<std::uint64_t> busy_ns{0};
     std::atomic<std::uint64_t> passes{0};
     std::atomic<std::uint64_t> lane_divergences{0};
+    std::atomic<std::uint64_t> uncached_sweeps{0};
   };
   /// A drained job's progress through packed passes, and the worker's
   /// reused pass buffers; defined in farm.cpp.

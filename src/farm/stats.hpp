@@ -38,6 +38,7 @@ struct WorkerStats {
   std::uint64_t busy_ns = 0;       ///< host time spent executing jobs
   std::uint64_t passes = 0;        ///< engine passes run (blocks / passes = blocks per pass)
   std::uint64_t lane_divergences = 0;  ///< engine sweeps whose lanes' control state split
+  std::uint64_t uncached_sweeps = 0;   ///< engine sweeps of a state its full cache refused
   double utilization = 0;          ///< busy_ns / farm wall time, in [0,1]
   std::string engine;              ///< engine currently installed (may differ after swaps)
   bool enabled = true;             ///< false while quarantined (no new routes)

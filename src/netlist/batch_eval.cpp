@@ -4,6 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "netlist/batch_kernels.hpp"
 
@@ -145,13 +146,15 @@ BatchEvaluator::BatchEvaluator(const Netlist& nl, const BatchConfig& cfg,
     throw std::runtime_error("netlist::BatchEvaluator: combinational cycle detected");
 
   build_levels();
+  for (const Op& op : tape_) full_.push(op);
+  all_dffs_.resize(dffs_.size());
+  std::iota(all_dffs_.begin(), all_dffs_.end(), 0u);
   find_control(broadcast_pins);
 
   // Backend hookup.  The slot count is final only now (LUT temporaries),
   // so physical storage allocates here.
   words_.assign(slots_ * stride_, 0);
   dff_state_.assign(dffs_.size() * stride_, 0);
-  dff_sample_.assign(dffs_.size() * stride_, 0);
   kern_ = kernels_for(backend_);
   if (!kern_)  // resolve_backend() already vetted support; belt and braces
     throw std::runtime_error("netlist::BatchEvaluator: backend kernels missing");
@@ -201,8 +204,11 @@ std::uint32_t BatchEvaluator::compile_lut(std::uint16_t mask, int arity,
 
 // Longest-path level per op over the word-slot dependency graph, then a
 // stable sort into level bands.  Any level order is a valid topological
-// order (an op's operands are produced at strictly lower levels).  This
-// is the op order every kernel sweeps.
+// order (an op's operands are produced at strictly lower levels), so the
+// ops of a band may go in any order: same-kind ops are made adjacent, in
+// ascending kind order on even bands and descending on odd ones, so a
+// band's last run can continue into the next band.  This is the op order
+// every program keeps.
 void BatchEvaluator::build_levels() {
   std::vector<std::uint32_t> slot_level(slots_, 0);
   std::vector<std::uint32_t> op_level(tape_.size(), 0);
@@ -226,9 +232,12 @@ void BatchEvaluator::build_levels() {
 
   std::vector<std::uint32_t> order(tape_.size());
   std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
-    return op_level[x] < op_level[y];
-  });
+  const auto band_key = [&](std::uint32_t i) {
+    const auto kind = static_cast<std::uint32_t>(tape_[i].kind);
+    return std::pair{op_level[i], op_level[i] % 2 ? ~kind : kind};
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t x, std::uint32_t y) { return band_key(x) < band_key(y); });
   std::vector<Op> sorted;
   sorted.reserve(tape_.size());
   for (const std::uint32_t i : order) sorted.push_back(tape_[i]);
@@ -323,11 +332,13 @@ void BatchEvaluator::find_control(std::span<const NetId> broadcast_pins) {
   for (std::uint32_t s = 0; s < slots_; ++s)
     if (decides[s]) decision_slots_.push_back(s);
   // What one new state can add to the cache at most: its key, and a
-  // decision set with new op, written-slot and flip-flop bitmaps.
+  // decision set with a new op set (its bitmaps and a program no larger
+  // than the whole tape's: a subsequence has no more runs) and a new
+  // flip-flop list.
   max_state_bytes_ = (key_.size() + bitmap_words(decision_slots_.size()) +
-                      bitmap_words(tape_.size()) + bitmap_words(slots_) +
-                      bitmap_words(dffs_.size())) *
+                      bitmap_words(tape_.size()) + bitmap_words(slots_)) *
                          sizeof(Word) +
+                     full_.bytes() + dffs_.size() * sizeof(std::uint32_t) +
                      sizeof(const Cone*) + sizeof(Cone);
 }
 
@@ -393,13 +404,11 @@ const BatchEvaluator::Cone* BatchEvaluator::build_cone() {
   // and the primary outputs.  One backward pass over the (topologically
   // ordered) tape collects the ops they need.
   std::vector<std::uint8_t> need(slots_, 0);
-  std::vector<Word> dffs(bitmap_words(dffs_.size()), 0);
-  std::uint32_t dff_count = 0;
-  for (std::size_t i = 0; i < dffs_.size(); ++i) {
+  std::vector<std::uint32_t> dffs;
+  for (std::uint32_t i = 0; i < dffs_.size(); ++i) {
     const Dff& f = dffs_[i];
     if (f.enable != kNoWord && uniform_[f.enable] && !v[f.enable]) continue;
-    set_bit(dffs, i);
-    ++dff_count;
+    dffs.push_back(i);
     need[f.d] = 1;
     if (f.enable != kNoWord) need[f.enable] = 1;
   }
@@ -416,7 +425,6 @@ const BatchEvaluator::Cone* BatchEvaluator::build_cone() {
     }
   };
   std::vector<Word> ops(bitmap_words(tape_.size()), 0);
-  std::uint32_t op_count = 0;
   std::vector<Word> fresh = sources_;
   for (std::size_t i = tape_.size(); i-- > 0;) {
     const Op& op = tape_[i];
@@ -428,13 +436,11 @@ const BatchEvaluator::Cone* BatchEvaluator::build_cone() {
       for (const std::uint32_t o : r.out) set_bit(fresh, o);
       for (const std::uint32_t a : r.addr) need[a] = 1;
       set_bit(ops, i);
-      ++op_count;
       continue;
     }
     if (!need[op.dst]) continue;
     set_bit(fresh, op.dst);
     set_bit(ops, i);
-    ++op_count;
     if (uniform_[op.dst]) {  // control logic: compute it whole
       need[op.a] = 1;
       if (op.kind != OpKind::kCopy && op.kind != OpKind::kNot) need[op.b] = 1;
@@ -461,13 +467,26 @@ const BatchEvaluator::Cone* BatchEvaluator::build_cone() {
     }
   }
 
-  const auto [os, new_ops] = op_sets_.emplace(std::move(ops), std::move(fresh));
-  if (new_ops) cache_bytes_ += (os->first.size() + os->second.size()) * sizeof(Word);
+  auto os = op_sets_.find(ops);
+  if (os == op_sets_.end()) {
+    Program program = program_of(ops);
+    cache_bytes_ += (ops.size() + fresh.size()) * sizeof(Word) + program.bytes();
+    os = op_sets_.emplace(std::move(ops), OpSet{std::move(program), std::move(fresh)}).first;
+  }
   const auto [ds, new_dffs] = dff_sets_.insert(std::move(dffs));
-  if (new_dffs) cache_bytes_ += ds->size() * sizeof(Word);
+  if (new_dffs) cache_bytes_ += ds->size() * sizeof(std::uint32_t);
   cache_bytes_ += decisions.size() * sizeof(Word) + sizeof(Cone);
-  const Cone cone{&os->first, &os->second, &*ds, op_count, dff_count};
+  const Cone cone{&os->second, &*ds};
   return &by_decisions_.emplace(std::move(decisions), cone).first->second;
+}
+
+BatchEvaluator::Program BatchEvaluator::program_of(const std::vector<Word>& live) const {
+  Program p;
+  for (std::size_t i = 0; i < tape_.size(); ++i)
+    if (live[i / kBits] >> (i % kBits) & 1U) p.push(tape_[i]);
+  p.runs.shrink_to_fit();
+  p.args.shrink_to_fit();
+  return p;
 }
 
 void BatchEvaluator::set_bus(const Bus& b, std::size_t lane, std::uint64_t value) {
@@ -493,9 +512,9 @@ void BatchEvaluator::clock() {
   // Sample the live Ds first (pre-edge values in every lane, as the last
   // sweep left them), then publish, then settle — Evaluator::clock()
   // semantics, lanes() wide.
-  kern_->clock_dffs(dffs_.data(), cone_ ? cone_->dffs->data() : nullptr, dffs_.size(),
-                    words_.data(), dff_state_.data(), dff_sample_.data());
-  dffs_clocked_ += cone_ ? cone_->dff_count : dffs_.size();
+  const std::vector<std::uint32_t>& live = cone_ ? *cone_->dffs : all_dffs_;
+  kern_->clock_dffs(dffs_.data(), live.data(), live.size(), words_.data(), dff_state_.data());
+  dffs_clocked_ += live.size();
   sweep();
 }
 
@@ -505,9 +524,9 @@ void BatchEvaluator::sweep() {
     full_sweep();
     return;
   }
-  kern_->settle(tape_.data(), cone_->ops->data(), tape_.size(), words_.data(), roms_.data());
+  kern_->settle(cone_->ops->program, words_.data(), roms_.data());
   ++sweeps_;
-  ops_executed_ += cone_->op_count;
+  ops_executed_ += cone_->ops->program.ops;
   stale_ = true;
   dirty_ = false;
 }
@@ -516,9 +535,9 @@ void BatchEvaluator::full_sweep() const {
   // A mutator since the last sweep may have moved the control state, so
   // the next edge clocks every flip-flop.
   if (dirty_) cone_ = nullptr;
-  kern_->settle(tape_.data(), nullptr, tape_.size(), words_.data(), roms_.data());
+  kern_->settle(full_, words_.data(), roms_.data());
   ++sweeps_;
-  ops_executed_ += tape_.size();
+  ops_executed_ += full_.ops;
   stale_ = false;
   dirty_ = false;
 }

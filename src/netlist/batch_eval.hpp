@@ -34,8 +34,13 @@
 //     D (per-lane enable masking) as it stands, publishes Q, then settles —
 //     the same pre-edge semantics as Evaluator::clock().
 //
-// The tape is then stably sorted by levelization band; a sweep runs the
-// kernels over it single-threaded: the parallelism is the lanes, not cores.
+// The tape is then stably sorted by levelization band, and within a band
+// by op kind.  A sweep runs one compiled Program (batch_tape.hpp): a
+// subset of the tape in tape order, its operands packed densely and its
+// ops grouped into runs of one kind, which the kernels loop over with no
+// per-op dispatch.  Sweeps are single-threaded: the parallelism is the
+// lanes, not cores.  Lane words and flip-flop state are 64-byte aligned,
+// so no vector access splits a cache line.
 //
 // Live-cone sweeps.  The broadcast pins a driver names at construction
 // (the IP's setup/wr_data/wr_key/encdec) drive every lane alike, and so do
@@ -46,13 +51,15 @@
 // flip-flop whose enable is not 0 in that state, and the primary outputs.
 // Where a MUX, AND, OR, ANDN or ORN has a control operand facing a datapath
 // operand, the cone follows only the operand that decides the value, and
-// the next clock() samples only the live flip-flops.  The live op and
-// flip-flop sets (bitmaps) are cached per state, keyed through the
-// *decisions* the state makes (a scalar evaluation of the control network,
-// no lane-wide sweep) and deduplicated by content.  A sweep whose pins or control flip-flops
-// differ between lanes (a per-lane set() of a pin, flip_dff_lane() on a
-// control flip-flop) runs the whole tape instead and counts a
-// lane_divergences().  The cache holds at most kMaxCacheBytes; once full,
+// the next clock() samples only the live flip-flops.  The live op set
+// (compiled once into its program) and flip-flop list are cached per
+// state, keyed through the *decisions* the state makes (a scalar
+// evaluation of the control network, no lane-wide sweep) and deduplicated
+// by content, so states that share an op set share its program.  The
+// whole tape is a program too, built at construction.  A sweep whose pins
+// or control flip-flops differ between lanes (a per-lane set() of a pin,
+// flip_dff_lane() on a control flip-flop) runs the whole tape instead and
+// counts a lane_divergences().  The cache holds at most kMaxCacheBytes; once full,
 // a state it does not hold is swept whole too, and counts an
 // uncached_sweeps().
 //
@@ -91,8 +98,9 @@ class BatchEvaluator {
   using Word = std::uint64_t;
   /// Lanes per uint64 word; lanes() is a multiple of this.
   static constexpr std::size_t kBaseLanes = 64;
-  /// Bound on cache_bytes(): about 14x the largest cache the round-engine
-  /// family builds (295 KB, pipe10-xtime; docs/variants.md).
+  /// Bound on cache_bytes(): about 1.8x the largest cache the 128-bit
+  /// round-engine family builds (2.3 MB, unroll-lut after an encrypt and
+  /// a decrypt pass; docs/variants.md).
   static constexpr std::size_t kMaxCacheBytes = std::size_t{4} << 20;
 
   /// Compile `nl` and resolve the backend (throws std::runtime_error if
@@ -197,9 +205,9 @@ class BatchEvaluator {
   std::uint64_t lane_divergences() const noexcept { return lane_divergences_; }
   /// Sweeps of a control state the full cache could not take, run whole.
   std::uint64_t uncached_sweeps() const noexcept { return uncached_sweeps_; }
-  /// Bytes held by the control-state cache: the live op and flip-flop
-  /// bitmaps, the slots each op set writes, and the keys (at most
-  /// kMaxCacheBytes).
+  /// Bytes held by the control-state cache: each op set's program, its
+  /// bitmap and the slots it writes, the live flip-flop lists and the
+  /// keys (at most kMaxCacheBytes).
   std::size_t cache_bytes() const noexcept { return cache_bytes_; }
 
  private:
@@ -207,18 +215,21 @@ class BatchEvaluator {
   using OpKind = batchdetail::OpKind;
   using Dff = batchdetail::Dff;
   using RomSpec = batchdetail::RomSpec;
+  using Program = batchdetail::Program;
   static constexpr std::uint32_t kNoWord = batchdetail::kNoWord;
 
-  /// One control state's sweep: the live ops (a bitmap over the tape)
-  /// with the bitmap of slots they leave current, and the live flip-flops
-  /// (a bitmap over dffs_) the following edge clocks.  The bitmaps live in
-  /// the content-deduplicated pools below.
+  /// One live op set, compiled once: its program and the bitmap of slots
+  /// it leaves current.
+  struct OpSet {
+    Program program;
+    std::vector<Word> fresh;
+  };
+  /// One control state's sweep: its op set and the live flip-flops (a
+  /// list of indices into dffs_) the following edge clocks, both in the
+  /// content-deduplicated pools below.
   struct Cone {
-    const std::vector<Word>* ops;
-    const std::vector<Word>* fresh;
-    const std::vector<Word>* dffs;
-    std::uint32_t op_count;
-    std::uint32_t dff_count;
+    const OpSet* ops;
+    const std::vector<std::uint32_t>* dffs;
   };
 
   std::uint32_t new_temp() { return static_cast<std::uint32_t>(slots_++); }
@@ -228,8 +239,11 @@ class BatchEvaluator {
                             const std::uint32_t* inputs, std::uint32_t dst);
   std::uint32_t emit(OpKind kind, std::uint32_t dst, std::uint32_t a,
                      std::uint32_t b = 0, std::uint32_t c = 0);
-  /// Stably sort the tape by levelization band.
+  /// Stably sort the tape by levelization band, same-kind ops of a band
+  /// adjacent.
   void build_levels();
+  /// The program of the tape ops whose bits are set in `live`.
+  Program program_of(const std::vector<Word>& live) const;
   /// Find the control flip-flops and the decision slots (fixed point).
   void find_control(std::span<const NetId> broadcast_pins);
   /// The cone of the control state the network holds now, or nullptr when
@@ -242,7 +256,7 @@ class BatchEvaluator {
   /// Sweep the whole tape.
   void full_sweep() const;
   void refresh(NetId n) const {
-    if (stale_ && !((*cone_->fresh)[n / kBaseLanes] >> (n % kBaseLanes) & 1U)) full_sweep();
+    if (stale_ && !(cone_->ops->fresh[n / kBaseLanes] >> (n % kBaseLanes) & 1U)) full_sweep();
   }
   void publish_dff(std::size_t index);
 
@@ -250,12 +264,13 @@ class BatchEvaluator {
   BatchBackend backend_;
   std::size_t stride_;
   std::size_t slots_ = 0;            ///< logical lane-word slots (nets + temps)
-  mutable std::vector<Word> words_;  ///< slots_ * stride_ physical words
+  mutable batchdetail::LaneWords words_;  ///< slots_ * stride_ physical words
   std::vector<Op> tape_;
   std::vector<RomSpec> roms_;
   std::vector<Dff> dffs_;
-  std::vector<Word> dff_state_;   ///< dffs x stride
-  std::vector<Word> dff_sample_;  ///< clock() scratch (no per-call alloc)
+  batchdetail::LaneWords dff_state_;  ///< dffs x stride
+  Program full_;                      ///< the whole tape
+  std::vector<std::uint32_t> all_dffs_;  ///< every flip-flop: the full sweep's edge
   std::uint32_t const0_word_;
   std::uint32_t const1_word_;
   const batchdetail::Kernels* kern_ = nullptr;
@@ -271,8 +286,8 @@ class BatchEvaluator {
   // Control-state cache: state -> decisions -> deduplicated sets.
   std::map<std::vector<Word>, const Cone*> by_state_;
   std::map<std::vector<Word>, Cone> by_decisions_;
-  std::map<std::vector<Word>, std::vector<Word>> op_sets_;  ///< live ops -> slots they write
-  std::set<std::vector<Word>> dff_sets_;
+  std::map<std::vector<Word>, OpSet> op_sets_;  ///< live op bitmap -> its compiled set
+  std::set<std::vector<std::uint32_t>> dff_sets_;
   std::vector<Word> key_;  ///< current_cone() scratch
   std::size_t cache_bytes_ = 0;
   std::size_t max_state_bytes_ = 0;  ///< the most one new state adds to the cache

@@ -1,4 +1,4 @@
-// Per-backend settle/clock kernels over the shared batch tape.
+// Per-backend settle/clock kernels over compiled sweep programs.
 //
 // Each native backend lives in its own translation unit compiled with the
 // matching ISA flags (batch_kernels_u64.cpp always; _avx2/_avx512 on
@@ -6,10 +6,12 @@
 // aarch64).  A TU whose ISA is not compiled in returns nullptr from its
 // kernels_*() accessor, so dispatch stays a plain runtime table with no
 // weak-symbol tricks.  The kernel's vector covers exactly `stride` 64-bit
-// words, so every tape op is one vector instruction.
+// words, so every op is one vector instruction, and `w` and `state` are
+// LaneWords (64-byte aligned), so the loads and stores are aligned ones.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "netlist/batch_tape.hpp"
 
@@ -17,16 +19,14 @@ namespace aesip::netlist::batchdetail {
 
 struct Kernels {
   std::size_t stride;  ///< 64-bit words per net (lanes = 64 * stride)
-  /// Interpret, in tape order, the ops of tape[0, n) whose bits are set
-  /// in `live` (one control state's pruned op set; for_each_index) — a
-  /// null `live` runs the whole tape.
-  void (*settle)(const Op* tape, const Word* live, std::size_t n, Word* w, const RomSpec* roms);
-  /// Sample the D of each flip-flop of dffs[0, n) selected by `live` (all
-  /// of them for a null mask) where its enable is set (pre-edge, per-lane
-  /// enable masking), then publish Q — Evaluator::clock() semantics, lanes
-  /// wide.  The caller settles afterwards.
-  void (*clock_dffs)(const Dff* dffs, const Word* live, std::size_t n, Word* w, Word* state,
-                     Word* sample);
+  /// Run `p`'s ops in order, each run as one loop over its kind.
+  void (*settle)(const Program& p, Word* w, const RomSpec* roms);
+  /// Sample the D of each flip-flop dffs[live[k]], k < n, into its state
+  /// where its enable is set (pre-edge, per-lane enable masking), then
+  /// publish Q — Evaluator::clock() semantics, lanes wide.  The caller
+  /// settles afterwards.
+  void (*clock_dffs)(const Dff* dffs, const std::uint32_t* live, std::size_t n, Word* w,
+                     Word* state);
 };
 
 const Kernels* kernels_u64();

@@ -19,8 +19,8 @@ namespace {
 struct OpsAvx2 {
   static constexpr std::size_t kStride = 4;
   using V = __m256i;
-  static V load(const Word* p) { return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)); }
-  static void store(Word* p, V v) { _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v); }
+  static V load(const Word* p) { return _mm256_load_si256(reinterpret_cast<const __m256i*>(p)); }
+  static void store(Word* p, V v) { _mm256_store_si256(reinterpret_cast<__m256i*>(p), v); }
   static V ones() { return _mm256_set1_epi64x(-1); }
   static V vnot(V a) { return _mm256_xor_si256(a, ones()); }
   static V vand(V a, V b) { return _mm256_and_si256(a, b); }
@@ -36,7 +36,7 @@ struct OpsAvx2 {
 
 #include "netlist/batch_kernels.inl"
 
-const Kernels kAvx2Kernels{OpsAvx2::kStride, &settle_tape<OpsAvx2>, &clock_dffs_t<OpsAvx2>};
+const Kernels kAvx2Kernels{OpsAvx2::kStride, &settle_program<OpsAvx2>, &clock_dffs_t<OpsAvx2>};
 
 }  // namespace
 

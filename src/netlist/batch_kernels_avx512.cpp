@@ -23,8 +23,8 @@ namespace {
 struct OpsAvx512 {
   static constexpr std::size_t kStride = 8;
   using V = __m512i;
-  static V load(const Word* p) { return _mm512_loadu_si512(p); }
-  static void store(Word* p, V v) { _mm512_storeu_si512(p, v); }
+  static V load(const Word* p) { return _mm512_load_si512(p); }
+  static void store(Word* p, V v) { _mm512_store_si512(p, v); }
   static V vnot(V a) { return _mm512_ternarylogic_epi64(a, a, a, 0x0F); }
   static V vand(V a, V b) { return _mm512_and_si512(a, b); }
   static V vandn(V a, V b) { return _mm512_andnot_si512(a, b); }  // ~a & b
@@ -63,7 +63,7 @@ struct OpsAvx512 {
 
 #include "netlist/batch_kernels.inl"
 
-const Kernels kAvx512Kernels{OpsAvx512::kStride, &settle_tape<OpsAvx512>,
+const Kernels kAvx512Kernels{OpsAvx512::kStride, &settle_program<OpsAvx512>,
                              &clock_dffs_t<OpsAvx512>};
 
 }  // namespace

@@ -32,7 +32,7 @@ struct OpsNeon {
 
 #include "netlist/batch_kernels.inl"
 
-const Kernels kNeonKernels{OpsNeon::kStride, &settle_tape<OpsNeon>, &clock_dffs_t<OpsNeon>};
+const Kernels kNeonKernels{OpsNeon::kStride, &settle_program<OpsNeon>, &clock_dffs_t<OpsNeon>};
 
 }  // namespace
 

@@ -65,7 +65,7 @@ struct OpsU64 {
 
 #include "netlist/batch_kernels.inl"
 
-const Kernels kU64Kernels{OpsU64::kStride, &settle_tape<OpsU64>, &clock_dffs_t<OpsU64>};
+const Kernels kU64Kernels{OpsU64::kStride, &settle_program<OpsU64>, &clock_dffs_t<OpsU64>};
 
 }  // namespace
 

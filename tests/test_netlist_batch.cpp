@@ -30,6 +30,7 @@
 #include "aes/cipher.hpp"
 #include "aes/modes.hpp"
 #include "aes/sbox.hpp"
+#include "arch/variant.hpp"
 #include "core/gate_driver.hpp"
 #include "core/ip_synth.hpp"
 #include "engine/engine.hpp"
@@ -586,11 +587,30 @@ void checked_edge(const Netlist& nl, core::GateIpBatchDriver& drv, BatchEvaluato
 // protocol for every key size — reset, a per-lane random key install and
 // an encrypt and a decrypt pass of random blocks — with every edge checked
 // by checked_edge().  The bytes must also match the software reference
-// in every lane, and clean traffic never diverges.
+// in every lane, and clean traffic never diverges.  Two more cores ride
+// along, because the paper core's tape has no COPY, ANDN or ORN op:
+// `iter-lut`, whose LUT MixColumn puts COPY runs into the pruned programs,
+// and the paper core with its composite (gate) S-box, whose LUTs put ANDN
+// and ORN runs there (iter-lut's ORNs all OR in constant 1, so a wrong
+// ORN would not show in its bytes).
 TEST_F(NetlistBatch, PrunedEdgeMatchesFullSweep) {
-  for (const int bits : {128, 192, 256}) {
-    SCOPED_TRACE("AES-" + std::to_string(bits));
-    const auto nl = aesip::engine::make_ip_netlist(core::IpMode::kBoth, bits);
+  struct Member {
+    std::string name;
+    int bits;
+    std::shared_ptr<const Netlist> nl;
+  };
+  std::vector<Member> members;
+  for (const int bits : {128, 192, 256})
+    members.push_back({"AES-" + std::to_string(bits), bits,
+                       aesip::engine::make_ip_netlist(core::IpMode::kBoth, bits)});
+  const auto iter_lut = aesip::arch::VariantSpec::parse("iter-lut").value();
+  members.push_back({"iter-lut", 128,
+                     aesip::engine::make_variant_netlist(iter_lut, core::IpMode::kBoth)});
+  members.push_back({"composite S-box", 128,
+                     std::make_shared<const Netlist>(
+                         core::synthesize_ip(core::IpMode::kBoth, /*sbox_as_rom=*/false))});
+  for (const auto& [name, bits, nl] : members) {
+    SCOPED_TRACE(name);
     core::GateIpBatchDriver drv(*nl);
     BatchEvaluator twin(*nl);
     const std::size_t L = drv.lanes();
@@ -750,6 +770,36 @@ TEST_F(NetlistBatchCache, CounterStatesStayWithinTheCap) {
   EXPECT_GT(ev.uncached_sweeps(), 0u) << "the cache never filled";
   EXPECT_LE(ev.cache_bytes(), BatchEvaluator::kMaxCacheBytes);
   EXPECT_EQ(ev.lane_divergences(), 0u);
+}
+
+// Every member of the round-engine family keeps its control states in the
+// cache: a key install and a full-lane encrypt and decrypt pass never
+// sweep a state uncached, and the cache stays under its cap.  The
+// per-state programs make a cache entry larger than a bitmap; this is the
+// cliff they must keep clear of.
+TEST_F(NetlistBatchCache, FamilyStaysCached) {
+  for (const auto& spec : aesip::arch::VariantSpec::family()) {
+    SCOPED_TRACE(spec.name());
+    const auto nl = aesip::arch::synthesize_variant(spec, core::IpMode::kBoth);
+    core::GateIpBatchDriver drv(nl);
+    const std::size_t L = drv.lanes();
+    const auto key = random_bytes(16, 120);
+    const auto ref = aes::Rijndael::for_key(key);
+    const auto in = random_bytes(16 * L, 121);
+    std::vector<std::uint8_t> out(16 * L);
+    drv.reset();
+    drv.load_key(key, spec.key_setup_cycles(core::IpMode::kBoth));
+    for (const bool enc : {true, false}) {
+      ASSERT_TRUE(drv.process_batch(in, out, L, enc).has_value());
+      const auto want = enc ? aes::ecb_encrypt(ref, in) : aes::ecb_decrypt(ref, in);
+      ASSERT_TRUE(std::equal(want.begin(), want.end(), out.begin()))
+          << (enc ? "encrypt" : "decrypt");
+    }
+    const BatchEvaluator& ev = drv.evaluator();
+    EXPECT_EQ(ev.uncached_sweeps(), 0u);
+    EXPECT_LE(ev.cache_bytes(), BatchEvaluator::kMaxCacheBytes);
+    EXPECT_EQ(ev.lane_divergences(), 0u);
+  }
 }
 
 // An AESIP_BATCH_BACKEND value that names no backend must throw, like one

@@ -654,6 +654,7 @@ int cmd_metrics(const Args& args) {
     j.key("batch_backend").value(batch_backend);
     j.key("batch_lanes").value(batch_lanes);
     j.key("lane_divergences").value(eng->batch_stats().lane_divergences);
+    j.key("uncached_sweeps").value(eng->batch_stats().uncached_sweeps);
     j.key("blocks_per_direction").value(n_blocks);
     j.key("invariants_ok").value(ok);
 

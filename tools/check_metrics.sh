@@ -72,7 +72,7 @@ verdict
 # (hot-swap / spot-check / quarantine-heal; docs/fleet.md) are all zero on
 # this unreconfigured run, but the keys must exist so dashboards can rely
 # on them, it says how many sessions the node holds, and every worker row
-# carries its passes and lane divergences.
+# carries its passes, lane divergences and uncached sweeps.
 run "--farm yes" --blocks 4 --farm yes --workers 2
 farm=$(section "$out" farm 2)
 expect "the farm section" "$farm" \
@@ -91,13 +91,15 @@ expect "the farm section" "$farm" \
 expect "the farm's per_worker rows" "$(section "$farm" per_worker 4)" \
   '"passes": ' \
   '"lane_divergences": ' \
+  '"uncached_sweeps": ' \
   '"utilization": '
 verdict
 
 # A netlist engine forced onto the portable backend must report exactly
 # that backend and its 64-lane geometry — the deterministic pin for the
 # batch_backend / batch_lanes keys (the unforced value is host-dependent) —
-# and clean traffic must never split its lanes' control state.
+# and clean traffic must never split its lanes' control state nor find the
+# control-state cache full.
 out=$(AESIP_BATCH_BACKEND=u64 "$aesip" metrics --blocks 4 --farm no --engine netlist --json - 2>&1)
 if [ $? -ne 0 ]; then
   echo "check_metrics: aesip metrics --engine netlist (u64 backend) failed" >&2
@@ -107,7 +109,8 @@ fi
 expect "the forced-u64 netlist run" "$out" \
   '"batch_backend": "u64"' \
   '"batch_lanes": 64' \
-  '"lane_divergences": 0'
+  '"lane_divergences": 0' \
+  '"uncached_sweeps": 0'
 verdict
 
 # The net section is the ServerStats document (docs/cluster.md): a live
@@ -127,5 +130,5 @@ expect "the net's per_thread rows" "$(section "$net" per_thread 4)" \
   '"connections_adopted": '
 verdict
 
-echo "check_metrics: OK (5 cycles/round, 50 cycles/block, 40-cycle key setup, batch backend keys, fleet + net counters, lane divergences)"
+echo "check_metrics: OK (5 cycles/round, 50 cycles/block, 40-cycle key setup, batch backend keys, fleet + net counters, lane divergences, uncached sweeps)"
 exit 0
