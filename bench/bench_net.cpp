@@ -462,7 +462,7 @@ void BM_FrameCodec(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(blocks * 16));
 }
-BENCHMARK(BM_FrameCodec)->Arg(1)->Arg(16)->Arg(256)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FrameCodec)->Arg(1)->Arg(16)->Arg(256)->Arg(1024)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -161,16 +161,22 @@ std::vector<netlist::NetId> broadcast_pins(const netlist::Netlist& nl) {
 
 GateIpBatchDriver::GateIpBatchDriver(const netlist::Netlist& nl, const netlist::BatchConfig& cfg)
     : ev_(nl, cfg, broadcast_pins(nl)) {
+  std::map<std::string, netlist::NetId> out_by_name;
   for (const auto& pi : nl.inputs()) by_name_[pi.name] = pi.net;
-  for (const auto& po : nl.outputs()) out_by_name_[po.name] = po.net;
+  for (const auto& po : nl.outputs()) out_by_name[po.name] = po.net;
   for (int i = 0; i < 128; ++i) {
     din_.push_back(by_name_.at("din[" + std::to_string(i) + "]"));
-    dout_.push_back(out_by_name_.at("dout[" + std::to_string(i) + "]"));
+    dout_.push_back(out_by_name.at("dout[" + std::to_string(i) + "]"));
   }
-  set_broadcast("setup", false);
-  set_broadcast("wr_data", false);
-  set_broadcast("wr_key", false);
-  if (has_input("encdec")) set_broadcast("encdec", true);
+  setup_ = by_name_.at("setup");
+  wr_data_ = by_name_.at("wr_data");
+  wr_key_ = by_name_.at("wr_key");
+  encdec_ = has_input("encdec") ? by_name_.at("encdec") : netlist::kNoNet;
+  data_ok_ = out_by_name.at("data_ok");
+  ev_.broadcast(setup_, false);
+  ev_.broadcast(wr_data_, false);
+  ev_.broadcast(wr_key_, false);
+  if (encdec_ != netlist::kNoNet) ev_.broadcast(encdec_, true);
   ev_.settle();
 }
 
@@ -227,9 +233,9 @@ void GateIpBatchDriver::clock(std::uint64_t weight) {
 }
 
 void GateIpBatchDriver::reset() {
-  set_broadcast("setup", true);
+  ev_.broadcast(setup_, true);
   clock();
-  set_broadcast("setup", false);
+  ev_.broadcast(setup_, false);
   clock();
 }
 
@@ -256,9 +262,9 @@ void GateIpBatchDriver::load_key_lanes(std::span<const std::uint8_t> keys, std::
       std::copy_n(keys.begin() + static_cast<std::ptrdiff_t>(key_len * l + off), w,
                   beat_.begin() + static_cast<std::ptrdiff_t>(16 * l));
     set_din_lanes(beat_, n);
-    set_broadcast("wr_key", true);
+    ev_.broadcast(wr_key_, true);
     clock(charged);
-    set_broadcast("wr_key", false);
+    ev_.broadcast(wr_key_, false);
   }
   for (int i = 0; i < setup_cycles; ++i) clock(charged);
 }
@@ -277,11 +283,11 @@ std::optional<GateIpBatchDriver::BatchResult> GateIpBatchDriver::process_lanes(
                                 std::to_string(lanes()));
   if (in.size() < 16 * n || out.size() < 16 * n)
     throw std::invalid_argument("GateIpBatchDriver: need 16 bytes per lane");
-  if (has_input("encdec")) set_broadcast("encdec", encrypt);
+  if (encdec_ != netlist::kNoNet) ev_.broadcast(encdec_, encrypt);
   set_din_lanes(in, n);
-  set_broadcast("wr_data", true);
+  ev_.broadcast(wr_data_, true);
   clock(active);  // the load edge, one cycle per active block
-  set_broadcast("wr_data", false);
+  ev_.broadcast(wr_data_, false);
   for (int i = 1; i <= watchdog_cycles; ++i) {
     clock(active);
     if (data_ok()) {

@@ -130,7 +130,7 @@ class GateIpBatchDriver {
   void set_din_lanes(std::span<const std::uint8_t> in, std::size_t n);
   /// Unpack `n` lanes of dout into 16-byte blocks: writes out[0, 16*n).
   void read_dout_lanes(std::span<std::uint8_t> out, std::size_t n) const;
-  bool data_ok() const { return ev_.get(out_by_name_.at("data_ok"), 0); }
+  bool data_ok() const { return ev_.get(data_ok_, 0); }
 
   /// One clock edge in every lane: settles the inputs set since the last
   /// edge (free if none were), then clocks — one live-cone sweep per edge,
@@ -180,9 +180,15 @@ class GateIpBatchDriver {
  private:
   netlist::BatchEvaluator ev_;
   std::map<std::string, netlist::NetId> by_name_;
-  std::map<std::string, netlist::NetId> out_by_name_;
   netlist::Bus din_;
   netlist::Bus dout_;
+  // The control pins and data_ok, resolved once: a pass drives and polls
+  // them on every clock edge.
+  netlist::NetId setup_;
+  netlist::NetId wr_data_;
+  netlist::NetId wr_key_;
+  netlist::NetId encdec_;  ///< kNoNet on a one-direction core
+  netlist::NetId data_ok_;
   std::uint64_t cycles_ = 0;
   std::vector<std::uint8_t> beat_;  ///< per-lane key beat staging, reused
 };

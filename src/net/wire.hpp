@@ -74,7 +74,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <string>
 #include <string_view>
@@ -160,7 +159,11 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// IEEE 802.3 CRC-32 (the zlib polynomial), table-driven.
+/// IEEE 802.3 CRC-32 (the zlib polynomial), slicing-by-16: sixteen
+/// 256-entry tables fold 16 input bytes per step, loaded as little-endian
+/// words assembled from bytes (any alignment, any host byte order); the
+/// tail runs byte at a time. `seed` chains: crc32(b, crc32(a)) ==
+/// crc32(a ++ b).
 std::uint32_t crc32(std::span<const std::uint8_t> data,
                     std::uint32_t seed = 0) noexcept;
 
@@ -171,6 +174,12 @@ std::vector<std::uint8_t> encode_frame(const Frame& f);
 /// complete verified frames. A malformed stream (bad magic/version,
 /// oversized length, CRC mismatch) poisons the decoder — the connection
 /// is unrecoverable past that point because framing is lost.
+///
+/// The bytes sit in one contiguous buffer behind a read offset: next()
+/// checks the CRC in place and copies the payload out once. The buffer is
+/// cleared when everything fed has been consumed, and its consumed prefix
+/// is dropped by the feed() that finds it at least half the buffer, so no
+/// byte is moved more than once.
 class FrameDecoder {
  public:
   enum class Status { kNeedMore, kFrame, kBad };
@@ -178,9 +187,7 @@ class FrameDecoder {
   explicit FrameDecoder(std::size_t max_payload = kDefaultMaxPayload)
       : max_payload_(max_payload) {}
 
-  void feed(std::span<const std::uint8_t> bytes) {
-    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
-  }
+  void feed(std::span<const std::uint8_t> bytes);
 
   /// Try to pop one frame. kFrame fills `out`; kNeedMore means feed()
   /// more; kBad means the stream is corrupt (error() says how) and every
@@ -188,12 +195,14 @@ class FrameDecoder {
   Status next(Frame& out);
 
   ErrorCode error() const noexcept { return error_; }
-  std::size_t buffered() const noexcept { return buf_.size(); }
+  /// Bytes fed and not yet consumed by a frame.
+  std::size_t buffered() const noexcept { return buf_.size() - off_; }
   std::size_t max_payload() const noexcept { return max_payload_; }
 
  private:
   std::size_t max_payload_;
-  std::deque<std::uint8_t> buf_;
+  std::vector<std::uint8_t> buf_;
+  std::size_t off_ = 0;  ///< bytes of buf_ already consumed
   ErrorCode error_ = ErrorCode::kNone;
 };
 

@@ -56,6 +56,8 @@ BatchEvaluator::BatchEvaluator(const Netlist& nl, const BatchConfig& cfg,
   std::vector<Node> nodes;
   nodes.reserve(cells.size() + netlist_roms.size());
   std::vector<std::int32_t> producer(nl.net_count(), -1);
+  // A LUT output folded to a constant, as its consumers' LUTs read it.
+  std::vector<std::uint32_t> tied_word(nl.net_count(), kNoWord);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
     if (c.kind == CellKind::kDff) {
@@ -131,8 +133,13 @@ BatchEvaluator::BatchEvaluator(const Netlist& nl, const BatchConfig& cfg,
           break;
         case CellKind::kLut: {
           std::uint32_t ins[4] = {0, 0, 0, 0};
-          for (int k = 0; k < c.lut_arity; ++k) ins[k] = c.in[static_cast<std::size_t>(k)];
+          for (int k = 0; k < c.lut_arity; ++k) {
+            const NetId in = c.in[static_cast<std::size_t>(k)];
+            ins[k] = tied_word[in] == kNoWord ? in : tied_word[in];
+          }
           compile_lut(c.lut_mask, c.lut_arity, ins, c.out);
+          if (!tied_.empty() && tied_.back().first == c.out)
+            tied_word[c.out] = tied_.back().second ? const1_word_ : const0_word_;
           break;
         }
         default:
@@ -160,6 +167,8 @@ BatchEvaluator::BatchEvaluator(const Netlist& nl, const BatchConfig& cfg,
     throw std::runtime_error("netlist::BatchEvaluator: backend kernels missing");
 
   broadcast(const1_word_, true);
+  for (const auto& [slot, value] : tied_)
+    if (value) broadcast(slot, true);
   reset();
 }
 
@@ -169,30 +178,47 @@ std::uint32_t BatchEvaluator::emit(OpKind kind, std::uint32_t dst, std::uint32_t
   return dst;
 }
 
+std::uint32_t BatchEvaluator::copy_into(std::uint32_t dst, std::uint32_t w) {
+  if (dst == kNoWord) return w;
+  if (w == const0_word_ || w == const1_word_) {
+    tied_.emplace_back(dst, w == const1_word_);
+    return dst;
+  }
+  return emit(OpKind::kCopy, dst, w);
+}
+
 // Shannon decomposition over the highest input: split the truth table into
 // the select=0 and select=1 cofactors and recurse.  Constant cofactors
 // collapse the mux into single-word gates, so LUT evaluation costs a few
-// word ops per cell instead of a per-lane table index.
+// word ops per cell instead of a per-lane table index.  An input tied to a
+// constant net selects its cofactor at compile time, so the cofactors of a
+// LUT with constant inputs can come out as the same word, and a LUT can
+// come out constant: its output is then tied, set once like the constant
+// nets, and costs no op.
 std::uint32_t BatchEvaluator::compile_lut(std::uint16_t mask, int arity,
                                           const std::uint32_t* inputs, std::uint32_t dst) {
   const std::uint32_t width = 1u << arity;  // truth-table entries
   const std::uint16_t all = static_cast<std::uint16_t>((width >= 16 ? 0x10000u : (1u << width)) - 1);
   const std::uint16_t m = static_cast<std::uint16_t>(mask & all);
-  if (m == 0) return dst == kNoWord ? const0_word_ : emit(OpKind::kCopy, dst, const0_word_);
-  if (m == all) return dst == kNoWord ? const1_word_ : emit(OpKind::kCopy, dst, const1_word_);
+  if (m == 0) return copy_into(dst, const0_word_);
+  if (m == all) return copy_into(dst, const1_word_);
 
   const std::uint32_t half = width >> 1;  // arity >= 1 here (m not constant)
   const std::uint16_t lo_m = static_cast<std::uint16_t>(m & ((1u << half) - 1));
   const std::uint16_t hi_m = static_cast<std::uint16_t>(m >> half);
-  if (lo_m == hi_m) return compile_lut(lo_m, arity - 1, inputs, dst);
-
   const std::uint32_t sel = inputs[arity - 1];
+  if (lo_m == hi_m || sel == const0_word_) return compile_lut(lo_m, arity - 1, inputs, dst);
+  if (sel == const1_word_) return compile_lut(hi_m, arity - 1, inputs, dst);
+
   const std::uint32_t lo = compile_lut(lo_m, arity - 1, inputs, kNoWord);
   const std::uint32_t hi = compile_lut(hi_m, arity - 1, inputs, kNoWord);
+  // Cofactors that differ only where a constant input can never select
+  // them compile to the same word: the select does not matter.
+  if (lo == hi) return copy_into(dst, lo);
   const bool lo0 = lo == const0_word_, lo1 = lo == const1_word_;
   const bool hi0 = hi == const0_word_, hi1 = hi == const1_word_;
 
-  if (lo0 && hi1) return dst == kNoWord ? sel : emit(OpKind::kCopy, dst, sel);
+  if (lo0 && hi1) return copy_into(dst, sel);
   const std::uint32_t d = dst == kNoWord ? new_temp() : dst;
   if (lo1 && hi0) return emit(OpKind::kNot, d, sel);
   if (lo0) return emit(OpKind::kAnd, d, sel, hi);
@@ -254,6 +280,7 @@ void BatchEvaluator::find_control(std::span<const NetId> broadcast_pins) {
   sources_.assign(bitmap_words(slots_), 0);
   set_bit(sources_, const0_word_);
   set_bit(sources_, const1_word_);
+  for (const auto& t : tied_) set_bit(sources_, t.first);
   for (const auto& pi : nl_.inputs()) set_bit(sources_, pi.net);
   for (const Dff& f : dffs_) set_bit(sources_, f.q);
   for (const NetId pin : broadcast_pins) {
@@ -277,6 +304,7 @@ void BatchEvaluator::find_control(std::span<const NetId> broadcast_pins) {
   for (bool changed = true; changed;) {
     uniform_.assign(slots_, false);
     uniform_[const0_word_] = uniform_[const1_word_] = true;
+    for (const auto& t : tied_) uniform_[t.first] = true;
     for (const std::uint32_t pin : control_slots_) uniform_[pin] = true;
     for (std::size_t i = 0; i < dffs_.size(); ++i)
       if (control[i]) uniform_[dffs_[i].q] = true;
@@ -373,6 +401,7 @@ const BatchEvaluator::Cone* BatchEvaluator::current_cone() {
 const BatchEvaluator::Cone* BatchEvaluator::build_cone() {
   std::vector<std::uint8_t> v(slots_, 0);
   v[const1_word_] = 1;
+  for (const auto& [slot, value] : tied_) v[slot] = value;
   for (std::size_t i = 0; i < control_slots_.size(); ++i)
     v[control_slots_[i]] = key_[i / kBaseLanes] >> (i % kBaseLanes) & 1U;
   for (const std::uint32_t i : uniform_ops_) {

@@ -81,6 +81,7 @@
 #include <map>
 #include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "netlist/batch_backend.hpp"
@@ -100,7 +101,8 @@ class BatchEvaluator {
   static constexpr std::size_t kBaseLanes = 64;
   /// Bound on cache_bytes(): about 1.8x the largest cache the 128-bit
   /// round-engine family builds (2.3 MB, unroll-lut after an encrypt and
-  /// a decrypt pass; docs/variants.md).
+  /// a decrypt pass; docs/variants.md) and 1.3x the largest at any key
+  /// size (3.3 MB, unroll-lut@256).
   static constexpr std::size_t kMaxCacheBytes = std::size_t{4} << 20;
 
   /// Compile `nl` and resolve the backend (throws std::runtime_error if
@@ -239,6 +241,8 @@ class BatchEvaluator {
                             const std::uint32_t* inputs, std::uint32_t dst);
   std::uint32_t emit(OpKind kind, std::uint32_t dst, std::uint32_t a,
                      std::uint32_t b = 0, std::uint32_t c = 0);
+  /// `w` into `dst` (kNoWord: `w` itself); a constant ties `dst`, no op.
+  std::uint32_t copy_into(std::uint32_t dst, std::uint32_t w);
   /// Stably sort the tape by levelization band, same-kind ops of a band
   /// adjacent.
   void build_levels();
@@ -273,6 +277,8 @@ class BatchEvaluator {
   std::vector<std::uint32_t> all_dffs_;  ///< every flip-flop: the full sweep's edge
   std::uint32_t const0_word_;
   std::uint32_t const1_word_;
+  /// LUT outputs that compiled to a constant: (slot, value), never swept.
+  std::vector<std::pair<std::uint32_t, bool>> tied_;
   const batchdetail::Kernels* kern_ = nullptr;
 
   // Control analysis (fixed at construction).

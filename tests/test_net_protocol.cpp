@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstring>
 #include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -158,6 +159,116 @@ TEST(WireCodec, TruncatedFrameJustWaits) {
   net::Frame out;
   EXPECT_EQ(dec.next(out), net::FrameDecoder::Status::kNeedMore);
   EXPECT_EQ(dec.error(), net::ErrorCode::kNone);
+}
+
+// --- the sliced CRC and the contiguous decoder -----------------------------------
+
+/// CRC-32 one bit at a time, straight from the reflected polynomial: the
+/// reference the sliced implementation must match.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data, std::uint32_t seed = 0) {
+  std::uint32_t c = ~seed;
+  for (const std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<std::uint8_t> v(n);
+  for (auto& b : v) b = static_cast<std::uint8_t>(rng());
+  return v;
+}
+
+// Every length 0..80 (the 16-byte steps, the byte tail and both mixed) at
+// every start offset 0..15 (so every alignment of the word loads), and
+// every split of each run into two chained calls.
+TEST(WireCrc, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  const auto buf = random_bytes(16 + 80, 31);
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t len = 0; len <= 80; ++len) {
+      const std::span<const std::uint8_t> run(buf.data() + off, len);
+      const std::uint32_t want = crc32_bitwise(run);
+      ASSERT_EQ(net::crc32(run), want) << "offset " << off << " length " << len;
+      for (std::size_t cut = 0; cut <= len; ++cut)
+        ASSERT_EQ(net::crc32(run.subspan(cut), net::crc32(run.first(cut))), want)
+            << "offset " << off << " length " << len << " chained at " << cut;
+    }
+  }
+}
+
+TEST(WireCrc, MatchesBitwiseReferenceOn64KiB) {
+  const auto buf = random_bytes(std::size_t{64} << 10, 32);
+  const std::uint32_t want = crc32_bitwise(buf);
+  EXPECT_EQ(net::crc32(buf), want);
+  const std::span<const std::uint8_t> all(buf);
+  for (const std::size_t cut : {std::size_t{1}, std::size_t{4095}, std::size_t{40000}})
+    EXPECT_EQ(net::crc32(all.subspan(cut), net::crc32(all.first(cut))), want) << cut;
+}
+
+// The wire format byte for byte: header fields little-endian at their
+// offsets, the payload, and the CRC-32 of everything before it.
+TEST(WireCodec, GoldenBytes) {
+  net::Frame f;
+  f.op = net::Op::kEncBlocks;
+  f.flags = 0x1234;
+  f.session_id = 0xdeadbeefcafef00dull;
+  f.seq = 77;
+  for (std::uint8_t i = 0; i < 17; ++i) f.payload.push_back(i);
+  const std::vector<std::uint8_t> golden = {
+      0x41, 0x45, 0x53, 0x57,                          // magic "AESW"
+      0x01,                                            // version
+      0x04,                                            // opcode kEncBlocks
+      0x34, 0x12,                                      // flags
+      0x0d, 0xf0, 0xfe, 0xca, 0xef, 0xbe, 0xad, 0xde,  // session_id
+      0x4d, 0x00, 0x00, 0x00,                          // seq
+      0x11, 0x00, 0x00, 0x00,                          // payload_len
+      0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,
+      0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e, 0x0f, 0x10,  // payload
+      0xd9, 0x2f, 0xf8, 0xc0,                          // crc32
+  };
+  EXPECT_EQ(net::encode_frame(f), golden);
+}
+
+// netlist-bulk sized frames (1024 blocks each) arriving in seeded random
+// chunks of 1..5000 bytes: every frame comes out whole and in order, and
+// nothing stays buffered once the stream is consumed.
+TEST(WireCodec, BulkFramesInRandomChunks) {
+  constexpr std::size_t kFrames = 12;
+  std::vector<net::Frame> sent;
+  std::vector<std::uint8_t> stream;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    net::Frame f;
+    f.op = i % 2 ? net::Op::kResult : net::Op::kEncBlocks;
+    f.session_id = 0x1000 + i;
+    f.seq = static_cast<std::uint32_t>(i);
+    f.payload = random_bytes(1 + 16 + 1024 * 16, 40 + static_cast<std::uint32_t>(i));
+    const auto bytes = net::encode_frame(f);
+    stream.insert(stream.end(), bytes.begin(), bytes.end());
+    sent.push_back(std::move(f));
+  }
+  std::mt19937 rng(41);
+  std::uniform_int_distribution<std::size_t> chunk(1, 5000);
+  net::FrameDecoder dec;
+  net::Frame out;
+  std::size_t got = 0;
+  for (std::size_t pos = 0; pos < stream.size();) {
+    const std::size_t n = std::min(chunk(rng), stream.size() - pos);
+    dec.feed(std::span<const std::uint8_t>(stream.data() + pos, n));
+    pos += n;
+    for (net::FrameDecoder::Status st; (st = dec.next(out)) != net::FrameDecoder::Status::kNeedMore;) {
+      ASSERT_EQ(st, net::FrameDecoder::Status::kFrame) << net::error_code_name(dec.error());
+      ASSERT_LT(got, kFrames);
+      const net::Frame& want = sent[got++];
+      EXPECT_EQ(out.op, want.op);
+      EXPECT_EQ(out.session_id, want.session_id);
+      EXPECT_EQ(out.seq, want.seq);
+      ASSERT_EQ(out.payload, want.payload) << "frame " << got - 1;
+    }
+  }
+  EXPECT_EQ(got, kFrames);
+  EXPECT_EQ(dec.buffered(), 0u);
 }
 
 TEST(WireError, PayloadRoundTrip) {
