@@ -120,6 +120,7 @@ constexpr int kBatchScalarBlocks = 8;  // scalar gate-level blocks are ~ms each
 constexpr int kBatchPasses = 4;        // passes per occupancy point in the sweep
 constexpr int kRomChain = 64;          // S-box ROMs in the ROM-gather probe's chain
 constexpr int kRomSettles = 200;       // settles per ROM-gather trial
+constexpr int kMaxOpsPerEdge = 320;    // live_cone.ops_per_edge bound (tools/check_bench.sh)
 
 struct LanePoint {
   std::size_t lanes;
@@ -141,6 +142,7 @@ struct BackendPoint {
 /// clocks of the same pass would have cost.
 struct ConeFigures {
   double ops_per_block = 0;       // ops executed / blocks
+  double ops_per_edge = 0;        // ops executed / sweeps: gated <= kMaxOpsPerEdge
   double ops_per_block_full = 0;  // sweeps x tape size / blocks
   double dffs_per_edge = 0;       // flip-flops clocked per clock edge
   std::size_t dffs = 0;           // every flip-flop: a full clock
@@ -262,6 +264,8 @@ NetlistBatchResult measure_netlist_batch() {
       if (b == active && lanes == pt.lanes) {
         const double blocks = static_cast<double>(kBatchPasses) * static_cast<double>(lanes);
         r.cone.ops_per_block = static_cast<double>(ev.ops_executed() - ops0) / blocks;
+        r.cone.ops_per_edge = static_cast<double>(ev.ops_executed() - ops0) /
+                              static_cast<double>(ev.sweeps() - sweeps0);
         r.cone.ops_per_block_full =
             static_cast<double>((ev.sweeps() - sweeps0) * ev.tape_size()) / blocks;
         // Each clock of a full pass is weighted by its lane count.
@@ -362,17 +366,18 @@ void measure_and_dump() {
   }
   std::printf("  active          %s (%zu lanes), %zu tape ops\n", nb.backend, nb.lanes,
               nb.tape_ops);
-  std::printf("  live cone       %8.1f ops/block (full sweeps: %.1f), %.1f of %zu flip-flops "
-              "clocked per edge, %zu B cached, ROM gather %.1f ns/op\n",
-              nb.cone.ops_per_block, nb.cone.ops_per_block_full, nb.cone.dffs_per_edge,
-              nb.cone.dffs, nb.cone.cache_bytes, nb.cone.rom_ns_per_op);
+  std::printf("  live cone       %8.1f ops/block (full sweeps: %.1f), %.1f ops/sweep (gate: <= %d), "
+              "%.1f of %zu flip-flops clocked per edge, %zu B cached, ROM gather %.1f ns/op\n",
+              nb.cone.ops_per_block, nb.cone.ops_per_block_full, nb.cone.ops_per_edge,
+              kMaxOpsPerEdge, nb.cone.dffs_per_edge, nb.cone.dffs, nb.cone.cache_bytes,
+              nb.cone.rom_ns_per_op);
   std::printf("  vs scalar       %12.2f x           (target: >= 20x)\n", nb.speedup_per_block);
   std::printf("  vs u64 lanes    %12.2f x           (the SIMD widening gate; target: >= 4x)\n\n",
               nb.speedup_vs_u64);
 
   std::ofstream jf("BENCH_simspeed.json");
   aesip::report::JsonWriter j(jf);
-  aesip::report::begin_bench_envelope(j, "simspeed", 7);
+  aesip::report::begin_bench_envelope(j, "simspeed", 8);
   j.begin_object();  // config
   j.key("blocks").value(kBlocks);
   j.key("trials").value(kTrials);
@@ -405,13 +410,14 @@ void measure_and_dump() {
     j.end_object();
   }
   j.end_array();
-  // Payload v7 (docs/benchmarks.md): the active backend's figures, the
+  // Payload v8 (docs/benchmarks.md): the active backend's figures, the
   // historical >= 20x scalar gate, the resolved backend/lane geometry, the
   // per-backend rows (skip-with-reason where the host cannot run one), the
   // `simd` sub-gate — widest backend >= 4x over the unchanged u64
   // baseline, skipped with a reason when u64 is all the host has — and the
   // `live_cone` figures (ops and flip-flop clocks the pruned sweeps ran,
-  // and since v7 the ROM gather's ns per op on the active backend).
+  // since v7 the ROM gather's ns per op on the active backend, and since
+  // v8 the ops per sweep, which tools/check_bench.sh gates).
   j.key("netlist_batch").begin_object();
   j.key("backend").value(nb.backend);
   j.key("lanes").value(nb.lanes);
@@ -436,6 +442,7 @@ void measure_and_dump() {
   j.key("live_cone").begin_object();
   j.key("ops_per_block").value(nb.cone.ops_per_block);
   j.key("ops_per_block_full").value(nb.cone.ops_per_block_full);
+  j.key("ops_per_edge").value(nb.cone.ops_per_edge);
   j.key("dffs_per_edge").value(nb.cone.dffs_per_edge);
   j.key("dffs").value(nb.cone.dffs);
   j.key("cache_bytes").value(nb.cone.cache_bytes);

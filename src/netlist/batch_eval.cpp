@@ -1,6 +1,7 @@
 #include "netlist/batch_eval.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -61,7 +62,8 @@ BatchEvaluator::BatchEvaluator(const Netlist& nl, const BatchConfig& cfg,
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
     if (c.kind == CellKind::kDff) {
-      dffs_.push_back(Dff{c.in[0], c.out, c.in[1] == kNoNet ? kNoWord : c.in[1]});
+      dffs_.push_back(Dff{c.in[0], c.out, c.in[1] == kNoNet ? kNoWord : c.in[1],
+                          static_cast<std::uint32_t>(dffs_.size())});
       continue;
     }
     if (c.kind == CellKind::kConst0 || c.kind == CellKind::kConst1) continue;
@@ -154,9 +156,20 @@ BatchEvaluator::BatchEvaluator(const Netlist& nl, const BatchConfig& cfg,
 
   build_levels();
   for (const Op& op : tape_) full_.push(op);
-  all_dffs_.resize(dffs_.size());
-  std::iota(all_dffs_.begin(), all_dffs_.end(), 0u);
+  full_.roms = roms_;
+  producer_.assign(slots_, kNoWord);
+  for (std::uint32_t i = 0; i < tape_.size(); ++i) {
+    if (tape_[i].kind != OpKind::kRom) {
+      producer_[tape_[i].dst] = i;
+      continue;
+    }
+    for (const std::uint32_t o : roms_[tape_[i].dst].out) producer_[o] = i;
+  }
   find_control(broadcast_pins);
+  alias_.resize(slots_);
+  std::iota(alias_.begin(), alias_.end(), 0u);
+  for (const auto& [slot, value] : tied_) alias_[slot] = value ? const1_word_ : const0_word_;
+  marked_.assign(slots_, 0);
 
   // Backend hookup.  The slot count is final only now (LUT temporaries),
   // so physical storage allocates here.
@@ -359,15 +372,30 @@ void BatchEvaluator::find_control(std::span<const NetId> broadcast_pins) {
     if (f.enable != kNoWord && uniform_[f.enable]) decides[f.enable] = 1;
   for (std::uint32_t s = 0; s < slots_; ++s)
     if (decides[s]) decision_slots_.push_back(s);
-  // What one new state can add to the cache at most: its key, and a
-  // decision set with a new op set (its bitmaps and a program no larger
-  // than the whole tape's: a subsequence has no more runs) and a new
-  // flip-flop list.
-  max_state_bytes_ = (key_.size() + bitmap_words(decision_slots_.size()) +
-                      bitmap_words(tape_.size()) + bitmap_words(slots_)) *
-                         sizeof(Word) +
-                     full_.bytes() + dffs_.size() * sizeof(std::uint32_t) +
-                     sizeof(const Cone*) + sizeof(Cone);
+  // What one new state can add to the cache at most: its key and control
+  // values, a new decision key and a new program.  A program's ops are a
+  // folded subsequence of the tape's, so its operands take no more words
+  // than the whole tape's; a fold that turns an XOR, ANDN or ORN into a
+  // NOT can split a run in three, so its runs are at most the whole
+  // tape's plus two for each such op.  Its clock list, root table and
+  // control list name each flip-flop, D, enable, output and control slot
+  // at most once.
+  std::size_t controls = 0;  // uniform slots that are not sources: what a state may write
+  for (std::uint32_t s = 0; s < slots_; ++s)
+    controls += uniform_[s] && !(sources_[s / kBits] >> (s % kBits) & 1U);
+  std::size_t splits = 0;
+  for (const Op& op : tape_)
+    splits += op.kind == OpKind::kXor || op.kind == OpKind::kAndn || op.kind == OpKind::kOrn;
+  const std::size_t runs = std::min(tape_.size(), full_.runs.size() + 2 * splits);
+  max_state_bytes_ =
+      (key_.size() + bitmap_words(controls) + bitmap_words(decision_slots_.size()) +
+       bitmap_words(tape_.size()) + bitmap_words(dffs_.size()) + bitmap_words(slots_)) *
+          sizeof(Word) +
+      runs * sizeof(batchdetail::Run) + full_.args.size() * sizeof(std::uint32_t) +
+      roms_.size() * sizeof(RomSpec) + dffs_.size() * sizeof(Dff) +
+      (2 * dffs_.size() + nl_.outputs().size()) * sizeof(std::pair<std::uint32_t, std::uint32_t>) +
+      controls * sizeof(std::uint32_t) + sizeof(Cone) + sizeof(const ConeProgram*) +
+      sizeof(ConeProgram);
 }
 
 const BatchEvaluator::Cone* BatchEvaluator::current_cone() {
@@ -389,16 +417,19 @@ const BatchEvaluator::Cone* BatchEvaluator::current_cone() {
       ++uncached_sweeps_;
       return nullptr;
     }
-    it = by_state_.emplace(key_, build_cone()).first;
-    cache_bytes_ += key_.size() * sizeof(Word) + sizeof(const Cone*);
+    Cone cone = build_cone();
+    cache_bytes_ += (key_.size() + cone.control.size()) * sizeof(Word) + sizeof(Cone);
+    it = by_state_.emplace(key_, std::move(cone)).first;
   }
-  return it->second;
+  return &it->second;
 }
 
 // A new control state: evaluate the control network in scalar (one byte
-// per slot, no lane-wide sweep), read off the decisions, and walk the tape
-// only when no earlier state made the same ones.
-const BatchEvaluator::Cone* BatchEvaluator::build_cone() {
+// per slot, no lane-wide sweep), read off the decisions, find the program
+// of the live sets they make (walking the tape only when no earlier state
+// made the same ones), and keep the values of the control slots that
+// program reads.
+BatchEvaluator::Cone BatchEvaluator::build_cone() {
   std::vector<std::uint8_t> v(slots_, 0);
   v[const1_word_] = 1;
   for (const auto& [slot, value] : tied_) v[slot] = value;
@@ -427,17 +458,32 @@ const BatchEvaluator::Cone* BatchEvaluator::build_cone() {
   std::vector<Word> decisions(bitmap_words(decision_slots_.size()), 0);
   for (std::size_t i = 0; i < decision_slots_.size(); ++i)
     if (v[decision_slots_[i]]) set_bit(decisions, i);
-  if (const auto it = by_decisions_.find(decisions); it != by_decisions_.end()) return &it->second;
+  auto it = by_decisions_.find(decisions);
+  if (it == by_decisions_.end()) {
+    const ConeProgram* program = live_program(v);
+    cache_bytes_ += decisions.size() * sizeof(Word) + sizeof(const ConeProgram*);
+    it = by_decisions_.emplace(std::move(decisions), program).first;
+  }
+  const ConeProgram* program = it->second;
+  Cone cone{program, std::vector<Word>(bitmap_words(program->control.size()), 0)};
+  for (std::size_t i = 0; i < program->control.size(); ++i)
+    if (v[program->control[i]]) set_bit(cone.control, i);
+  return cone;
+}
 
-  // Roots: the D and enable of every flip-flop not disabled in this state,
-  // and the primary outputs.  One backward pass over the (topologically
-  // ordered) tape collects the ops they need.
+// Roots: the D and enable of every flip-flop not disabled in state `v`,
+// and the primary outputs.  One backward pass over the (topologically
+// ordered) tape collects the datapath ops they need; control ops are
+// left out, since the state's values stand in for them.
+const BatchEvaluator::ConeProgram* BatchEvaluator::live_program(
+    const std::vector<std::uint8_t>& v) {
   std::vector<std::uint8_t> need(slots_, 0);
-  std::vector<std::uint32_t> dffs;
+  const std::size_t op_bits = bitmap_words(tape_.size()) * kBits;
+  std::vector<Word> key(bitmap_words(tape_.size()) + bitmap_words(dffs_.size()), 0);
   for (std::uint32_t i = 0; i < dffs_.size(); ++i) {
     const Dff& f = dffs_[i];
     if (f.enable != kNoWord && uniform_[f.enable] && !v[f.enable]) continue;
-    dffs.push_back(i);
+    set_bit(key, op_bits + i);
     need[f.d] = 1;
     if (f.enable != kNoWord) need[f.enable] = 1;
   }
@@ -453,29 +499,19 @@ const BatchEvaluator::Cone* BatchEvaluator::build_cone() {
       need[op.a] = need[op.b] = 1;
     }
   };
-  std::vector<Word> ops(bitmap_words(tape_.size()), 0);
-  std::vector<Word> fresh = sources_;
   for (std::size_t i = tape_.size(); i-- > 0;) {
     const Op& op = tape_[i];
     if (op.kind == OpKind::kRom) {
       const RomSpec& r = roms_[op.dst];
-      if (std::none_of(std::begin(r.out), std::end(r.out),
-                       [&](std::uint32_t o) { return need[o] != 0; }))
+      if (uniform_[r.out[0]] || std::none_of(std::begin(r.out), std::end(r.out),
+                                             [&](std::uint32_t o) { return need[o] != 0; }))
         continue;
-      for (const std::uint32_t o : r.out) set_bit(fresh, o);
       for (const std::uint32_t a : r.addr) need[a] = 1;
-      set_bit(ops, i);
+      set_bit(key, i);
       continue;
     }
-    if (!need[op.dst]) continue;
-    set_bit(fresh, op.dst);
-    set_bit(ops, i);
-    if (uniform_[op.dst]) {  // control logic: compute it whole
-      need[op.a] = 1;
-      if (op.kind != OpKind::kCopy && op.kind != OpKind::kNot) need[op.b] = 1;
-      if (op.kind == OpKind::kMux) need[op.c] = 1;
-      continue;
-    }
+    if (!need[op.dst] || uniform_[op.dst]) continue;
+    set_bit(key, i);
     switch (op.kind) {
       case OpKind::kCopy:
       case OpKind::kNot: need[op.a] = 1; break;
@@ -496,25 +532,198 @@ const BatchEvaluator::Cone* BatchEvaluator::build_cone() {
     }
   }
 
-  auto os = op_sets_.find(ops);
-  if (os == op_sets_.end()) {
-    Program program = program_of(ops);
-    cache_bytes_ += (ops.size() + fresh.size()) * sizeof(Word) + program.bytes();
-    os = op_sets_.emplace(std::move(ops), OpSet{std::move(program), std::move(fresh)}).first;
+  auto it = programs_.find(key);
+  if (it == programs_.end()) {
+    ConeProgram p = compile_cone(key);
+    cache_bytes_ += (key.size() + p.fresh.size()) * sizeof(Word) + p.program.bytes() +
+                    p.clock.size() * sizeof(Dff) + p.roots.size() * sizeof(p.roots[0]) +
+                    p.control.size() * sizeof(std::uint32_t) + sizeof(ConeProgram);
+    it = programs_.emplace(std::move(key), std::move(p)).first;
   }
-  const auto [ds, new_dffs] = dff_sets_.insert(std::move(dffs));
-  if (new_dffs) cache_bytes_ += ds->size() * sizeof(std::uint32_t);
-  cache_bytes_ += decisions.size() * sizeof(Word) + sizeof(Cone);
-  const Cone cone{&os->second, &*ds};
-  return &by_decisions_.emplace(std::move(decisions), cone).first->second;
+  return &it->second;
 }
 
-BatchEvaluator::Program BatchEvaluator::program_of(const std::vector<Word>& live) const {
-  Program p;
-  for (std::size_t i = 0; i < tape_.size(); ++i)
-    if (live[i / kBits] >> (i % kBits) & 1U) p.push(tape_[i]);
-  p.runs.shrink_to_fit();
-  p.args.shrink_to_fit();
+// Compile one live op set and flip-flop list, walking only its ops in
+// tape order.  alias_ maps each slot to the slot holding its value; an op
+// the set implies, or one over a constant, only sets its destination's
+// alias (or becomes a NOT), and every later op reads through the aliases.
+// Every state this program serves made the walk above pick the same
+// ops, so where it cut a datapath operand out — a MUX leg, an AND's or
+// OR's non-deciding operand — the control operand facing it decided the
+// op the same way in all of them.
+BatchEvaluator::ConeProgram BatchEvaluator::compile_cone(const std::vector<Word>& key) {
+  const std::uint32_t k0 = const0_word_;
+  const std::uint32_t k1 = const1_word_;
+  const auto has = [](const std::vector<Word>& bits, std::size_t i) {
+    return (bits[i / kBits] >> (i % kBits) & 1U) != 0;
+  };
+  const auto computed = [&](std::uint32_t s) {
+    return uniform_[s] || producer_[s] == kNoWord || has(key, producer_[s]);
+  };
+  ConeProgram p;
+  p.fresh = sources_;
+  // A control slot the sweep reads: each state writes it.
+  const auto read = [&](std::uint32_t s) {
+    if (uniform_[s] && !marked_[s] && !has(sources_, s)) {
+      marked_[s] = 1;
+      p.control.push_back(s);
+    }
+    return s;
+  };
+  const auto alias = [&](std::uint32_t dst, std::uint32_t s) {
+    alias_[dst] = s;
+    touched_.push_back(dst);
+  };
+  const auto put = [&](OpKind kind, std::uint32_t dst, std::uint32_t a, std::uint32_t b = 0,
+                       std::uint32_t c = 0) {
+    Op op{kind, dst, read(a)};
+    if (kind != OpKind::kNot) op.b = read(b);
+    if (kind == OpKind::kMux) op.c = read(c);
+    p.program.push(op);
+    set_bit(p.fresh, dst);
+  };
+  const auto invert = [&](std::uint32_t dst, std::uint32_t s) {
+    if (s == k0 || s == k1) {
+      alias(dst, s == k0 ? k1 : k0);
+    } else {
+      put(OpKind::kNot, dst, s);
+    }
+  };
+  const auto root = [&](std::uint32_t net, std::uint32_t s) {
+    if (s != net) p.roots.emplace_back(net, read(s));
+  };
+
+  const std::size_t op_words = bitmap_words(tape_.size());
+  for (std::size_t w = 0; w < op_words; ++w) {
+    for (Word bits = key[w]; bits != 0; bits &= bits - 1) {
+      const Op& op = tape_[w * kBits + static_cast<std::size_t>(std::countr_zero(bits))];
+      if (op.kind == OpKind::kRom) {
+        RomSpec r = roms_[op.dst];
+        for (std::uint32_t& a : r.addr) a = read(alias_[a]);
+        for (const std::uint32_t o : r.out) set_bit(p.fresh, o);
+        p.program.push(Op{OpKind::kRom, static_cast<std::uint32_t>(p.program.roms.size())});
+        p.program.roms.push_back(r);
+        continue;
+      }
+      const std::uint32_t a = alias_[op.a];
+      const std::uint32_t b = alias_[op.b];
+      const std::uint32_t c = alias_[op.c];
+      // An AND/OR/ANDN/ORN whose control operand faces a datapath operand
+      // the set does not compute: the control operand decided it.
+      const auto implied = [&] {
+        return (uniform_[op.a] && !computed(op.b)) || (uniform_[op.b] && !computed(op.a));
+      };
+      switch (op.kind) {
+        case OpKind::kCopy: alias(op.dst, a); break;
+        case OpKind::kNot: invert(op.dst, a); break;
+        case OpKind::kAnd:
+          if (a == k0 || b == k0 || implied()) {
+            alias(op.dst, k0);
+          } else if (a == k1 || b == k1) {
+            alias(op.dst, a == k1 ? b : a);
+          } else {
+            put(op.kind, op.dst, a, b);
+          }
+          break;
+        case OpKind::kAndn:  // ~a & b
+          if (a == k1 || b == k0 || implied()) {
+            alias(op.dst, k0);
+          } else if (a == k0) {
+            alias(op.dst, b);
+          } else if (b == k1) {
+            invert(op.dst, a);
+          } else {
+            put(op.kind, op.dst, a, b);
+          }
+          break;
+        case OpKind::kOr:
+          if (a == k1 || b == k1 || implied()) {
+            alias(op.dst, k1);
+          } else if (a == k0 || b == k0) {
+            alias(op.dst, a == k0 ? b : a);
+          } else {
+            put(op.kind, op.dst, a, b);
+          }
+          break;
+        case OpKind::kOrn:  // ~a | b
+          if (a == k0 || b == k1 || implied()) {
+            alias(op.dst, k1);
+          } else if (a == k1) {
+            alias(op.dst, b);
+          } else if (b == k0) {
+            invert(op.dst, a);
+          } else {
+            put(op.kind, op.dst, a, b);
+          }
+          break;
+        case OpKind::kXor:
+          if (a == k0 || b == k0) {
+            alias(op.dst, a == k0 ? b : a);
+          } else if (a == k1 || b == k1) {
+            invert(op.dst, a == k1 ? b : a);
+          } else if (a == b) {
+            alias(op.dst, k0);
+          } else {
+            put(op.kind, op.dst, a, b);
+          }
+          break;
+        case OpKind::kMux:  // a ? c : b
+          if (a == k0 || (uniform_[op.a] && !computed(op.c))) {
+            alias(op.dst, b);
+          } else if (a == k1 || (uniform_[op.a] && !computed(op.b)) || b == c) {
+            alias(op.dst, c);
+          } else {
+            put(op.kind, op.dst, a, b, c);
+          }
+          break;
+        case OpKind::kRom: break;  // handled above
+      }
+    }
+  }
+
+  // The clock list.  A control enable is 1 in every state the program
+  // serves (a 0 would have left the flip-flop out of the live set).
+  std::vector<Dff> held;
+  for (std::size_t w = op_words; w < key.size(); ++w) {
+    for (Word bits = key[w]; bits != 0; bits &= bits - 1) {
+      const auto i = static_cast<std::uint32_t>((w - op_words) * kBits +
+                                                 static_cast<std::size_t>(std::countr_zero(bits)));
+      const Dff& f = dffs_[i];
+      Dff e{alias_[f.d], f.q, kNoWord, i};
+      root(f.d, e.d);
+      if (f.enable != kNoWord) {
+        const std::uint32_t en = uniform_[f.enable] ? k1 : alias_[f.enable];
+        root(f.enable, en);
+        if (en != k1) e.enable = en;
+      }
+      if (e.d == f.q || e.enable == k0) {
+        held.push_back(e);
+      } else {
+        read(e.d);
+        if (e.enable != kNoWord) read(e.enable);
+        p.clock.push_back(e);
+      }
+    }
+  }
+  p.clocked = p.clock.size();
+  p.clock.insert(p.clock.end(), held.begin(), held.end());
+  for (const auto& po : nl_.outputs()) root(po.net, read(alias_[po.net]));
+
+  for (const std::uint32_t s : p.control) {
+    set_bit(p.fresh, s);
+    marked_[s] = 0;
+  }
+  for (const std::uint32_t s : touched_) alias_[s] = s;
+  touched_.clear();
+  std::sort(p.roots.begin(), p.roots.end());
+  p.roots.erase(std::unique(p.roots.begin(), p.roots.end()), p.roots.end());
+  std::erase_if(p.roots, [&](const auto& r) { return has(p.fresh, r.first); });
+  p.program.runs.shrink_to_fit();
+  p.program.args.shrink_to_fit();
+  p.program.roms.shrink_to_fit();
+  p.clock.shrink_to_fit();
+  p.roots.shrink_to_fit();
+  p.control.shrink_to_fit();
   return p;
 }
 
@@ -540,9 +749,24 @@ void BatchEvaluator::settle() {
 void BatchEvaluator::clock() {
   // Sample the live Ds first (pre-edge values in every lane, as the last
   // sweep left them), then publish, then settle — Evaluator::clock()
-  // semantics, lanes() wide.
-  const std::vector<std::uint32_t>& live = cone_ ? *cone_->dffs : all_dffs_;
-  kern_->clock_dffs(dffs_.data(), live.data(), live.size(), words_.data(), dff_state_.data());
+  // semantics, lanes() wide.  After a mutator froze the last program's
+  // folded values into their home slots, the edge reads those slots, and
+  // the flip-flops that hold sample too: a Q that changed since the sweep
+  // no longer equals the D it folded to.
+  std::span<const Dff> live = dffs_;
+  if (cone_) {
+    const ConeProgram& p = *cone_->program;
+    live = std::span<const Dff>(p.clock.data(), p.clocked);
+    if (dirty_) {
+      frozen_clock_.clear();
+      for (const Dff& e : p.clock) {
+        const Dff& f = dffs_[e.index];
+        frozen_clock_.push_back(Dff{f.d, f.q, e.enable == kNoWord ? kNoWord : f.enable, f.index});
+      }
+      live = frozen_clock_;
+    }
+  }
+  kern_->clock_dffs(live.data(), live.size(), words_.data(), dff_state_.data());
   dffs_clocked_ += live.size();
   sweep();
 }
@@ -553,9 +777,12 @@ void BatchEvaluator::sweep() {
     full_sweep();
     return;
   }
-  kern_->settle(cone_->ops->program, words_.data(), roms_.data());
+  const ConeProgram& p = *cone_->program;
+  for (std::size_t i = 0; i < p.control.size(); ++i)
+    fill(p.control[i], cone_->control[i / kBits] >> (i % kBits) & 1U);
+  kern_->settle(p.program, words_.data());
   ++sweeps_;
-  ops_executed_ += cone_->ops->program.ops;
+  ops_executed_ += p.program.ops;
   stale_ = true;
   dirty_ = false;
 }
@@ -564,37 +791,54 @@ void BatchEvaluator::full_sweep() const {
   // A mutator since the last sweep may have moved the control state, so
   // the next edge clocks every flip-flop.
   if (dirty_) cone_ = nullptr;
-  kern_->settle(full_, words_.data(), roms_.data());
+  kern_->settle(full_, words_.data());
   ++sweeps_;
   ops_executed_ += full_.ops;
   stale_ = false;
   dirty_ = false;
 }
 
+std::uint32_t BatchEvaluator::stale_slot(NetId n) const {
+  // A folded net reads its root, or its home slot once a mutator froze it.
+  const auto& roots = cone_->program->roots;
+  const auto it = std::lower_bound(roots.begin(), roots.end(), std::pair{n, std::uint32_t{0}});
+  if (it != roots.end() && it->first == n) return dirty_ ? n : it->second;
+  full_sweep();
+  return n;
+}
+
+void BatchEvaluator::freeze() {
+  if (!cone_) return;
+  for (const auto& [net, slot] : cone_->program->roots)
+    std::copy_n(words_.begin() + static_cast<std::ptrdiff_t>(slot * stride_), stride_,
+                words_.begin() + static_cast<std::ptrdiff_t>(net * stride_));
+}
+
 void BatchEvaluator::reset() {
-  for (std::size_t i = 0; i < dffs_.size(); ++i) {
-    for (std::size_t g = 0; g < stride_; ++g) dff_state_[i * stride_ + g] = 0;
-    publish_dff(i);
-  }
+  touch();
+  std::fill(dff_state_.begin(), dff_state_.end(), Word{0});
+  for (std::size_t i = 0; i < dffs_.size(); ++i) publish_dff(i);
 }
 
 void BatchEvaluator::publish_dff(std::size_t index) {
   for (std::size_t g = 0; g < stride_; ++g)
     words_[dffs_[index].q * stride_ + g] = dff_state_[index * stride_ + g];
-  dirty_ = true;
 }
 
 void BatchEvaluator::flip_dff(std::size_t index) {
+  touch();
   for (std::size_t g = 0; g < stride_; ++g) dff_state_[index * stride_ + g] ^= ~Word{0};
   publish_dff(index);
 }
 
 void BatchEvaluator::flip_dff_lane(std::size_t index, std::size_t lane) {
+  touch();
   dff_state_[index * stride_ + lane / kBaseLanes] ^= Word{1} << (lane % kBaseLanes);
   publish_dff(index);
 }
 
 void BatchEvaluator::flip_dff_mask(std::size_t index, std::span<const Word> mask) {
+  touch();
   const std::size_t n = std::min(mask.size(), stride_);
   for (std::size_t g = 0; g < n; ++g) dff_state_[index * stride_ + g] ^= mask[g];
   publish_dff(index);

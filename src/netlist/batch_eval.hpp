@@ -46,31 +46,50 @@
 // (the IP's setup/wr_data/wr_key/encdec) drive every lane alike, and so do
 // the *control* flip-flops: those whose D and enable depend only on
 // constants, those pins and other control flip-flops (a fixed point over
-// the tape).  Their lane-0 bits are one control state.  For each state a
-// sweep runs only the live cone: the ops feeding the D and enable of every
-// flip-flop whose enable is not 0 in that state, and the primary outputs.
-// Where a MUX, AND, OR, ANDN or ORN has a control operand facing a datapath
-// operand, the cone follows only the operand that decides the value, and
-// the next clock() samples only the live flip-flops.  The live op set
-// (compiled once into its program) and flip-flop list are cached per
-// state, keyed through the *decisions* the state makes (a scalar
-// evaluation of the control network, no lane-wide sweep) and deduplicated
-// by content, so states that share an op set share its program.  The
-// whole tape is a program too, built at construction.  A sweep whose pins
-// or control flip-flops differ between lanes (a per-lane set() of a pin,
-// flip_dff_lane() on a control flip-flop) runs the whole tape instead and
-// counts a lane_divergences().  The cache holds at most kMaxCacheBytes; once full,
+// the tape).  Their lane-0 bits are one control state.  Every *control*
+// net — one computed from the control state alone — then holds the same
+// value in every lane, so a sweep does not compute it: a new state is
+// evaluated once in scalar (one byte per slot), and its sweep writes the
+// control nets its program, its flip-flops and the outputs read as
+// broadcast words.  The program holds only datapath ops: those of the
+// live cone, which feeds the D and enable of every flip-flop whose
+// enable is not 0 in that state, and the primary outputs.  Where a MUX,
+// AND, OR, ANDN or ORN has a control operand facing a datapath operand,
+// the cone follows only the operand that decides the value.
+//
+// A cone program is compiled once per live op set and live flip-flop
+// list, and what the set implies folds away: a MUX with a control select
+// whose other leg the set does not compute takes the leg it does; an
+// AND/OR/ANDN/ORN whose control operand faces an uncomputed datapath
+// operand is the deciding constant; a COPY, an XOR with a constant and
+// any op over a folded constant become an alias of another slot (or a
+// NOT); and a flip-flop whose D folds to its own Q holds, so it leaves
+// the clock list.  A folded net's home slot is not written: the program's
+// root table names the slot that holds each folded D, enable and output,
+// so reads of them never cost a sweep.  States are cached keyed through
+// the *decisions* they make (a scalar evaluation of the control network,
+// no lane-wide sweep); states with the same live sets share one program
+// and keep only their control values.  The whole tape is a program too,
+// built at construction.  A sweep whose pins or control flip-flops
+// differ between lanes (a per-lane set() of a pin, flip_dff_lane() on a
+// control flip-flop) runs the whole tape instead and counts a
+// lane_divergences().  The cache holds at most kMaxCacheBytes; once full,
 // a state it does not hold is swept whole too, and counts an
 // uncached_sweeps().
 //
 // The network therefore holds *stale* nets outside the last cone.  Reads
 // hide them: word(), get() and get_bus() of a net that the last sweep did
-// not write run one full sweep first, so every read sees the network
-// settled on its current inputs.  Primary inputs, constants, flip-flop Qs
-// and primary outputs are always current.  A settle() or clock() sweeps
-// only when some mutator (set*, broadcast*, reset, the flip_dff family,
-// clock) has run since the last sweep, so the drivers' `settle(); clock();`
-// costs one sweep per clock edge, not two.
+// not write, and that its root table does not name, run one full sweep
+// first, so every read sees the network settled on its current inputs.
+// Primary inputs, constants, flip-flop Qs and primary outputs are always
+// current.  A settle() or clock() sweeps only when some mutator (set*,
+// broadcast*, reset, the flip_dff family, clock) has run since the last
+// sweep, so the drivers' `settle(); clock();` costs one sweep per clock
+// edge, not two.  clock() samples each D as the last sweep left it: the
+// first mutator after a sweep copies the last program's folded D, enable
+// and output values into their home slots before it changes anything, so
+// an edge taken without a settle samples what a full sweep would have
+// left there.
 //
 // A combinational cycle is rejected at construction exactly like the scalar
 // evaluator.  The scalar evaluator remains the oracle and keeps the
@@ -79,7 +98,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <span>
 #include <utility>
 #include <vector>
@@ -102,7 +120,7 @@ class BatchEvaluator {
   /// Bound on cache_bytes(): about 1.8x the largest cache the 128-bit
   /// round-engine family builds (2.3 MB, unroll-lut after an encrypt and
   /// a decrypt pass; docs/variants.md) and 1.3x the largest at any key
-  /// size (3.3 MB, unroll-lut@256).
+  /// size (3.2 MB, unroll-lut@256).
   static constexpr std::size_t kMaxCacheBytes = std::size_t{4} << 20;
 
   /// Compile `nl` and resolve the backend (throws std::runtime_error if
@@ -128,31 +146,27 @@ class BatchEvaluator {
 
   // --- whole-word access (64 lanes per word index) ----------------------------
   /// Lane word `wi` of net `n`: bit L = the value in lane 64*wi + L.
-  Word word(NetId n, std::size_t wi = 0) const {
-    refresh(n);
-    return words_[n * stride_ + wi];
-  }
+  Word word(NetId n, std::size_t wi = 0) const { return words_[slot_of(n) * stride_ + wi]; }
   void set_word(NetId n, Word w, std::size_t wi = 0) {
+    touch();
     words_[n * stride_ + wi] = w;
-    dirty_ = true;
   }
   /// Drive net `n` to the same value in every lane.
   void broadcast(NetId n, bool v) {
-    for (std::size_t g = 0; g < stride_; ++g) words_[n * stride_ + g] = v ? ~Word{0} : Word{0};
-    dirty_ = true;
+    touch();
+    fill(n, v);
   }
   void broadcast_bus(const Bus& b, std::uint64_t value);
 
   // --- per-lane access --------------------------------------------------------
   void set(NetId n, std::size_t lane, bool v) {
+    touch();
     Word& w = words_[n * stride_ + lane / kBaseLanes];
     const Word bit = Word{1} << (lane % kBaseLanes);
     w = v ? (w | bit) : (w & ~bit);
-    dirty_ = true;
   }
   bool get(NetId n, std::size_t lane) const {
-    refresh(n);
-    return (words_[n * stride_ + lane / kBaseLanes] >> (lane % kBaseLanes)) & 1U;
+    return (words_[slot_of(n) * stride_ + lane / kBaseLanes] >> (lane % kBaseLanes)) & 1U;
   }
   /// Drive a bus (bit 0 = LSB) in one lane from an integer.
   void set_bus(const Bus& b, std::size_t lane, std::uint64_t value);
@@ -167,8 +181,8 @@ class BatchEvaluator {
   void settle();
   /// Rising clock edge in every lane: each live DFF whose enable is true in
   /// a lane samples its D in that lane; then the network settles (always
-  /// one sweep — publishing Q marks it dirty).  D is read as it stands:
-  /// call settle() first after changing inputs.
+  /// one sweep — publishing Q marks it dirty).  D is read as the last
+  /// sweep left it: call settle() first after changing inputs.
   void clock();
   /// Clear all flip-flop state to zero in every lane (no settle — mirrors
   /// the scalar evaluator).
@@ -200,15 +214,17 @@ class BatchEvaluator {
   std::uint64_t sweeps() const noexcept { return sweeps_; }
   /// Tape ops those sweeps executed.
   std::uint64_t ops_executed() const noexcept { return ops_executed_; }
-  /// Flip-flop samples the clock edges took (live flip-flops per edge).
+  /// Flip-flop samples the clock edges took (live flip-flops per edge,
+  /// less those whose D folds to their own Q).
   std::uint64_t dffs_clocked() const noexcept { return dffs_clocked_; }
   /// Sweeps that found the control state differing between lanes and so
   /// ran the whole tape.
   std::uint64_t lane_divergences() const noexcept { return lane_divergences_; }
   /// Sweeps of a control state the full cache could not take, run whole.
   std::uint64_t uncached_sweeps() const noexcept { return uncached_sweeps_; }
-  /// Bytes held by the control-state cache: each op set's program, its
-  /// bitmap and the slots it writes, the live flip-flop lists and the
+  /// Bytes held by the control-state cache: each cone program (its ops,
+  /// ROM specs, clock list, root table, control slot list, fresh bitmap
+  /// and key), each state's key and control values, and the decision
   /// keys (at most kMaxCacheBytes).
   std::size_t cache_bytes() const noexcept { return cache_bytes_; }
 
@@ -220,18 +236,24 @@ class BatchEvaluator {
   using Program = batchdetail::Program;
   static constexpr std::uint32_t kNoWord = batchdetail::kNoWord;
 
-  /// One live op set, compiled once: its program and the bitmap of slots
-  /// it leaves current.
-  struct OpSet {
-    Program program;
-    std::vector<Word> fresh;
+  /// One live op set and live flip-flop list, compiled once.
+  struct ConeProgram {
+    Program program;  ///< the datapath ops left after the folds
+    /// The live flip-flops, D and enable read through `roots`; those that
+    /// hold (D folds to Q, or the enable to 0) come last.
+    std::vector<Dff> clock;
+    std::size_t clocked = 0;  ///< clock[0, clocked) sample at an edge
+    /// (net, slot holding its value) for each folded D, enable and
+    /// output net, by net.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> roots;
+    std::vector<std::uint32_t> control;  ///< control slots it reads: each state writes them
+    std::vector<Word> fresh;             ///< bitmap: slots current after its sweep
   };
-  /// One control state's sweep: its op set and the live flip-flops (a
-  /// list of indices into dffs_) the following edge clocks, both in the
-  /// content-deduplicated pools below.
+  /// One control state: its program, and bit i = the value of the
+  /// program's control[i] in this state.
   struct Cone {
-    const OpSet* ops;
-    const std::vector<std::uint32_t>* dffs;
+    const ConeProgram* program;
+    std::vector<Word> control;
   };
 
   std::uint32_t new_temp() { return static_cast<std::uint32_t>(slots_++); }
@@ -246,21 +268,40 @@ class BatchEvaluator {
   /// Stably sort the tape by levelization band, same-kind ops of a band
   /// adjacent.
   void build_levels();
-  /// The program of the tape ops whose bits are set in `live`.
-  Program program_of(const std::vector<Word>& live) const;
   /// Find the control flip-flops and the decision slots (fixed point).
   void find_control(std::span<const NetId> broadcast_pins);
   /// The cone of the control state the network holds now, or nullptr when
   /// its lanes disagree or the full cache does not hold it.
   const Cone* current_cone();
-  const Cone* build_cone();
+  Cone build_cone();
+  /// The program of the live sets state `v` (one byte per slot) makes.
+  const ConeProgram* live_program(const std::vector<std::uint8_t>& v);
+  /// Compile the live sets in `key` (op bitmap, then flip-flop bitmap).
+  ConeProgram compile_cone(const std::vector<Word>& key);
   /// Sweep the current control state's cone (the whole tape on divergence
   /// or for a state the full cache does not hold).
   void sweep();
   /// Sweep the whole tape.
   void full_sweep() const;
-  void refresh(NetId n) const {
-    if (stale_ && !(cone_->ops->fresh[n / kBaseLanes] >> (n % kBaseLanes) & 1U)) full_sweep();
+  /// The slot holding net `n`'s value, sweeping the whole tape first when
+  /// the last sweep left it stale.
+  std::uint32_t slot_of(NetId n) const {
+    if (stale_ && !(cone_->program->fresh[n / kBaseLanes] >> (n % kBaseLanes) & 1U))
+      return stale_slot(n);
+    return n;
+  }
+  std::uint32_t stale_slot(NetId n) const;
+  /// Call before a mutator changes a word: the first after a sweep
+  /// freezes the folded values the next clock() samples.
+  void touch() {
+    if (!dirty_) freeze();
+    dirty_ = true;
+  }
+  /// Copy the last program's folded D, enable and output values into
+  /// their home slots.
+  void freeze();
+  void fill(std::uint32_t slot, bool v) {
+    for (std::size_t g = 0; g < stride_; ++g) words_[slot * stride_ + g] = v ? ~Word{0} : Word{0};
   }
   void publish_dff(std::size_t index);
 
@@ -271,10 +312,9 @@ class BatchEvaluator {
   mutable batchdetail::LaneWords words_;  ///< slots_ * stride_ physical words
   std::vector<Op> tape_;
   std::vector<RomSpec> roms_;
-  std::vector<Dff> dffs_;
+  std::vector<Dff> dffs_;             ///< every flip-flop: the full sweep's edge
   batchdetail::LaneWords dff_state_;  ///< dffs x stride
   Program full_;                      ///< the whole tape
-  std::vector<std::uint32_t> all_dffs_;  ///< every flip-flop: the full sweep's edge
   std::uint32_t const0_word_;
   std::uint32_t const1_word_;
   /// LUT outputs that compiled to a constant: (slot, value), never swept.
@@ -288,18 +328,26 @@ class BatchEvaluator {
   std::vector<std::uint32_t> uniform_ops_;    ///< tape indices over uniform operands only
   std::vector<std::uint32_t> decision_slots_;  ///< uniform slots that steer the cone
   std::vector<Word> sources_;                 ///< bitmap: inputs, constants, Qs
+  std::vector<std::uint32_t> producer_;       ///< per slot: the tape op writing it, or kNoWord
 
-  // Control-state cache: state -> decisions -> deduplicated sets.
-  std::map<std::vector<Word>, const Cone*> by_state_;
-  std::map<std::vector<Word>, Cone> by_decisions_;
-  std::map<std::vector<Word>, OpSet> op_sets_;  ///< live op bitmap -> its compiled set
-  std::set<std::vector<std::uint32_t>> dff_sets_;
+  // Control-state cache: state -> its cone; decisions -> the program;
+  // (live ops, live flip-flops) -> the program, compiled once.
+  std::map<std::vector<Word>, Cone> by_state_;
+  std::map<std::vector<Word>, const ConeProgram*> by_decisions_;
+  std::map<std::vector<Word>, ConeProgram> programs_;
   std::vector<Word> key_;  ///< current_cone() scratch
   std::size_t cache_bytes_ = 0;
   std::size_t max_state_bytes_ = 0;  ///< the most one new state adds to the cache
+  // compile_cone() scratch, one entry per slot, restored after each use.
+  std::vector<std::uint32_t> alias_;  ///< the slot holding a slot's value (tied: a constant)
+  std::vector<std::uint8_t> marked_;
+  std::vector<std::uint32_t> touched_;
+  std::vector<Dff> frozen_clock_;  ///< clock() scratch after a freeze
 
   mutable const Cone* cone_ = nullptr;  ///< last sweep's cone; nullptr = full
-  mutable bool dirty_ = true;  ///< a mutator ran since the last sweep
+  /// A mutator ran since the last sweep (and, after a cone sweep, froze
+  /// the folded values into their home slots).
+  mutable bool dirty_ = true;
   mutable bool stale_ = false;  ///< the last sweep was cone_'s, not full
   mutable std::uint64_t sweeps_ = 0;
   mutable std::uint64_t ops_executed_ = 0;

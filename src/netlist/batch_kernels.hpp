@@ -20,13 +20,12 @@ namespace aesip::netlist::batchdetail {
 struct Kernels {
   std::size_t stride;  ///< 64-bit words per net (lanes = 64 * stride)
   /// Run `p`'s ops in order, each run as one loop over its kind.
-  void (*settle)(const Program& p, Word* w, const RomSpec* roms);
-  /// Sample the D of each flip-flop dffs[live[k]], k < n, into its state
+  void (*settle)(const Program& p, Word* w);
+  /// Sample the D of each flip-flop dffs[k], k < n, into its state word
   /// where its enable is set (pre-edge, per-lane enable masking), then
   /// publish Q — Evaluator::clock() semantics, lanes wide.  The caller
   /// settles afterwards.
-  void (*clock_dffs)(const Dff* dffs, const std::uint32_t* live, std::size_t n, Word* w,
-                     Word* state);
+  void (*clock_dffs)(const Dff* dffs, std::size_t n, Word* w, Word* state);
 };
 
 const Kernels* kernels_u64();

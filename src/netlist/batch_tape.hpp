@@ -1,8 +1,8 @@
 // Shared tape representation for the bit-parallel batch evaluator.
 //
 // BatchEvaluator compiles the netlist once into a flat, SSA-like op tape,
-// and compiles every sweep it runs — the whole tape, or one control
-// state's live cone — from that tape into a Program: the sweep's ops as
+// and compiles every sweep it runs — the whole tape, or the datapath ops
+// of one live cone — from that tape into a Program: the sweep's ops as
 // dense operand lists grouped into runs of one kind, so the per-backend
 // kernels (batch_kernels_*.cpp — uint64, NEON, AVX2, AVX-512) loop over
 // a run with no per-op dispatch.  Every backend interprets the SAME
@@ -53,11 +53,23 @@ struct Run {
   std::uint32_t count;
 };
 
+/// A 256x8 ROM macro resolved to word slots (address/data bit i = slot i).
+/// `table` points into the owning Netlist's Rom::table — the netlist must
+/// outlive the evaluator, which it already does by contract.
+struct RomSpec {
+  std::uint32_t addr[8];
+  std::uint32_t out[8];
+  const std::uint8_t* table;
+};
+
 /// One sweep, compiled: its ops in tape order, their operands packed
-/// op_words(kind) to an op in `args`, run after run.
+/// op_words(kind) to an op in `args`, run after run.  A kRom op's word
+/// indexes `roms`, the program's own specs (a cone program reads some
+/// address bits through other slots than the tape's).
 struct Program {
   std::vector<Run> runs;
   std::vector<std::uint32_t> args;
+  std::vector<RomSpec> roms;
   std::size_t ops = 0;  ///< ops across all runs
 
   void push(const Op& op) {
@@ -68,26 +80,19 @@ struct Program {
     args.insert(args.end(), words, words + op_words(op.kind));
   }
   std::size_t bytes() const noexcept {
-    return runs.size() * sizeof(Run) + args.size() * sizeof(std::uint32_t);
+    return runs.size() * sizeof(Run) + args.size() * sizeof(std::uint32_t) +
+           roms.size() * sizeof(RomSpec);
   }
 };
 
 struct Dff {
-  std::uint32_t d;       ///< word slot of D
+  std::uint32_t d;       ///< word slot D is read from
   std::uint32_t q;       ///< word slot of Q
   std::uint32_t enable;  ///< word slot of clock-enable, or kNoWord
+  std::uint32_t index;   ///< the flip-flop's state word (as flip_dff takes it)
 };
 
 static constexpr std::uint32_t kNoWord = 0xffffffffu;
-
-/// A 256x8 ROM macro resolved to word slots (address/data bit i = slot i).
-/// `table` points into the owning Netlist's Rom::table — the netlist must
-/// outlive the evaluator, which it already does by contract.
-struct RomSpec {
-  std::uint32_t addr[8];
-  std::uint32_t out[8];
-  const std::uint8_t* table;
-};
 
 /// Storage on 64-byte boundaries: with it, every lane word of a stride-8
 /// evaluator is one whole cache line and every stride-4 word half of one,

@@ -471,6 +471,135 @@ TEST_F(NetlistBatch, EveryMutatorMarksTheNetworkForSettle) {
   }
 }
 
+// clock() samples each D as the last sweep left it, even where the cone
+// program folded that D into another slot.  Four flip-flops under one
+// broadcast pin `hold`: while it is 1, q0's D folds to q0 (q0 holds and
+// leaves the clock list) and q1's D folds to q0; q2's D is a MUX between
+// two primary inputs, behind an enable that folds to 1; while `hold` is 0,
+// q3's D folds to the primary input `a`.  An output ANDs `hold`'s
+// complement with a datapath term, so it folds to 0 while `hold` is 1.
+// Between a settle() and a clock(), each mutator changes a word such a
+// folded D reads, and every lane must still clock what the scalar oracle
+// clocks.
+TEST_F(NetlistBatch, ClockWithoutSettleAfterEveryMutator) {
+  Netlist nl;
+  const nlist::NetId hold = nl.add_input("hold");
+  const nlist::NetId a = nl.add_input("a");
+  const nlist::NetId b = nl.add_input("b");
+  const nlist::NetId c = nl.add_input("c");
+  const Bus q{nl.new_net(), nl.new_net(), nl.new_net(), nl.new_net()};
+  const nlist::NetId bc = nl.gate_and(b, c);
+  const Bus d{nl.gate_mux(hold, nl.gate_xor(a, q[1]), q[0]), nl.gate_mux(hold, bc, q[0]),
+              nl.gate_mux(c, a, b), nl.gate_mux(hold, a, nl.gate_xor(b, q[3]))};
+  const nlist::NetId en = nl.gate_or(hold, bc);
+  for (std::size_t i = 0; i < q.size(); ++i)
+    nl.add_dff_with_out(q[i], d[i], i == 2 ? en : nlist::kNoNet);
+  nl.add_output_bus(q, "q");
+  nl.add_output_bus(d, "d");
+  nl.add_output(en, "en");
+  nl.add_output(nl.gate_and(nl.gate_not(hold), nl.gate_xor(a, c)), "gated");
+
+  const std::array<nlist::NetId, 1> pins{hold};
+  BatchEvaluator ev(nl, {}, pins);
+  const std::size_t S = ev.stride();
+  const std::size_t L = ev.lanes();
+  std::vector<std::unique_ptr<Evaluator>> scalars;
+  for (std::size_t lane = 0; lane < L; ++lane) scalars.push_back(std::make_unique<Evaluator>(nl));
+  const auto each = [&](const std::function<void(std::size_t, Evaluator&)>& f) {
+    for (std::size_t lane = 0; lane < L; ++lane) f(lane, *scalars[lane]);
+  };
+  const auto check = [&](const char* when) {
+    for (const auto& po : nl.outputs())
+      for (std::size_t lane = 0; lane < L; ++lane)
+        ASSERT_EQ(ev.get(po.net, lane), scalars[lane]->get(po.net))
+            << when << ": " << po.name << " lane " << lane;
+  };
+  std::mt19937_64 rng(0xc10c);
+  const auto drive = [&](bool h) {
+    ev.broadcast(hold, h);
+    for (const nlist::NetId n : {a, b, c})
+      for (std::size_t g = 0; g < S; ++g) ev.set_word(n, rng(), g);
+    each([&](std::size_t lane, Evaluator& e) {
+      e.set(hold, h);
+      for (const nlist::NetId n : {a, b, c}) e.set(n, ev.get(n, lane));
+    });
+  };
+
+  struct Mutator {
+    const char* name;
+    std::function<void()> apply;
+  };
+  const std::vector<Mutator> mutators = {
+      {"set", [&] {
+         const bool v = !ev.get(a, L - 1);
+         ev.set(a, L - 1, v);
+         scalars[L - 1]->set(a, v);
+       }},
+      {"set_word", [&] {
+         ev.set_word(a, ~ev.word(a, S - 1), S - 1);
+         for (std::size_t lane = 64 * (S - 1); lane < L; ++lane)
+           scalars[lane]->set(a, ev.get(a, lane));
+       }},
+      {"broadcast", [&] {
+         const bool v = !ev.get(hold, 0);
+         ev.broadcast(hold, v);
+         each([&](std::size_t, Evaluator& e) { e.set(hold, v); });
+       }},
+      {"flip_dff", [&] {
+         ev.flip_dff(0);
+         each([](std::size_t, Evaluator& e) { e.flip_dff(0); });
+       }},
+      {"flip_dff_lane", [&] {
+         ev.flip_dff_lane(1, L / 2);
+         scalars[L / 2]->flip_dff(1);
+       }},
+      {"flip_dff_mask", [&] {
+         std::vector<std::uint64_t> mask(S);
+         for (auto& m : mask) m = rng();
+         for (const std::size_t i : {std::size_t{0}, std::size_t{3}}) {
+           ev.flip_dff_mask(i, mask);
+           each([&](std::size_t lane, Evaluator& e) {
+             if (mask[lane / 64] >> (lane % 64) & 1U) e.flip_dff(i);
+           });
+         }
+       }},
+      {"reset", [&] {
+         ev.reset();
+         each([](std::size_t, Evaluator& e) { e.reset(); });
+       }},
+  };
+  ev.reset();
+  each([](std::size_t, Evaluator& e) { e.reset(); });
+  for (const bool h : {true, false}) {
+    for (const auto& m : mutators) {
+      SCOPED_TRACE(std::string(m.name) + (h ? ", hold" : ", load"));
+      for (int edge = 0; edge < 3; ++edge) {  // vary the flip-flop state
+        drive(edge == 0 ? !h : h);
+        ev.settle();
+        ev.clock();
+        each([](std::size_t, Evaluator& e) {
+          e.settle();
+          e.clock();
+        });
+      }
+      ASSERT_NO_FATAL_FAILURE(check("settled"));
+      if (h) {  // not vacuous: a clean edge leaves the held q0 out
+        const std::uint64_t clocked = ev.dffs_clocked();
+        ev.clock();
+        each([](std::size_t, Evaluator& e) { e.clock(); });
+        ASSERT_LT(ev.dffs_clocked() - clocked, ev.dff_count()) << "no flip-flop held";
+      }
+      ev.settle();
+      m.apply();
+      ASSERT_NO_FATAL_FAILURE(check("after the mutator"));
+      ev.clock();
+      each([](std::size_t, Evaluator& e) { e.clock(); });
+      ASSERT_NO_FATAL_FAILURE(check("after the edge"));
+    }
+  }
+  EXPECT_EQ(ev.lane_divergences(), 0u);
+}
+
 // The sweep counter: a fresh evaluator's first settle sweeps, a settle of
 // an unchanged network is free, clock() always sweeps once, and a full
 // AES-128 pass costs one sweep per clock edge plus one for each edge that

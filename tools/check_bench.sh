@@ -120,7 +120,7 @@ for f in "$repo"/BENCH_*.json; do
   fi
 
   if [ "$stem" = "simspeed" ]; then
-    # The batch-evaluation gates (docs/netlist.md), payload v7: the
+    # The batch-evaluation gates (docs/netlist.md), payload v8: the
     # netlist_batch section must name the resolved backend and lane width,
     # give the ROM gather's ns per op among its live-cone figures,
     # carry per-backend rows (skipped rows need a reason), pass the
@@ -166,6 +166,18 @@ for f in "$repo"/BENCH_*.json; do
         echo "check_bench: $name: SIMD widening gate failed (meets_target is not true)" >&2
         fail=1
       fi
+    fi
+    # The pruned-work gate (payload v8): the ops one live-cone sweep of a
+    # full-lane AES-128 encrypt pass runs.  It counts ops, not time, so it
+    # does not depend on the backend or the host; the control network
+    # compiled out of the cone programs takes it from 655 to 227.
+    ope=$(sed -n 's/.*"ops_per_edge": \([0-9.eE+-]*\).*/\1/p' "$f" | head -n 1)
+    if [ -z "$ope" ]; then
+      echo "check_bench: $name: missing live_cone ops_per_edge" >&2
+      fail=1
+    elif ! awk -v x="$ope" 'BEGIN { exit !(x + 0 > 0 && x + 0 <= 320) }'; then
+      echo "check_bench: $name: live_cone ops_per_edge $ope is not in (0, 320]" >&2
+      fail=1
     fi
     # Per-backend rows: a measured row must be bit-exact; a skipped row
     # must carry a reason (counted file-wide like the net bench does).
