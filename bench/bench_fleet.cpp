@@ -7,10 +7,12 @@
 //    the default-recommended 25% sampling on behavioral workers the tax
 //    must stay under 5% of wall throughput (the oracle is a table-driven
 //    software AES; the engine it audits is a cycle-accurate simulation, so
-//    the audit is cheap relative to the work). Gated, like the farm
-//    bench's wall-scaling figure, only on hosts with >= 4 hardware
-//    threads — below that, wall-clock deltas measure scheduler pressure,
-//    not the policy, and the gate is recorded as skipped with the reason.
+//    the audit is cheap relative to the work). The tax is the median of
+//    kOverheadPairs alternating unchecked/checked pairs after one warm-up
+//    run, the first side swapped each pair. Gated, like the farm bench's
+//    wall-scaling figure, only on hosts with >= 4 hardware threads —
+//    below that, wall-clock deltas measure scheduler pressure, not the
+//    policy, and the gate is recorded as skipped with the reason.
 //
 //  * swap pause — hot-swapping a live worker's engine quiesces only that
 //    worker: build the replacement, replay the resident key (the 40-cycle
@@ -37,6 +39,7 @@
 
 #include "farm/farm.hpp"
 #include "fleet/fleet.hpp"
+#include "paired_trials.hpp"
 #include "report/json.hpp"
 
 namespace farm = aesip::farm;
@@ -49,6 +52,7 @@ constexpr int kWorkers = 4;
 constexpr std::uint64_t kOverheadBlocks = 8000;
 constexpr double kSpotFraction = 0.25;
 constexpr double kOverheadTargetPct = 5.0;
+constexpr int kOverheadPairs = 11;
 
 farm::Request random_request(std::mt19937& rng, const std::vector<farm::Key128>& keys) {
   farm::Request req;
@@ -198,24 +202,41 @@ void print_and_dump() {
   // --- spot-check overhead ---------------------------------------------------
   std::printf("=== fleet: spot-check overhead (%d behavioral workers, %llu blocks) ===\n",
               kWorkers, static_cast<unsigned long long>(kOverheadBlocks));
-  const auto base = run_spot_point(0.0);
-  const auto spot = run_spot_point(kSpotFraction);
-  const double overhead_pct = std::max(
-      0.0, spot.blocks_per_wall_sec() > 0
-               ? (base.blocks_per_wall_sec() / spot.blocks_per_wall_sec() - 1.0) * 100.0
-               : 0.0);
+  run_spot_point(0.0);  // warm-up: the first farm pays thread/core spin-up
+  std::vector<double> base_bps, spot_bps;
+  farm::FarmStats spot;
+  const auto overhead = aesip::bench::run_pairs(
+      kOverheadPairs,
+      [&] {
+        base_bps.push_back(run_spot_point(0.0).blocks_per_wall_sec());
+        return base_bps.back();
+      },
+      [&] {
+        spot = run_spot_point(kSpotFraction);
+        spot_bps.push_back(spot.blocks_per_wall_sec());
+        return spot_bps.back();
+      },
+      [](double base, double checked) {
+        return std::max(0.0, checked > 0 ? (base / checked - 1.0) * 100.0 : 0.0);
+      });
+  const double overhead_pct = overhead.median;
   const bool overhead_skipped = hw < 4;
   const bool overhead_met = overhead_skipped || overhead_pct < kOverheadTargetPct;
-  std::printf("  fraction 0.00: %10.0f blocks/s wall\n", base.blocks_per_wall_sec());
-  std::printf("  fraction %.2f: %10.0f blocks/s wall  (%llu spot-checks, %llu mismatches)\n",
-              kSpotFraction, spot.blocks_per_wall_sec(),
+  std::printf("  fraction 0.00: %10.0f blocks/s wall (median)\n",
+              aesip::bench::quantile(base_bps, 0.5));
+  std::printf("  fraction %.2f: %10.0f blocks/s wall (median; last run %llu spot-checks, "
+              "%llu mismatches)\n",
+              kSpotFraction, aesip::bench::quantile(spot_bps, 0.5),
               static_cast<unsigned long long>(spot.spot_checks),
               static_cast<unsigned long long>(spot.spot_mismatches));
+  std::printf("  overhead per pair:");
+  for (const double v : overhead.per_pair) std::printf(" %.2f%%", v);
+  std::printf("\n");
   if (overhead_skipped)
     std::printf("  overhead gate SKIPPED: host has %u hardware thread(s) < 4 workers\n\n", hw);
   else
-    std::printf("  overhead: %.2f%% (target < %.1f%%): %s\n\n", overhead_pct,
-                kOverheadTargetPct, overhead_met ? "PASS" : "FAIL");
+    std::printf("  overhead: median %.2f%%, IQR %.2f%% (target < %.1f%%): %s\n\n", overhead_pct,
+                overhead.q3 - overhead.q1, kOverheadTargetPct, overhead_met ? "PASS" : "FAIL");
 
   // --- swap pause ------------------------------------------------------------
   std::printf("=== fleet: hot-swap pause under load ===\n");
@@ -246,7 +267,7 @@ void print_and_dump() {
 
   std::ofstream jf("BENCH_fleet.json");
   aesip::report::JsonWriter j(jf);
-  aesip::report::begin_bench_envelope(j, "fleet", 1);
+  aesip::report::begin_bench_envelope(j, "fleet", 2);
   j.begin_object();  // config
   j.key("clock_ns").value(kClockNs);
   j.key("workers").value(kWorkers);
@@ -256,10 +277,11 @@ void print_and_dump() {
 
   j.key("spot_check_overhead").begin_object();
   j.key("fraction").value(kSpotFraction);
-  j.key("baseline_blocks_per_sec").value(base.blocks_per_wall_sec());
-  j.key("checked_blocks_per_sec").value(spot.blocks_per_wall_sec());
+  j.key("baseline_blocks_per_sec").value(aesip::bench::quantile(base_bps, 0.5));
+  j.key("checked_blocks_per_sec").value(aesip::bench::quantile(spot_bps, 0.5));
   j.key("spot_checks").value(spot.spot_checks);
-  j.key("overhead_pct").value(overhead_pct);
+  j.key("overhead_pct").value(overhead_pct);  // median of the per-pair overheads
+  aesip::bench::write_pairs_json(j, overhead);
   j.key("target_pct").value(kOverheadTargetPct);
   j.key("skipped").value(overhead_skipped);
   if (overhead_skipped)

@@ -6,7 +6,9 @@
 // heavy, the deployment the service layer exists for — pushing the same
 // workload through loopback server+clients must reach >= 70% of the
 // direct Farm::submit ceiling (`gate.meets_target` in BENCH_net.json).
-// Below that, framing is eating the replication win and the protocol
+// The ratio is the median of kGatePairs alternating direct/loopback pairs
+// after a warm-up run of each, the first side swapped each pair. Below
+// the target, framing is eating the replication win and the protocol
 // needs work.
 //
 // A second sweep runs the sw engine (compute nearly free, so protocol
@@ -35,6 +37,7 @@
 #include "net/server.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
+#include "paired_trials.hpp"
 #include "report/json.hpp"
 
 namespace farm = aesip::farm;
@@ -43,6 +46,7 @@ namespace net = aesip::net;
 namespace {
 
 constexpr double kClockNs = 14.0;  // the paper's Acex1K Table 2 clock
+constexpr int kGatePairs = 11;
 
 farm::Key128 session_key(std::uint64_t sid) {
   farm::Key128 k{};
@@ -143,7 +147,7 @@ double run_loopback(aesip::engine::EngineKind engine, int workers, int sessions,
   return secs;
 }
 
-// --- v2 sections: epoll scaling and the cluster sweep ------------------------
+// --- the cluster sweep --------------------------------------------------------
 
 /// The verified workload through real sockets: `sessions` clients against
 /// an in-process server (or sharded cluster), every response compared to
@@ -156,9 +160,8 @@ struct NetRun {
   bool drained = false;  ///< every node stopped with zero in-flight frames
 };
 
-NetRun run_sockets(net::Transport& transport, int n_nodes, int server_threads,
-                   int sessions, std::uint64_t requests, std::size_t blocks,
-                   int concurrency) {
+NetRun run_sockets(net::Transport& transport, int n_nodes, int sessions,
+                   std::uint64_t requests, std::size_t blocks, int concurrency) {
   std::vector<std::unique_ptr<net::Server>> nodes;
   std::vector<std::string> addrs;
   for (int n = 0; n < n_nodes; ++n) {
@@ -167,7 +170,6 @@ NetRun run_sockets(net::Transport& transport, int n_nodes, int server_threads,
     cfg.farm.engine = aesip::engine::EngineKind::kSoftware;
     cfg.farm.queue_capacity = 128;
     cfg.window = 32;
-    cfg.threads = server_threads;
     if (n_nodes > 1) {
       net::ClusterConfig cc;
       cc.node_id = "bench-n" + std::to_string(n);
@@ -261,20 +263,34 @@ void print_and_dump() {
               gate_sessions, static_cast<unsigned long long>(gate_requests), gate_blocks,
               workers);
 
-  // Warm one run of each, then measure (first run pays thread/core spin-up).
+  // Warm one short run of each side (the first pays thread/core spin-up),
+  // then measure pairs; each pair's ratio is loopback over direct blocks/s.
   run_direct(aesip::engine::EngineKind::kBehavioral, workers, gate_sessions, 8, gate_blocks, 32);
-  const double direct_secs = run_direct(aesip::engine::EngineKind::kBehavioral, workers,
-                                        gate_sessions, gate_requests, gate_blocks, 32);
-  const double loop_secs = run_loopback(aesip::engine::EngineKind::kBehavioral, workers,
-                                        gate_sessions, gate_requests, gate_blocks);
-  const double direct_bps = static_cast<double>(gate_total_blocks) / direct_secs;
-  const double loop_bps = static_cast<double>(gate_total_blocks) / loop_secs;
-  const double ratio = direct_bps > 0 ? loop_bps / direct_bps : 0.0;
-  const bool meets_target = ratio >= 0.70;
-  std::printf("  direct farm calls:   %10.0f blocks/s\n", direct_bps);
-  std::printf("  loopback wire stack: %10.0f blocks/s\n", loop_bps);
-  std::printf("  ratio: %.2f (target >= 0.70) -> %s\n\n", ratio,
-              meets_target ? "ok" : "BELOW TARGET");
+  run_loopback(aesip::engine::EngineKind::kBehavioral, workers, gate_sessions, 8, gate_blocks);
+  std::vector<double> direct_bps, loop_bps;
+  const auto bps = [&](double secs) { return static_cast<double>(gate_total_blocks) / secs; };
+  const auto gate = aesip::bench::run_pairs(
+      kGatePairs,
+      [&] {
+        direct_bps.push_back(bps(run_direct(aesip::engine::EngineKind::kBehavioral, workers,
+                                            gate_sessions, gate_requests, gate_blocks, 32)));
+        return direct_bps.back();
+      },
+      [&] {
+        loop_bps.push_back(bps(run_loopback(aesip::engine::EngineKind::kBehavioral, workers,
+                                            gate_sessions, gate_requests, gate_blocks)));
+        return loop_bps.back();
+      },
+      [](double direct, double loop) { return loop / direct; });
+  const bool meets_target = gate.median >= 0.70;
+  std::printf("  direct farm calls:   %10.0f blocks/s (median)\n",
+              aesip::bench::quantile(direct_bps, 0.5));
+  std::printf("  loopback wire stack: %10.0f blocks/s (median)\n",
+              aesip::bench::quantile(loop_bps, 0.5));
+  std::printf("  loopback/direct ratio per pair:");
+  for (const double r : gate.per_pair) std::printf(" %.2f", r);
+  std::printf("\n  median %.2f, IQR %.2f (target >= 0.70) -> %s\n\n", gate.median,
+              gate.q3 - gate.q1, meets_target ? "ok" : "BELOW TARGET");
 
   // --- sw-engine sweep: protocol overhead vs concurrency and frame size -----
   struct SweepPoint {
@@ -302,35 +318,10 @@ void print_and_dump() {
   }
   std::printf("\n");
 
-  // --- v2: epoll-worker scaling (TCP, real sockets) --------------------------
-  // threads=4 must beat threads=1 by >= 2x — but only hosts with >= 4
-  // hardware threads can show wall-clock scaling; below that the section
-  // is skipped with a reason (same contract as the farm bench's
-  // wall-scaling gate).
   const unsigned hw = std::thread::hardware_concurrency();
   auto tcp = net::make_tcp_transport();
-  bool epoll_skipped = true;
-  std::string epoll_reason;
-  double epoll_1_bps = 0, epoll_4_bps = 0, epoll_ratio = 0;
-  bool epoll_meets = false;
-  if (hw >= 4) {
-    epoll_skipped = false;
-    const auto one = run_sockets(*tcp, 1, /*threads=*/1, 8, 64, 8, 8);
-    const auto four = run_sockets(*tcp, 1, /*threads=*/4, 8, 64, 8, 8);
-    epoll_1_bps = static_cast<double>(one.total_blocks) / one.secs;
-    epoll_4_bps = static_cast<double>(four.total_blocks) / four.secs;
-    epoll_ratio = epoll_1_bps > 0 ? epoll_4_bps / epoll_1_bps : 0.0;
-    epoll_meets = epoll_ratio >= 2.0 && one.lost_frames == 0 && four.lost_frames == 0;
-    std::printf("epoll scaling (tcp, sw engine): 1 thread %10.0f blk/s, 4 threads "
-                "%10.0f blk/s, ratio %.2f (target >= 2.0) -> %s\n\n",
-                epoll_1_bps, epoll_4_bps, epoll_ratio, epoll_meets ? "ok" : "BELOW TARGET");
-  } else {
-    epoll_reason = "host has " + std::to_string(hw) +
-                   " hardware threads; event-loop scaling needs >= 4";
-    std::printf("epoll scaling: skipped (%s)\n\n", epoll_reason.c_str());
-  }
 
-  // --- v2: cluster sweep, nodes x sessions -----------------------------------
+  // --- cluster sweep, nodes x sessions --------------------------------------
   // The scaling rows (1k/10k sessions, 4 nodes) only run where the host
   // can carry them; every row that runs must drain gracefully with zero
   // lost frames — that pair is the gate, throughput is the observation.
@@ -358,8 +349,7 @@ void print_and_dump() {
         std::printf("  %-6d  %-9d  %12s  (%s)\n", n_nodes, sessions, "skipped",
                     row.reason.c_str());
       } else {
-        row.run = run_sockets(*tcp, n_nodes, /*threads=*/1, sessions, 16, 4,
-                              /*concurrency=*/64);
+        row.run = run_sockets(*tcp, n_nodes, sessions, 16, 4, /*concurrency=*/64);
         std::printf("  %-6d  %-9d  %12.0f  %6llu  %8llu\n", n_nodes, sessions,
                     static_cast<double>(row.run.total_blocks) / row.run.secs,
                     static_cast<unsigned long long>(row.run.lost_frames),
@@ -372,7 +362,7 @@ void print_and_dump() {
 
   std::ofstream jf("BENCH_net.json");
   aesip::report::JsonWriter j(jf);
-  aesip::report::begin_bench_envelope(j, "net", 3);
+  aesip::report::begin_bench_envelope(j, "net", 4);
   j.begin_object();  // config
   j.key("clock_ns").value(kClockNs);
   j.key("workers").value(workers);
@@ -386,9 +376,10 @@ void print_and_dump() {
   j.key("requests_per_session").value(gate_requests);
   j.key("blocks_per_request").value(gate_blocks);
   j.key("total_blocks").value(gate_total_blocks);
-  j.key("direct_blocks_per_sec").value(direct_bps);
-  j.key("loopback_blocks_per_sec").value(loop_bps);
-  j.key("ratio").value(ratio);
+  j.key("direct_blocks_per_sec").value(aesip::bench::quantile(direct_bps, 0.5));
+  j.key("loopback_blocks_per_sec").value(aesip::bench::quantile(loop_bps, 0.5));
+  j.key("ratio").value(gate.median);  // median of the per-pair ratios
+  aesip::bench::write_pairs_json(j, gate);
   j.key("target_ratio").value(0.70);
   j.key("meets_target").value(meets_target);
   j.end_object();
@@ -404,20 +395,6 @@ void print_and_dump() {
     j.end_object();
   }
   j.end_array();
-
-  // --- v2 payload ------------------------------------------------------------
-  j.key("epoll").begin_object();
-  if (epoll_skipped) {
-    j.key("skipped").value(true);
-    j.key("reason").value(epoll_reason);
-  } else {
-    j.key("threads_1_blocks_per_sec").value(epoll_1_bps);
-    j.key("threads_4_blocks_per_sec").value(epoll_4_bps);
-    j.key("ratio").value(epoll_ratio);
-    j.key("target_ratio").value(2.0);
-    j.key("meets_target").value(epoll_meets);
-  }
-  j.end_object();
 
   j.key("cluster").begin_array();
   for (const auto& row : cluster_rows) {

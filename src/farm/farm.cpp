@@ -10,6 +10,7 @@
 #include "aes/cipher.hpp"
 #include "aes/modes.hpp"
 #include "engine/engine.hpp"
+#include "obs/thread_name.hpp"
 #include "report/json.hpp"
 
 namespace aesip::farm {
@@ -141,7 +142,14 @@ Farm::Farm(const FarmConfig& cfg) : cfg_(cfg), sessions_(cfg.workers, cfg.max_se
                                             cfg_.trace_capacity);
   start_ = std::chrono::steady_clock::now();
   threads_.reserve(static_cast<std::size_t>(cfg_.workers));
-  for (int i = 0; i < cfg_.workers; ++i) threads_.emplace_back([this, i] { worker_main(i); });
+  for (int i = 0; i < cfg_.workers; ++i) {
+    threads_.emplace_back([this, i] {
+      char name[16];
+      std::snprintf(name, sizeof name, "farm-w%d", i);
+      obs::name_this_thread(name);
+      worker_main(i);
+    });
+  }
 }
 
 Farm::~Farm() {

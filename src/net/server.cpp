@@ -6,10 +6,12 @@
 #include <future>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "aes/modes.hpp"
 #include "net/client.hpp"
+#include "obs/thread_name.hpp"
 #include "report/json.hpp"
 
 namespace aesip::net {
@@ -61,38 +63,20 @@ void for_each_counter(F&& f, S&... s) {
   f("cluster_nodes_alive", s.cluster_nodes_alive...);
 }
 
+/// The config as served: one loop, a window of at least one frame.
+ServerConfig validated(ServerConfig cfg) {
+  if (cfg.threads != 1)
+    throw std::invalid_argument("ServerConfig::threads must be 1 (one event loop per node)");
+  if (cfg.window == 0) cfg.window = 1;
+  return cfg;
+}
+
 }  // namespace
 
-/// One event-loop thread's world: the connections it owns exclusively, the
-/// inbox the acceptor feeds it through (the only cross-thread touch point),
-/// and the readiness set it sleeps on. With threads == 1 there is exactly
-/// one Loop and the acceptor/worker split collapses back into one thread.
-struct Server::Loop {
-  int index = 0;
-  std::vector<std::unique_ptr<Connection>> conns;
-  std::mutex inbox_mu;
-  std::vector<std::unique_ptr<Conn>> inbox;  ///< accepted, not yet adopted
-  std::atomic<std::size_t> live{0};  ///< conns + inbox; the acceptor's drain gate
-  std::unique_ptr<ReadinessSet> readiness = make_readiness_set();
-  std::vector<int> watch;  ///< native handles, rebuilt when the conn set changes
-  bool watch_dirty = true;
-  std::thread thread;
-
-  /// Per-thread share of the global counters (relaxed; read by stats()).
-  struct PerThread {
-    std::atomic<std::uint64_t> connections_adopted{0};
-    std::atomic<std::uint64_t> frames_received{0};
-    std::atomic<std::uint64_t> responses_sent{0};
-    std::atomic<std::uint64_t> bytes_in{0};
-    std::atomic<std::uint64_t> bytes_out{0};
-  } pt;
-};
-
 /// Everything the loop knows about one connection. Owned exclusively by
-/// one event-loop thread for its whole life.
+/// the loop thread for its whole life.
 struct Server::Connection {
   std::unique_ptr<Conn> conn;
-  Loop* owner = nullptr;
   FrameDecoder decoder;
   std::vector<std::uint8_t> outbuf;  ///< encoded frames awaiting write
   std::size_t out_off = 0;           ///< bytes of outbuf already written
@@ -143,18 +127,10 @@ struct Server::Connection {
 };
 
 Server::Server(Transport& transport, const std::string& address, ServerConfig cfg)
-    : cfg_(std::move(cfg)), transport_(&transport), farm_(cfg_.farm),
+    : cfg_(validated(std::move(cfg))), transport_(&transport), farm_(cfg_.farm),
       chaos_(farm_, cfg_.chaos_seed), listener_(transport.listen(address)),
       address_(listener_->address()), start_(std::chrono::steady_clock::now()) {
-  if (cfg_.window == 0) cfg_.window = 1;
-  if (cfg_.threads < 1) cfg_.threads = 1;
-  if (cfg_.tracing)
-    tracer_ = std::make_unique<obs::Tracer>(static_cast<std::size_t>(cfg_.threads),
-                                            cfg_.trace_capacity);
-  for (int i = 0; i < cfg_.threads; ++i) {
-    loops_.push_back(std::make_unique<Loop>());
-    loops_.back()->index = i;
-  }
+  if (cfg_.tracing) tracer_ = std::make_unique<obs::Tracer>(1, cfg_.trace_capacity);
   if (cfg_.cluster) {
     cluster::DirectorConfig dc;
     dc.self_id = cfg_.cluster->node_id;
@@ -172,7 +148,10 @@ Server::~Server() { stop(); }
 
 void Server::start() {
   if (running_.exchange(true)) return;
-  thread_ = std::thread([this] { serve(); });
+  thread_ = std::thread([this] {
+    obs::name_this_thread("aesip-loop");
+    serve();
+  });
 }
 
 void Server::run() {
@@ -186,21 +165,24 @@ void Server::stop() {
   running_.store(false);
 }
 
+/// The event loop: accept, service every connection, close what is
+/// finished, and sleep when nothing moved — until a drain empties it.
 void Server::serve() {
   if (director_) {
     gossip_stop_.store(false, std::memory_order_release);
-    gossip_thread_ = std::thread([this] { gossip_loop(); });
+    gossip_thread_ = std::thread([this] {
+      obs::name_this_thread("aesip-gossip");
+      gossip_loop();
+    });
   }
-  if (cfg_.threads == 1) {
-    serve_single(*loops_[0]);
-  } else {
-    for (auto& lp : loops_) {
-      Loop* p = lp.get();
-      p->thread = std::thread([this, p] { worker_loop(*p); });
-    }
-    acceptor_loop();
-    for (auto& lp : loops_)
-      if (lp->thread.joinable()) lp->thread.join();
+  for (;;) {
+    const bool draining = draining_.load(std::memory_order_acquire);
+    bool progress = !draining && accept_new();
+    progress |= service_conns(draining);
+    progress |= close_finished(draining);
+
+    if (draining && conns_.empty()) break;
+    if (!progress) idle_wait();
   }
   if (director_) {
     gossip_stop_.store(true, std::memory_order_release);
@@ -209,28 +191,20 @@ void Server::serve() {
   listener_->close();
 }
 
-/// Move accepted connections from the acceptor's inbox into this loop's
-/// exclusive set. The mutex hand-off is the happens-before edge that makes
-/// lock-free ownership afterwards sound.
-bool Server::adopt_inbox(Loop& lp) {
-  std::vector<std::unique_ptr<Conn>> batch;
-  {
-    std::lock_guard lk(lp.inbox_mu);
-    batch.swap(lp.inbox);
+bool Server::accept_new() {
+  bool any = false;
+  while (auto c = listener_->accept()) {
+    conns_.push_back(std::make_unique<Connection>(std::move(c), cfg_.max_payload));
+    counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
+    counters_.connections_active.fetch_add(1, std::memory_order_relaxed);
+    any = true;
   }
-  for (auto& c : batch) {
-    auto conn = std::make_unique<Connection>(std::move(c), cfg_.max_payload);
-    conn->owner = &lp;
-    lp.conns.push_back(std::move(conn));
-    lp.pt.connections_adopted.fetch_add(1, std::memory_order_relaxed);
-    lp.watch_dirty = true;
-  }
-  return !batch.empty();
+  return any;
 }
 
-bool Server::service_conns(Loop& lp, bool draining) {
+bool Server::service_conns(bool draining) {
   bool progress = false;
-  for (auto& cp : lp.conns) {
+  for (auto& cp : conns_) {
     Connection& c = *cp;
     if (draining) c.closing = true;
     progress |= service_reads(c);
@@ -244,10 +218,10 @@ bool Server::service_conns(Loop& lp, bool draining) {
 /// Close what is finished: dead connections immediately; closing/EOF ones
 /// once every accepted frame is answered and every byte written (the
 /// zero-loss contract); idle ones at the timeout.
-bool Server::close_finished(Loop& lp, bool draining) {
+bool Server::close_finished(bool draining) {
   bool progress = false;
   const auto now = std::chrono::steady_clock::now();
-  for (auto it = lp.conns.begin(); it != lp.conns.end();) {
+  for (auto it = conns_.begin(); it != conns_.end();) {
     Connection& c = **it;
     bool drop = c.dead;
     if (!drop && (c.closing || c.eof) && c.quiesced() && c.flushed()) drop = true;
@@ -260,11 +234,8 @@ bool Server::close_finished(Loop& lp, bool draining) {
       if (c.got_hello) counters_.sessions_active.fetch_sub(1, std::memory_order_relaxed);
       counters_.connections_active.fetch_sub(1, std::memory_order_relaxed);
       counters_.connections_closed.fetch_add(1, std::memory_order_relaxed);
-      lp.readiness->forget(c.conn->native_handle());
       c.conn->close();
-      it = lp.conns.erase(it);
-      lp.live.fetch_sub(1, std::memory_order_acq_rel);
-      lp.watch_dirty = true;
+      it = conns_.erase(it);
       progress = true;
     } else {
       ++it;
@@ -275,99 +246,16 @@ bool Server::close_finished(Loop& lp, bool draining) {
 
 /// Nothing moved: sleep until I/O or a completion can change that. With
 /// work in flight, waiting on the oldest future wakes on the common case
-/// (completions); otherwise the readiness set (or, single-threaded, the
-/// listener) wakes on bytes, and the poll interval bounds the rest.
-void Server::idle_wait(Loop& lp) {
-  Connection* waiting = nullptr;
-  for (auto& cp : lp.conns)
+/// (completions); otherwise the listener's wait doubles as the connection
+/// wait (it wakes on a pending accept or any accepted connection's
+/// activity), and the poll interval bounds the rest.
+void Server::idle_wait() {
+  for (auto& cp : conns_)
     if (!cp->in_flight.empty()) {
-      waiting = cp.get();
-      break;
+      cp->in_flight.front().future.wait_for(cfg_.poll_interval);
+      return;
     }
-  if (waiting) {
-    waiting->in_flight.front().future.wait_for(cfg_.poll_interval);
-    return;
-  }
-  if (cfg_.threads == 1) {
-    // Single-thread mode: the listener's wait doubles as the connection
-    // wait (loopback wakes on any hub activity) — the pre-threading shape.
-    listener_->wait(cfg_.poll_interval);
-    return;
-  }
-  if (lp.watch_dirty) {
-    lp.watch.clear();
-    for (auto& cp : lp.conns) lp.watch.push_back(cp->conn->native_handle());
-    lp.readiness->rebuild(lp.watch);
-    lp.watch_dirty = false;
-  }
-  lp.readiness->wait(cfg_.poll_interval);
-}
-
-/// Queue one accepted connection on `lp`'s inbox and count it; the loop
-/// takes it over on its next adopt_inbox().
-void Server::hand_off(Loop& lp, std::unique_ptr<Conn> c) {
-  {
-    std::lock_guard lk(lp.inbox_mu);
-    lp.inbox.push_back(std::move(c));
-  }
-  lp.live.fetch_add(1, std::memory_order_acq_rel);
-  counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-  counters_.connections_active.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// threads == 1: accept and serve on one thread (the original event loop).
-void Server::serve_single(Loop& lp) {
-  for (;;) {
-    const bool draining = draining_.load(std::memory_order_acquire);
-    bool progress = false;
-
-    if (!draining) {
-      while (auto c = listener_->accept()) {
-        hand_off(lp, std::move(c));
-        progress = true;
-      }
-    }
-    progress |= adopt_inbox(lp);
-    progress |= service_conns(lp, draining);
-    progress |= close_finished(lp, draining);
-
-    if (draining && lp.conns.empty()) break;
-    if (!progress) idle_wait(lp);
-  }
-}
-
-/// threads > 1: this thread only accepts and distributes round-robin; the
-/// worker loops own every connection after the inbox hand-off.
-void Server::acceptor_loop() {
-  std::size_t rr = 0;
-  for (;;) {
-    const bool draining = draining_.load(std::memory_order_acquire);
-    bool progress = false;
-    if (!draining) {
-      while (auto c = listener_->accept()) {
-        hand_off(*loops_[rr++ % loops_.size()], std::move(c));
-        progress = true;
-      }
-    } else {
-      std::size_t total = 0;
-      for (auto& lp : loops_) total += lp->live.load(std::memory_order_acquire);
-      if (total == 0) break;
-    }
-    if (!progress) listener_->wait(cfg_.poll_interval);
-  }
-}
-
-void Server::worker_loop(Loop& lp) {
-  for (;;) {
-    const bool draining = draining_.load(std::memory_order_acquire);
-    bool progress = adopt_inbox(lp);
-    progress |= service_conns(lp, draining);
-    progress |= close_finished(lp, draining);
-
-    if (draining && lp.conns.empty() && lp.live.load(std::memory_order_acquire) == 0)
-      break;
-    if (!progress) idle_wait(lp);
-  }
+  listener_->wait(cfg_.poll_interval);
 }
 
 /// The membership side-channel: tick our heartbeat, dial one peer, trade
@@ -425,7 +313,6 @@ bool Server::service_reads(Connection& c) {
       any = true;
       c.last_activity = std::chrono::steady_clock::now();
       counters_.bytes_in.fetch_add(r.n, std::memory_order_relaxed);
-      c.owner->pt.bytes_in.fetch_add(r.n, std::memory_order_relaxed);
       c.decoder.feed(std::span<const std::uint8_t>(buf, r.n));
     } else if (r.status == IoStatus::kEof) {
       c.eof = true;
@@ -480,7 +367,6 @@ bool Server::maybe_redirect(Connection& c, const Frame& f) {
 
 bool Server::handle_frame(Connection& c, Frame&& f) {
   counters_.frames_received.fetch_add(1, std::memory_order_relaxed);
-  c.owner->pt.frames_received.fetch_add(1, std::memory_order_relaxed);
   c.last_activity = std::chrono::steady_clock::now();
 
   if (!is_request_op(f.op)) {
@@ -593,8 +479,7 @@ std::vector<std::uint8_t> Server::stats_payload() const {
 /// The fleet admin plane, straight onto the farm's control surface.
 /// Quarantine and status answer inline; swap and inject execute on the
 /// target worker's own thread, so the response is parked as a PendingAdmin
-/// the reap pass polls — the loop never blocks on a worker. admin_mu_
-/// serializes the stateful ChaosInjector across event loops.
+/// the reap pass polls — the loop never blocks on a worker.
 bool Server::handle_admin_frame(Connection& c, Frame&& f) {
   if (!cfg_.admin) {
     send_error(c, f.seq, ErrorCode::kAdminDisabled, "admin plane disabled", /*fatal=*/false);
@@ -824,7 +709,6 @@ bool Server::reap_completions(Connection& c) {
       farm::Result r = inf.future.get();
       send_frame(c, Op::kResult, inf.seq, inf.flags, std::move(r.data));
       counters_.responses_sent.fetch_add(1, std::memory_order_relaxed);
-      c.owner->pt.responses_sent.fetch_add(1, std::memory_order_relaxed);
     } catch (const std::exception& e) {
       send_error(c, inf.seq, ErrorCode::kInternal, e.what(), /*fatal=*/false);
     }
@@ -834,10 +718,10 @@ bool Server::reap_completions(Connection& c) {
       e.ts_us = us_since(start_) - latency_us;
       e.dur_us = static_cast<std::uint32_t>(latency_us);
       e.name = inf.trace_name;
-      e.track = static_cast<std::uint16_t>(c.owner->index);
+      e.track = 0;
       e.arg = inf.blocks;
       e.arg2 = c.session_id;
-      tracer_->record(static_cast<std::size_t>(c.owner->index), e);
+      tracer_->record(0, e);
     }
     c.in_flight.erase(c.in_flight.begin() + static_cast<std::ptrdiff_t>(i));
     counters_.in_flight.fetch_sub(1, std::memory_order_relaxed);
@@ -860,7 +744,6 @@ bool Server::reap_completions(Connection& c) {
     send_frame(c, Op::kAdminOk, it->seq, it->flags,
                std::vector<std::uint8_t>(done->begin(), done->end()));
     counters_.responses_sent.fetch_add(1, std::memory_order_relaxed);
-    c.owner->pt.responses_sent.fetch_add(1, std::memory_order_relaxed);
     it = c.admin_pending.erase(it);
     any = true;
   }
@@ -882,7 +765,6 @@ bool Server::flush_writes(Connection& c) {
     if (r.status == IoStatus::kOk) {
       c.out_off += r.n;
       counters_.bytes_out.fetch_add(r.n, std::memory_order_relaxed);
-      c.owner->pt.bytes_out.fetch_add(r.n, std::memory_order_relaxed);
       any = true;
     } else if (r.status == IoStatus::kWouldBlock) {
       break;
@@ -924,22 +806,11 @@ ServerStats Server::stats() const {
   };
   for_each_counter(load, s, counters_);
   if (director_) s.node_id = director_->self_id();
-  s.poller = loops_.empty() ? "" : loops_[0]->readiness->name();
   s.request_latency_us = request_latency_us_.snapshot();
   s.session_in_flight = session_in_flight_.snapshot();
   if (tracer_) {
     s.trace_events = tracer_->recorded();
     s.trace_dropped = tracer_->dropped();
-  }
-  for (const auto& lp : loops_) {
-    ServerThreadStats t;
-    t.thread = lp->index;
-    t.connections_adopted = lp->pt.connections_adopted.load(std::memory_order_relaxed);
-    t.frames_received = lp->pt.frames_received.load(std::memory_order_relaxed);
-    t.responses_sent = lp->pt.responses_sent.load(std::memory_order_relaxed);
-    t.bytes_in = lp->pt.bytes_in.load(std::memory_order_relaxed);
-    t.bytes_out = lp->pt.bytes_out.load(std::memory_order_relaxed);
-    s.per_thread.push_back(t);
   }
   return s;
 }
@@ -951,8 +822,7 @@ std::string ServerStats::report() const {
     std::snprintf(line, sizeof line, fmt, args...);
     out += line;
   };
-  add("server: %zu event-loop thread%s (%s readiness)\n", per_thread.size(),
-      per_thread.size() == 1 ? "" : "s", poller.c_str());
+  add("server: one event loop\n");
   add("  traffic:   %llu connections, %llu frames in, %llu responses, %llu errors, "
       "%.1f MiB in / %.1f MiB out\n",
       static_cast<unsigned long long>(connections_accepted),
@@ -972,20 +842,12 @@ std::string ServerStats::report() const {
         static_cast<unsigned long long>(redirects_sent),
         static_cast<unsigned long long>(gossip_frames),
         static_cast<unsigned long long>(gossip_rounds));
-  if (per_thread.size() > 1)
-    for (const auto& t : per_thread)
-      add("  thread %2d: %llu conns adopted, %llu frames, %llu responses\n", t.thread,
-          static_cast<unsigned long long>(t.connections_adopted),
-          static_cast<unsigned long long>(t.frames_received),
-          static_cast<unsigned long long>(t.responses_sent));
   return out;
 }
 
 void ServerStats::write_json(report::JsonWriter& j) const {
   j.begin_object();
   j.key("node_id").value(node_id);
-  j.key("poller").value(poller);
-  j.key("threads").value(per_thread.size());
   for_each_counter([&](const char* name, std::uint64_t v) { j.key(name).value(v); }, *this);
   j.key("trace_events").value(trace_events);
   j.key("trace_dropped").value(trace_dropped);
@@ -993,18 +855,6 @@ void ServerStats::write_json(report::JsonWriter& j) const {
   obs::write_histogram_json(j, request_latency_us);
   j.key("session_in_flight");
   obs::write_histogram_json(j, session_in_flight);
-  j.key("per_thread").begin_array();
-  for (const auto& t : per_thread) {
-    j.begin_object();
-    j.key("thread").value(t.thread);
-    j.key("connections_adopted").value(t.connections_adopted);
-    j.key("frames_received").value(t.frames_received);
-    j.key("responses_sent").value(t.responses_sent);
-    j.key("bytes_in").value(t.bytes_in);
-    j.key("bytes_out").value(t.bytes_out);
-    j.end_object();
-  }
-  j.end_array();
   j.end_object();
 }
 

@@ -1,16 +1,10 @@
 // The wire-protocol server: aesip-wire-v1 sessions mapped onto farm::Farm.
 //
-// Event-loop threading (ServerConfig::threads): with 1 thread, a single
-// loop owns everything — accept, read, decode, respond, flush — exactly
-// the shape earlier PRs shipped. With N > 1, an acceptor thread hands
-// each new connection to one of N worker loops round-robin, and each
-// worker owns its connections outright: no locks on the hot path, no
-// sharing — a connection lives its whole life on one loop, the same
-// exclusive-ownership rule the farm uses for engine state. Workers sleep
-// on a ReadinessSet (epoll on Linux, poll elsewhere) built from their
-// connections' native handles, so an idle worker costs O(ready) per
-// wakeup, not O(watched) — that is what lets one process carry thousands
-// of mostly-idle sessions. The two meet the farm only through
+// One event loop per node: a single loop owns everything — accept, read,
+// decode, respond, flush — and every connection lives its whole life on
+// it. The parallelism sits behind the loop, in the farm's workers and the
+// engines' lanes; a node that needs more front end is scaled out with
+// more cluster nodes, not more loops. The loop meets the farm only through
 // Farm::submit/try_submit and the std::future each returns — the same
 // decoupling the paper builds in hardware (bus I/O overlapped with cipher
 // compute) reproduced at the service layer.
@@ -68,7 +62,6 @@
 #include "cluster/director.hpp"
 #include "farm/farm.hpp"
 #include "fleet/fleet.hpp"
-#include "net/poller.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
 #include "obs/histogram.hpp"
@@ -93,7 +86,7 @@ struct ClusterConfig {
 
 struct ServerConfig {
   farm::FarmConfig farm;            ///< workers, engine kind, queue bounds
-  int threads = 1;                  ///< event-loop threads (1 = fully inline)
+  int threads = 1;                  ///< must be 1: one event loop per node
   std::size_t window = 32;          ///< max unanswered data frames per session
   std::size_t max_payload = kDefaultMaxPayload;
   std::chrono::milliseconds idle_timeout{30000};
@@ -109,19 +102,9 @@ struct ServerConfig {
   std::optional<ClusterConfig> cluster;
 };
 
-/// One event-loop thread's share of the work (all monotonic).
-struct ServerThreadStats {
-  int thread = 0;
-  std::uint64_t connections_adopted = 0;
-  std::uint64_t frames_received = 0;
-  std::uint64_t responses_sent = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-};
-
 /// The server's counters (monotonic unless marked as a gauge), declared
 /// once: ServerStats holds them as values, the live server as relaxed
-/// atomics written by the loop threads and read by anyone.
+/// atomics written by the loop thread and read by anyone.
 template <class T>
 struct ServerCounters {
   T connections_accepted{};
@@ -150,26 +133,24 @@ struct ServerCounters {
 /// Point-in-time server counters.
 struct ServerStats : ServerCounters<std::uint64_t> {
   std::string node_id;                    ///< empty when not clustered
-  std::string poller;                     ///< ReadinessSet backend ("epoll"/"poll")
   obs::HistogramSnapshot request_latency_us;  ///< frame decoded -> response queued
   obs::HistogramSnapshot session_in_flight;   ///< window occupancy per data frame
   std::uint64_t trace_events = 0;
   std::uint64_t trace_dropped = 0;
-  std::vector<ServerThreadStats> per_thread;  ///< one entry per event-loop thread
 
-  /// Human-readable multi-line report: traffic, request latency, the
-  /// cluster counters when clustered, per-thread rows when threads > 1.
+  /// Human-readable multi-line report: traffic, request latency, and the
+  /// cluster counters when clustered.
   std::string report() const;
   /// Every field above as one JSON object, at the writer's root or after a
-  /// key (the "net" section of `aesip metrics`); "threads" is the number
-  /// of per_thread rows.
+  /// key (the "net" section of `aesip metrics`).
   void write_json(report::JsonWriter& j) const;
 };
 
 class Server {
  public:
   /// Binds `address` on `transport` and builds the farm; throws on either
-  /// failing. Serving starts with run() or start().
+  /// failing, and std::invalid_argument when `cfg.threads` is not 1.
+  /// Serving starts with run() or start().
   Server(Transport& transport, const std::string& address, ServerConfig cfg = {});
   ~Server();  ///< request_drain() + join if still running
 
@@ -203,17 +184,12 @@ class Server {
 
  private:
   struct Connection;
-  struct Loop;
 
   void serve();
-  void serve_single(Loop& lp);
-  void acceptor_loop();
-  void hand_off(Loop& lp, std::unique_ptr<Conn> c);
-  void worker_loop(Loop& lp);
-  bool adopt_inbox(Loop& lp);
-  bool service_conns(Loop& lp, bool draining);
-  bool close_finished(Loop& lp, bool draining);
-  void idle_wait(Loop& lp);
+  bool accept_new();
+  bool service_conns(bool draining);
+  bool close_finished(bool draining);
+  void idle_wait();
   void gossip_loop();
 
   bool service_reads(Connection& c);
@@ -237,11 +213,11 @@ class Server {
   Transport* transport_;  ///< for the gossip thread's outbound dials
   farm::Farm farm_;
   fleet::ChaosInjector chaos_;  ///< site classification for kAdminInject
-  std::mutex admin_mu_;         ///< chaos_ may be hit from any loop
+  std::mutex admin_mu_;         ///< serializes chaos_'s seeded state
   std::unique_ptr<Listener> listener_;
   std::string address_;
   std::unique_ptr<cluster::Director> director_;  ///< null when not clustered
-  std::vector<std::unique_ptr<Loop>> loops_;
+  std::vector<std::unique_ptr<Connection>> conns_;  ///< owned by the loop thread
   std::atomic<unsigned> next_chaos_worker_{0};  ///< rotation for kAdminInject 0xFF
   std::atomic<bool> draining_{false};
   std::atomic<bool> running_{false};

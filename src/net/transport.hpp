@@ -56,10 +56,9 @@ class Conn {
   virtual void close() = 0;
   virtual std::string peer() const = 0;
 
-  /// The OS readiness handle (socket fd) behind this connection, or -1
-  /// when there is none (loopback pipes). Each live conn owns its handle,
-  /// so no two live conns share one. A ReadinessSet (poller.hpp) can
-  /// watch handles in bulk — the epoll server's worker loops do.
+  /// The OS handle (socket fd) behind this connection, or -1 when there
+  /// is none (loopback pipes), for socket options the transport does not
+  /// set itself. Each live conn owns its handle.
   virtual int native_handle() const noexcept { return -1; }
 };
 

@@ -1,23 +1,18 @@
 // The cluster stack, bottom to top: consistent-hash Ring invariants,
-// gossip Director convergence, the multi-threaded epoll server's
-// per-thread fan-in and its readiness sets, and multi-node sharding:
-// redirect following, pinning, and cross-node session migration with
-// zero lost frames.
+// gossip Director convergence, one node's event loop under concurrent
+// sessions and its stats document, and multi-node sharding: redirect
+// following, pinning, and cross-node session migration with zero lost
+// frames.
 #include <gtest/gtest.h>
-
-#include <sys/resource.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <map>
 #include <random>
 #include <regex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,7 +22,6 @@
 #include "cluster/director.hpp"
 #include "cluster/ring.hpp"
 #include "net/client.hpp"
-#include "net/poller.hpp"
 #include "net/server.hpp"
 #include "net/transport.hpp"
 #include "report/json.hpp"
@@ -244,15 +238,16 @@ TEST(ClusterDirector, GossipConvergesSuspectsAndDrains) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-threaded epoll server
+// One node's event loop
 // ---------------------------------------------------------------------------
 
-TEST(EpollServer, PerThreadFanInAccountsForEverything) {
+// Eight verified sessions at once on the one loop: every connection is
+// accepted, every data frame answered, and framing never lost.
+TEST(ServerLoop, ConcurrentSessionsAccountForEverything) {
   auto transport = net::make_tcp_transport();
   net::ServerConfig cfg;
   cfg.farm.workers = 2;
   cfg.farm.engine = aesip::engine::EngineKind::kSoftware;
-  cfg.threads = 4;  // acceptor + 4 worker loops, round-robin adoption
   net::Server server(*transport, "127.0.0.1:0", cfg);
   server.start();
 
@@ -269,41 +264,29 @@ TEST(EpollServer, PerThreadFanInAccountsForEverything) {
 
   server.stop();
   const auto st = server.stats();
-  EXPECT_TRUE(st.poller == "epoll" || st.poller == "poll") << st.poller;
-  ASSERT_EQ(st.per_thread.size(), 4u);
-
-  // Per-thread counters must partition the totals exactly: every
-  // connection was adopted by exactly one loop, every frame read and
-  // every response written on exactly one loop.
-  std::uint64_t adopted = 0, frames = 0, responses = 0, bytes_in = 0, bytes_out = 0;
-  for (const auto& t : st.per_thread) {
-    adopted += t.connections_adopted;
-    frames += t.frames_received;
-    responses += t.responses_sent;
-    bytes_in += t.bytes_in;
-    bytes_out += t.bytes_out;
-  }
-  EXPECT_EQ(adopted, st.connections_accepted);
-  EXPECT_EQ(frames, st.frames_received);
-  EXPECT_EQ(responses, st.responses_sent + st.errors_sent);
-  EXPECT_EQ(bytes_in, st.bytes_in);
-  EXPECT_EQ(bytes_out, st.bytes_out);
-  // Round-robin adoption: 8 connections over 4 loops = 2 each.
-  for (const auto& t : st.per_thread)
-    EXPECT_EQ(t.connections_adopted, 2u) << "loop " << t.thread;
+  EXPECT_EQ(st.connections_accepted, 8u);
   EXPECT_EQ(st.responses_sent, st.data_frames);
   EXPECT_EQ(st.protocol_errors, 0u);
 }
 
-// The server's one JSON rendering: every counter under its own key, the
-// loop count as "threads", and per_thread rows that partition the totals —
-// read back from the document, not from the struct.
-TEST(EpollServer, StatsJsonCarriesEveryCounterAndItsPerThreadSplit) {
+// One loop per node: any other loop count is refused at construction.
+TEST(ServerLoop, RejectsAThreadCountOtherThanOne) {
+  auto transport = net::make_tcp_transport();
+  for (const int threads : {0, 2}) {
+    net::ServerConfig cfg;
+    cfg.threads = threads;
+    EXPECT_THROW(net::Server(*transport, "127.0.0.1:0", cfg), std::invalid_argument)
+        << threads;
+  }
+}
+
+// The server's one JSON rendering: every counter under its own key, read
+// back from the document, not from the struct.
+TEST(ServerLoop, StatsJsonCarriesEveryCounter) {
   auto transport = net::make_tcp_transport();
   net::ServerConfig cfg;
   cfg.farm.workers = 2;
   cfg.farm.engine = aesip::engine::EngineKind::kSoftware;
-  cfg.threads = 2;
   net::Server server(*transport, "127.0.0.1:0", cfg);
   server.start();
   for (int s = 0; s < 4; ++s)
@@ -319,21 +302,15 @@ TEST(EpollServer, StatsJsonCarriesEveryCounterAndItsPerThreadSplit) {
     st.write_json(j);
   }
 
-  // Members of the root sit at two spaces, members of a per_thread row at
-  // six (histogram members at four are skipped).
-  std::map<std::string, std::uint64_t> top, row_sums;
-  std::size_t rows = 0;
+  // Members of the root sit at two spaces (histogram members at four are
+  // skipped).
+  std::map<std::string, std::uint64_t> top;
   static const std::regex kMember(R"re(^( *)"(\w+)": (\d+),?$)re");
   std::istringstream in(os.str());
   for (std::string line; std::getline(in, line);) {
     std::smatch m;
     if (!std::regex_match(line, m, kMember)) continue;
-    const std::uint64_t v = std::stoull(m[3].str());
-    if (m[1].length() == 2) top[m[2].str()] = v;
-    if (m[1].length() == 6) {
-      row_sums[m[2].str()] += v;
-      rows += m[2].str() == "thread";
-    }
+    if (m[1].length() == 2) top[m[2].str()] = std::stoull(m[3].str());
   }
   for (const char* key :
        {"connections_accepted", "connections_closed", "connections_active", "sessions_active",
@@ -344,80 +321,10 @@ TEST(EpollServer, StatsJsonCarriesEveryCounterAndItsPerThreadSplit) {
     EXPECT_EQ(top.count(key), 1u) << key << " missing:\n" << os.str();
   EXPECT_NE(os.str().find("\"request_latency_us\": {"), std::string::npos);
   EXPECT_NE(os.str().find("\"session_in_flight\": {"), std::string::npos);
-  EXPECT_NE(os.str().find("\"poller\": \"" + st.poller + "\""), std::string::npos);
 
-  EXPECT_EQ(top["threads"], 2u);
-  EXPECT_EQ(rows, 2u);
   EXPECT_EQ(top["connections_accepted"], 4u);
   EXPECT_EQ(top["frames_received"], st.frames_received);
-  EXPECT_EQ(row_sums["connections_adopted"], top["connections_accepted"]);
-  EXPECT_EQ(row_sums["frames_received"], top["frames_received"]);
-  EXPECT_EQ(row_sums["responses_sent"], top["responses_sent"] + top["errors_sent"]);
-  EXPECT_EQ(row_sums["bytes_in"], top["bytes_in"]);
-  EXPECT_EQ(row_sums["bytes_out"], top["bytes_out"]);
   EXPECT_GT(top["bytes_out"], 0u);
-}
-
-// A loop forgets a connection's fd before it closes it.  Once closed, the
-// number is free for the next socket any thread opens, and epoll has
-// already dropped the closed file from its interest list, so a set that
-// still listed the old number would take the new file for the entry it
-// had and never watch it.  In the server that reuse raced a loop's
-// rebuild against a client thread's socket() (a TSan report in the test
-// above); here one thread reuses the number deterministically.
-TEST(EpollServer, ReadinessSetWatchesAReusedDescriptor) {
-  auto set = net::make_readiness_set();
-  int old_pipe[2], new_pipe[2];
-  ASSERT_EQ(::pipe(old_pipe), 0);
-  set->rebuild({old_pipe[0]});
-  set->forget(old_pipe[0]);
-  ::close(old_pipe[0]);
-  ASSERT_EQ(::pipe(new_pipe), 0);  // the lowest free numbers: old_pipe[0]'s first
-  ::close(old_pipe[1]);
-  if (new_pipe[0] != old_pipe[0]) {
-    ::close(new_pipe[0]);
-    ::close(new_pipe[1]);
-    GTEST_SKIP() << "the new pipe did not reuse the old descriptor number";
-  }
-  set->rebuild({new_pipe[0]});
-  ASSERT_EQ(::write(new_pipe[1], "x", 1), 1);
-  const auto t0 = std::chrono::steady_clock::now();
-  set->wait(std::chrono::seconds(5));
-  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2))
-      << set->name() << " slept through a readable descriptor";
-  ::close(new_pipe[0]);
-  ::close(new_pipe[1]);
-}
-
-// With no descriptor left for an epoll instance (EMFILE), the factory
-// falls back to poll(2), which needs none, and that set still wakes on a
-// socket made before the limit was lowered.  The limit is lowered in a
-// forked child so the test binary keeps its own, and only around the
-// factory call: the sanitizers' runtime checks need descriptors too.
-TEST(EpollServer, ReadinessSetFallsBackToPollWithoutDescriptors) {
-  EXPECT_EXIT(
-      {
-        int sp[2];
-        if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sp) != 0) std::_Exit(2);
-        const int lowest_free = ::dup(sp[0]);  // every number below it is taken
-        ::close(lowest_free);
-        rlimit lim{};
-        ::getrlimit(RLIMIT_NOFILE, &lim);
-        const rlim_t saved = lim.rlim_cur;
-        lim.rlim_cur = static_cast<rlim_t>(lowest_free);
-        if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) std::_Exit(3);
-        auto set = net::make_readiness_set();
-        lim.rlim_cur = saved;
-        if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) std::_Exit(3);
-        set->rebuild({sp[0]});
-        if (::write(sp[1], "x", 1) != 1) std::_Exit(4);
-        const auto t0 = std::chrono::steady_clock::now();
-        set->wait(std::chrono::seconds(5));
-        const bool woke = std::chrono::steady_clock::now() - t0 < std::chrono::seconds(2);
-        std::fprintf(stderr, "set=%s woke=%d\n", set->name(), woke ? 1 : 0);
-        std::_Exit(0);
-      },
-      ::testing::ExitedWithCode(0), "set=poll woke=1");
 }
 
 // ---------------------------------------------------------------------------

@@ -8,11 +8,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <random>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -978,4 +983,32 @@ TEST(FarmStats, MergeFromSumsCountersAndMergesHistogramsExactly) {
   EXPECT_EQ(m.wall_seconds, std::max(a.wall_seconds, b.wall_seconds));
   EXPECT_EQ(m.max_worker_cycles, std::max(a.max_worker_cycles, b.max_worker_cycles));
   EXPECT_GT(m.max_worker_cycles, 0u);
+}
+
+// Workers carry their names (farm-w<i>) in the OS thread table, so
+// per-thread CPU from /proc can be attributed without creation order.
+TEST(FarmThreads, WorkersAreNamedInTheTaskTable) {
+#if defined(__linux__)
+  farm::FarmConfig cfg;
+  cfg.workers = 2;
+  cfg.engine = engine::EngineKind::kSoftware;
+  farm::Farm f(cfg);
+  // Each worker names itself as it starts, so give them a moment.
+  std::set<std::string> names;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!(names.count("farm-w0") && names.count("farm-w1")) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    names.clear();
+    for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+      std::ifstream comm(task.path() / "comm");
+      std::string name;
+      if (std::getline(comm, name)) names.insert(name);
+    }
+  }
+  EXPECT_EQ(names.count("farm-w0"), 1u);
+  EXPECT_EQ(names.count("farm-w1"), 1u);
+#else
+  GTEST_SKIP() << "thread names are read from /proc/self/task, which only Linux has";
+#endif
 }

@@ -608,17 +608,14 @@ int cmd_metrics(const Args& args) {
     die("--trace requires --farm yes");
   }
 
-  // --- optional net section: a clustered multi-threaded server probed in
-  // process, so the per-thread and cluster counters land in the JSON -----------
+  // --- optional net section: a one-node cluster server probed in process,
+  // so the server and cluster counters land in the JSON ------------------------
   std::optional<net::ServerStats> nst;
   if (arg_or(args, "net", "no") == "yes") {
-    const int net_threads = std::stoi(arg_or(args, "net-threads", "2"));
-    if (net_threads < 1) die("--net-threads must be >= 1");
     auto nt = net::make_tcp_transport();
     net::ServerConfig scfg;
     scfg.farm.workers = 2;
     scfg.farm.engine = engine::EngineKind::kSoftware;
-    scfg.threads = net_threads;
     net::ClusterConfig cc;  // one-node cluster: counters live, nothing redirects
     cc.node_id = "metrics-n0";
     scfg.cluster = cc;
@@ -744,8 +741,6 @@ int cmd_serve(const Args& args) {
   if (!trace_path.empty()) cfg.tracing = true;
   const std::string address = arg_or(args, "listen", "127.0.0.1:0");
 
-  cfg.threads = std::stoi(arg_or(args, "threads", "1"));
-  if (cfg.threads < 1) die("--threads must be >= 1");
   // --cluster joins a multi-node shard: this node gossips membership with
   // --seeds and serves only the sessions the consistent-hash ring assigns
   // it, bouncing the rest with kRedirect (docs/cluster.md).
@@ -771,9 +766,6 @@ int cmd_serve(const Args& args) {
               server.address().c_str(), transport->name(), cfg.farm.workers,
               engine::kind_name(cfg.farm.engine), keybits, cfg.window,
               cfg.admin ? "on" : "off", 100.0 * cfg.farm.spot_check_fraction);
-  if (cfg.threads > 1)
-    std::printf("aesip serve: %d event-loop threads (%s readiness)\n", cfg.threads,
-                server.stats().poller.c_str());
   if (cfg.cluster)
     std::printf("aesip serve: cluster node '%s' (%zu seeds, gossip every %lld ms)\n",
                 cfg.cluster->node_id.c_str(), cfg.cluster->seeds.size(),
@@ -839,7 +831,6 @@ int cmd_loadgen(const Args& args) {
         scfg.farm.workers = std::stoi(arg_or(args, "workers", "2"));
         scfg.farm.engine = kind;
         scfg.farm.spot_check_fraction = chaos ? 1.0 : 0.0;
-        scfg.threads = std::stoi(arg_or(args, "threads", "1"));
         scfg.admin = true;
         scfg.chaos_seed = seed + static_cast<std::uint32_t>(n);
         net::ClusterConfig cc;
@@ -1251,14 +1242,14 @@ void usage() {
       "           [--seed S] [--spot-check F]\n"
       "           [--json FILE] [--trace FILE]\n"
       "  metrics  [--blocks N] [--engine sw|behavioral|netlist] [--farm yes|no]\n"
-      "           [--workers N] [--net yes|no] [--net-threads N]\n"
+      "           [--workers N] [--net yes|no]\n"
       "           [--json FILE|-] [--trace FILE]  (--net probes an in-process\n"
-      "           multi-threaded server for the per-thread/cluster counters)\n"
+      "           one-node cluster server for the server/cluster counters)\n"
       "  serve    [--listen HOST:PORT] [--workers N] [--engine sw|behavioral|netlist]\n"
-      "           [--threads N] (event-loop threads: epoll/poll readiness)\n"
       "           [--cluster --node-id ID --seeds A,B --advertise ADDR]\n"
       "           [--gossip-ms MS] [--suspect-ms MS] [--vnodes N]\n"
-      "           (join a sharded multi-node cluster; docs/cluster.md)\n"
+      "           (join a sharded multi-node cluster; docs/cluster.md —\n"
+      "           one event loop per node, so scale out with more nodes)\n"
       "           [--window N] [--queue N] [--idle-ms MS] [--trace FILE]\n"
       "           [--spot-check F] [--admin yes|no] [--chaos-seed S]\n"
       "           [--keybits 128|192|256]  (native worker geometry; other key\n"
@@ -1268,8 +1259,8 @@ void usage() {
       "           [--nodes N|A,B,C] (N self-hosts an N-node sharded cluster;\n"
       "           a list round-robins sessions over running nodes — either\n"
       "           way clients follow kRedirect to each session's owner)\n"
-      "           [--threads N] [--concurrency N] (session thread pool\n"
-      "           cap, default 256 — 10k sessions != 10k threads)\n"
+      "           [--concurrency N] (session thread pool cap, default 256 —\n"
+      "           10k sessions != 10k threads)\n"
       "           [--keybits 128|192|256|mix] (default mix: sessions rotate key\n"
       "           sizes round-robin, each verified against its matching oracle)\n"
       "           [--seed S] [--chaos]   (verified client traffic against aesip\n"
@@ -1329,15 +1320,15 @@ int main(int argc, char** argv) {
         "spot-check", "json", "trace"},
        cmd_farm},
       {"metrics",
-       {"blocks", "engine", "farm", "workers", "net", "net-threads", "json", "trace"},
+       {"blocks", "engine", "farm", "workers", "net", "json", "trace"},
        cmd_metrics},
       {"serve",
-       {"listen", "workers", "engine", "threads", "cluster", "node-id", "seeds", "advertise",
+       {"listen", "workers", "engine", "cluster", "node-id", "seeds", "advertise",
         "gossip-ms", "suspect-ms", "vnodes", "window", "queue", "idle-ms", "trace",
         "spot-check", "admin", "chaos-seed", "keybits"},
        cmd_serve},
       {"loadgen",
-       {"connect", "sessions", "requests", "blocks", "nodes", "threads", "concurrency",
+       {"connect", "sessions", "requests", "blocks", "nodes", "concurrency",
         "keybits", "seed", "chaos", "workers", "engine"},
        cmd_loadgen},
       {"selftest", {}, [](const Args&) { return cmd_selftest(); }},

@@ -55,13 +55,16 @@ for f in "$repo"/BENCH_*.json; do
 
   # Bench-specific payload contracts.
   if [ "$stem" = "net" ]; then
-    # The wire-tax gate (docs/net.md): the gate section must be present
-    # and must pass — loopback >= 70% of direct-farm throughput.
+    # The wire-tax gate (docs/net.md), payload v4: the gate section must be
+    # present, carry its per-pair ratios and their spread, and pass — the
+    # median loopback/direct ratio over alternating pairs >= 0.70.
     for needle in \
       '"gate": {' \
       '"direct_blocks_per_sec": ' \
       '"loopback_blocks_per_sec": ' \
       '"ratio": ' \
+      '"per_pair": [' \
+      '"iqr": ' \
       '"target_ratio": ' \
       '"sweep": ['
     do
@@ -75,17 +78,11 @@ for f in "$repo"/BENCH_*.json; do
       fail=1
     fi
 
-    # v2 sections (docs/cluster.md): epoll scaling and the nodes x
-    # sessions cluster sweep.
-    for needle in \
-      '"epoll": {' \
-      '"cluster": ['
-    do
-      if ! grep -qF "$needle" "$f"; then
-        echo "check_bench: $name: missing $needle" >&2
-        fail=1
-      fi
-    done
+    # The nodes x sessions cluster sweep (docs/cluster.md).
+    if ! grep -qF '"cluster": [' "$f"; then
+      echo "check_bench: $name: missing \"cluster\": [" >&2
+      fail=1
+    fi
     # Zero-frame-loss and graceful drain at every scale that ran: any
     # non-zero lost_frames or a failed drain anywhere in the file fails.
     if grep -q '"lost_frames": [^0]' "$f"; then
@@ -95,18 +92,6 @@ for f in "$repo"/BENCH_*.json; do
     fi
     if grep -qF '"drained": false' "$f"; then
       echo "check_bench: $name: a row did not drain gracefully" >&2
-      fail=1
-    fi
-    # The epoll gate: measured and met, or skipped with a reason (hosts
-    # with < 4 hardware threads cannot show event-loop scaling).
-    esection=$(sed -n '/"epoll": {/,/}/p' "$f")
-    if printf '%s' "$esection" | grep -qF '"skipped": true'; then
-      if ! printf '%s' "$esection" | grep -qF '"reason": "'; then
-        echo "check_bench: $name: epoll scaling skipped without a reason" >&2
-        fail=1
-      fi
-    elif ! printf '%s' "$esection" | grep -qF '"meets_target": true'; then
-      echo "check_bench: $name: epoll scaling gate failed (meets_target is not true)" >&2
       fail=1
     fi
     # Every skipped sweep row must carry a reason (count them: rows and
@@ -197,11 +182,12 @@ for f in "$repo"/BENCH_*.json; do
     # Two gates (docs/fleet.md): the zero-corruption chaos gate is
     # unconditional — SEUs injected under 100% spot-check must never leak
     # a corrupted or lost frame. The spot-check overhead gate (< 5% wall
-    # tax at 25% sampling) is wall-clock, so like the farm bench's
-    # wall-scaling gate it may be skipped with a reason on hosts with too
-    # few hardware threads.
+    # tax at 25% sampling, the median of alternating pairs, payload v2) is
+    # wall-clock, so like the farm bench's wall-scaling gate it may be
+    # skipped with a reason on hosts with too few hardware threads.
     for needle in \
       '"spot_check_overhead": {' \
+      '"per_pair": [' \
       '"swap": {' \
       '"zero_corruption": {' \
       '"corrupted_frames": 0' \
